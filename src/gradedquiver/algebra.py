@@ -1,13 +1,24 @@
 """The graded algebra of a quiver modulo homogeneous relations.
 
-A piece e_y*A_d*e_x is presented as the span of length-d paths x -> y modulo
-the degree-d slice of the relation ideal.  Relation slices are generated by
-u*r*v over all path paddings u, v, so no noncommutative Groebner machinery is
-needed; every piece is an exact finite-dimensional quotient with a canonical
-echelon basis of coset-representative paths.
+Pieces are built degree by degree from one source vertex s.  The piece
+e_t*A_d*e_s is spanned by the columns a*rep, for each arrow a: y -> t and each
+coset representative rep of A_{d-1}(s -> y), modulo the rows r*v, for each
+relation r ending at t and each representative v of A_{d-deg r}(s -> source r).
+A term p*v of r*v is a*(tail) for the last arrow a of p, and the tail's
+coordinates are its normal form in degree d-1, so the work is polynomial in d.
+No noncommutative Groebner machinery is needed beyond this one reduction.
+
+Columns are ordered by name tuple and the coset representatives are the
+non-pivot columns of the row-reduced rows: the paths that are not the
+lex-smallest term of any element of the degree-d relation slice.  These are
+the representatives that reducing every length-d path modulo all paddings
+u*r*v would give.  Lex order on name tuples of equal length is compatible
+with multiplication on both sides, so these standard paths are closed under
+subwords and each one is some a*rep; every row is an element of the slice, so
+no standard path is a pivot; and the non-pivot count is dim A_d.
 """
 
-import threading
+import math
 
 from .errors import InputError
 from .linalg import Matrix
@@ -86,31 +97,37 @@ class AlgElement:
 
 
 class _Piece:
-    """Basis data for one piece: paths, relation-slice echelon, coset reps."""
+    """One piece e_t*A_d*e_s: coset representatives and column normal forms.
 
-    __slots__ = ("paths", "index", "rel_rref", "pivots", "rep_indices", "rep_paths", "dim")
+    The spanning columns are a*rep for each arrow a into t, in name order, and
+    each representative rep of A_{d-1}(s -> source a).  `offsets[a.name]` is
+    the first column of a's block and `col_nf[j]` lists the (representative
+    index, coefficient) pairs of the normal form of column j.
+    """
 
-    def __init__(self, paths, rel_rref, pivots):
-        self.paths = paths
-        self.index = {p.names(): i for i, p in enumerate(paths)}
-        self.rel_rref = rel_rref
-        self.pivots = pivots
-        pivset = set(pivots)
-        self.rep_indices = [i for i in range(len(paths)) if i not in pivset]
-        self.rep_paths = [paths[i] for i in self.rep_indices]
-        self.dim = len(self.rep_indices)
+    __slots__ = ("rep_paths", "dim", "offsets", "col_nf")
 
-    def reduce(self, field, vec):
-        """Normal form of a path-coordinate vector: coordinates over reps."""
-        w = list(vec)
-        for r, c in enumerate(self.pivots):
-            if w[c]:
-                factor = w[c]
-                row = self.rel_rref.data[r]
-                for j in range(c, len(w)):
-                    if row[j]:
-                        w[j] = field.sub(w[j], field.mul(factor, row[j]))
-        return [w[i] for i in self.rep_indices]
+    def __init__(self, rep_paths, offsets=None, col_nf=()):
+        self.rep_paths = tuple(rep_paths)
+        self.dim = len(self.rep_paths)
+        self.offsets = offsets
+        self.col_nf = col_nf
+
+    def times_arrow(self, field, name, vec):
+        """Normal form of a*w in this piece, from the normal form `vec` of w."""
+        if not self.dim:
+            return ()
+        acc = [field.zero()] * self.dim
+        off = self.offsets[name]
+        for i, x in enumerate(vec):
+            if x:
+                for r, c in self.col_nf[off + i]:
+                    acc[r] += x * c
+        return tuple(acc) if field.p is None else tuple(v % field.p for v in acc)
+
+
+# the one object shared by every zero piece
+_EMPTY = _Piece(())
 
 
 class GradedAlgebra:
@@ -120,52 +137,148 @@ class GradedAlgebra:
         self.quiver = quiver
         self.field = field
         self.relations = tuple(relations)
+        self._arrows_into = {v: sorted(quiver.arrows_into[v], key=lambda a: a.name)
+                             for v in quiver.vertices}
+        # per target: (degree, source, ((coeff, last arrow name, tail names), ...))
+        self._rels_into = {v: [] for v in quiver.vertices}
         for r in self.relations:
             quiver.check_vertex(r.source)
+            quiver.check_vertex(r.target)
+            terms = tuple((field.of(c), p.arrows[0].name, p.names()[1:]) for c, p in r.terms)
+            self._rels_into[r.target].append((r.degree, r.source, terms))
         self._pieces = {}
-        self._lock = threading.Lock()
+        self._reach = {}    # source -> first degree not yet filled (inf once all vanish)
+        self._nfs = {}      # path name tuple -> normal form
         self._opp = None
 
     # -- piece bases ---------------------------------------------------
 
     def piece(self, degree, source, target):
         """Echelon basis data of e_target * A_degree * e_source."""
-        key = (degree, source, target)
-        got = self._pieces.get(key)
+        got = self._pieces.get((degree, source, target))
         if got is not None:
             return got
-        piece = self._compute_piece(degree, source, target)
-        with self._lock:
-            # insert-once: a concurrent filler computed identical data
-            return self._pieces.setdefault(key, piece)
+        if degree >= 0:
+            self.quiver.check_vertex(source)
+            self.quiver.check_vertex(target)
+        return self._piece(degree, source, target)
+
+    def _piece(self, degree, source, target):
+        """piece() for known vertices."""
+        key = (degree, source, target)
+        got = self._pieces.get(key)
+        if got is None:
+            if degree >= 0:
+                self._fill(source, degree)
+            # still absent: a negative degree, or above the degree where
+            # every piece from source vanishes
+            got = self._pieces.setdefault(key, _EMPTY)
+        return got
+
+    def _fill(self, source, degree):
+        """Compute every piece from `source` up to `degree`, lowest degree first.
+
+        Stops at the first degree where every piece from `source` is zero:
+        A_{i+1} = A_1 * A_i, so every higher piece is zero as well.
+        """
+        # concurrent fills may repeat work; setdefault keeps one of the
+        # identical results
+        e = self._reach.get(source, 0)
+        while e <= degree:
+            nonzero = False
+            for t in self.quiver.vertices:
+                p = self._pieces.setdefault((e, source, t), self._compute_piece(e, source, t))
+                nonzero = nonzero or p.dim > 0
+            e = e + 1 if nonzero else math.inf
+            self._reach[source] = e
 
     def _compute_piece(self, degree, source, target):
-        if degree < 0:
-            return _Piece([], Matrix.zeros(self.field, 0, 0), ())
-        paths = self.quiver.paths(degree, source, target)
-        if degree < 2 or not paths:
-            return _Piece(paths, Matrix.zeros(self.field, 0, len(paths)), ())
-        index = {p.names(): i for i, p in enumerate(paths)}
-        rows = []
-        for rel in self.relations:
-            pad = degree - rel.degree
-            if pad < 0:
+        """e_target*A_degree*e_source from the filled pieces of lower degree."""
+        if degree == 0:
+            return _Piece((Path.trivial(source),)) if source == target else _EMPTY
+        f = self.field
+        pieces = self._pieces
+        blocks, offsets, ncols = [], {}, 0
+        for a in self._arrows_into[target]:
+            prev = pieces[(degree - 1, source, a.source)]
+            offsets[a.name] = ncols
+            blocks.append((a, prev))
+            ncols += prev.dim
+        if not ncols:
+            return _EMPTY
+        rows = []   # sparse: column -> coefficient
+        for rel_degree, rel_source, terms in self._rels_into[target]:
+            if rel_degree > degree:
                 continue
-            for a in range(pad + 1):
-                b = pad - a
-                for v in self.quiver.paths(a, source, rel.source):
-                    for u in self.quiver.paths(b, rel.target, target):
-                        row = [self.field.zero()] * len(paths)
-                        for coeff, p in rel.terms:
-                            full = u.compose(p).compose(v)
-                            row[index[full.names()]] = self.field.add(
-                                row[index[full.names()]], self.field.of(coeff))
-                        rows.append(row)
-        if not rows:
-            return _Piece(paths, Matrix.zeros(self.field, 0, len(paths)), ())
-        rel_mat = Matrix(self.field, len(rows), len(paths), rows)
-        rref, pivots = rel_mat.rref()
-        return _Piece(paths, rref, pivots)
+            for v in pieces[(degree - rel_degree, source, rel_source)].rep_paths:
+                row = {}
+                for c, name, tail in terms:
+                    off = offsets[name]
+                    for j, x in enumerate(self._normal_form(tail + v.names())):
+                        if x:
+                            row[off + j] = f.add(row.get(off + j, f.zero()), f.mul(c, x))
+                row = {j: x for j, x in row.items() if x}
+                if row:
+                    rows.append(row)
+        # only the columns some row touches take part in the elimination
+        cols = sorted({j for row in rows for j in row})
+        rref, pivots = (Matrix(f, len(rows), len(cols),
+                               [[row.get(j, f.zero()) for j in cols] for row in rows]).rref()
+                        if rows else (None, ()))
+        pivset = {cols[k] for k in pivots}
+        reps, col_rep = [], {}
+        for a, prev in blocks:
+            for i, rep in enumerate(prev.rep_paths):
+                j = offsets[a.name] + i
+                if j not in pivset:
+                    col_rep[j] = len(reps)
+                    reps.append(Path((a,) + rep.arrows))
+        if not reps:
+            return _EMPTY
+        col_nf = [None] * ncols
+        for j, r in col_rep.items():
+            col_nf[j] = ((r, f.one()),)
+        for i, k in enumerate(pivots):
+            # a row of the rref is zero at every other pivot column
+            row = rref.data[i]
+            col_nf[cols[k]] = tuple((col_rep[cols[m]], f.neg(row[m]))
+                                    for m in range(k + 1, len(cols)) if row[m])
+        return _Piece(reps, offsets, col_nf)
+
+    def _normal_form(self, names):
+        """Coordinates of a path, given by its arrow names (last-applied first),
+        over the representatives of its piece.
+
+        NF(a*w) = reduce(a (x) NF(w)), and every suffix met on the way is
+        memoized.
+        """
+        if not names:
+            return (self.field.one(),)
+        nfs = self._nfs
+        got = nfs.get(names)
+        if got is not None:
+            return got
+        j = 1
+        while j < len(names) and names[j:] not in nfs:
+            j += 1
+        vec = nfs[names[j:]] if j < len(names) else (self.field.one(),)
+        arrows = self.quiver.arrow_by_name
+        source = arrows[names[-1]].source
+        for i in range(j - 1, -1, -1):
+            a = arrows[names[i]]
+            vec = self._piece(len(names) - i, source, a.target).times_arrow(self.field, a.name, vec)
+            nfs[names[i:]] = vec
+        return vec
+
+    def _lincomb(self, dim, terms):
+        """Coordinates of the sum of c*vec over (c, normal form vec) terms of one piece."""
+        f = self.field
+        acc = [f.zero()] * dim
+        for c, vec in terms:
+            for i, x in enumerate(vec):
+                if x:
+                    acc[i] += c * x
+        return acc if f.p is None else [v % f.p for v in acc]
 
     def dim_piece(self, degree, source, target):
         return self.piece(degree, source, target).dim
@@ -185,11 +298,8 @@ class GradedAlgebra:
         return AlgElement(self, 0, vertex, vertex, [self.field.one()])
 
     def element_from_path(self, path):
-        piece = self.piece(path.length, path.source, path.target)
-        vec = [self.field.zero()] * len(piece.paths)
-        vec[piece.index[path.names()]] = self.field.one()
         return AlgElement(self, path.length, path.source, path.target,
-                          piece.reduce(self.field, vec))
+                          self._normal_form(path.names()))
 
     def arrow_element(self, name):
         if name not in self.quiver.arrow_by_name:
@@ -203,14 +313,14 @@ class GradedAlgebra:
         degree = terms[0][1].length
         source = terms[0][1].source
         target = terms[0][1].target
-        piece = self.piece(degree, source, target)
-        vec = [self.field.zero()] * len(piece.paths)
-        for c, p in terms:
+        for _, p in terms:
             if (p.length, p.source, p.target) != (degree, source, target):
                 raise InputError("terms of an element must lie in one piece")
-            i = piece.index[p.names()]
-            vec[i] = self.field.add(vec[i], self.field.of(c))
-        return AlgElement(self, degree, source, target, piece.reduce(self.field, vec))
+        f = self.field
+        coeffs = self._lincomb(self.piece(degree, source, target).dim,
+                               ((f.of(c), self._normal_form(p.names()))
+                                for c, p in terms))
+        return AlgElement(self, degree, source, target, coeffs)
 
     def multiply(self, u, v):
         """u*v, meaning v acts first: source(u) must equal target(v)."""
@@ -219,20 +329,13 @@ class GradedAlgebra:
         if u.source != v.target:
             raise InputError(f"endpoint mismatch: source {u.source!r} vs target {v.target!r}")
         degree = u.degree + v.degree
-        out_piece = self.piece(degree, v.source, u.target)
-        vec = [self.field.zero()] * len(out_piece.paths)
-        u_piece = self.piece(u.degree, u.source, u.target)
-        v_piece = self.piece(v.degree, v.source, v.target)
-        for cu, pu in zip(u.coeffs, u_piece.rep_paths):
-            if not cu:
-                continue
-            for cv, pv in zip(v.coeffs, v_piece.rep_paths):
-                if not cv:
-                    continue
-                idx = out_piece.index[pu.compose(pv).names()]
-                vec[idx] = self.field.add(vec[idx], self.field.mul(cu, cv))
-        return AlgElement(self, degree, v.source, u.target,
-                          out_piece.reduce(self.field, vec))
+        u_reps = self.piece(u.degree, u.source, u.target).rep_paths
+        v_reps = self.piece(v.degree, v.source, v.target).rep_paths
+        products = ((cu * cv, self._normal_form(pu.names() + pv.names()))
+                    for cu, pu in zip(u.coeffs, u_reps) if cu
+                    for cv, pv in zip(v.coeffs, v_reps) if cv)
+        coeffs = self._lincomb(self.piece(degree, v.source, u.target).dim, products)
+        return AlgElement(self, degree, v.source, u.target, coeffs)
 
     # -- multiplication matrices ----------------------------------------
 

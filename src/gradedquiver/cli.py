@@ -278,7 +278,7 @@ def run(args):
         ok, failures = verify_almost_split(seq, seed=args.seed)
         _emit(args, {"verified": ok, "failures": failures},
               "pass" if ok else f"fail: {failures}")
-        return 0
+        return 0 if ok else 1
 
     if args.command == "ar-formula":
         rep = ar_formula_check(module(args.module), module(args.other))

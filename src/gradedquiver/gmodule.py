@@ -88,9 +88,6 @@ class GradedModule:
             raise WindowError("total dimension of a truncated module is unknown")
         return sum(self.dims.values())
 
-    def same_dims(self, other):
-        return self.dims == other.dims
-
     # -- actions -----------------------------------------------------------
 
     def path_action(self, path, i):
@@ -501,11 +498,6 @@ class GradedMorphism:
     def shift(self, s):
         return GradedMorphism(self.source.shift(s), self.target.shift(s),
                               {(i - s, x): m for (i, x), m in self.blocks.items()},
-                              check=False)
-
-    def restrict_window(self, lo, hi):
-        return GradedMorphism(self.source.with_window(lo, hi), self.target.with_window(lo, hi),
-                              {(i, x): m for (i, x), m in self.blocks.items() if lo <= i <= hi},
                               check=False)
 
     def to_json_dict(self):

@@ -37,6 +37,23 @@ def make_fix_d(field=QQ, top=5):
     return GradedAlgebra(q, field, relations)
 
 
+def make_polynomial(field=QQ, skew=None):
+    """k[x,y,z] as one vertex with three loops, or k_q[x,y,z] with skew coefficients.
+
+    For i < j the relation is x_j*x_i = q_ij*x_i*x_j, with q_ij = skew[(i, j)]
+    (1 when skew is None).  The piece of degree d has dimension C(d+2, 2)
+    whenever every q_ij is a unit.
+    """
+    names = ("x", "y", "z")
+    q = Quiver(["v"], [(n, "v", "v") for n in names])
+    relations = []
+    for i in range(3):
+        for j in range(i + 1, 3):
+            c = 1 if skew is None else skew[(i, j)]
+            relations.append(rel(q, [(1, (names[j], names[i])), (-c, (names[i], names[j]))]))
+    return GradedAlgebra(q, field, relations)
+
+
 @pytest.fixture(scope="session")
 def fix_a():
     return make_fix_a()

@@ -1,12 +1,13 @@
 import itertools
+from math import comb
 
 import pytest
 
-from gradedquiver import GF
+from gradedquiver import GF, QQ
 from gradedquiver.errors import InputError
 from gradedquiver.algebra import Relation
 
-from conftest import make_fix_c
+from conftest import make_fix_c, make_polynomial
 
 
 def test_relation_validation(fix_a):
@@ -166,3 +167,13 @@ def test_prime_field_algebra():
     g, a = alg.arrow_element("g"), alg.arrow_element("a")
     d, b = alg.arrow_element("d"), alg.arrow_element("b")
     assert alg.multiply(g, a) == alg.multiply(d, b)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "F3"])
+@pytest.mark.parametrize("skew", [None, {(0, 1): -1, (0, 2): 2, (1, 2): 5}],
+                         ids=["commutative", "skew"])
+def test_polynomial_ring_piece_dims_to_degree_8(field, skew):
+    # pieces are built inductively in polynomial time; spanning every
+    # padding u*r*v instead takes tens of seconds from degree 6 on
+    alg = make_polynomial(field, skew)
+    assert [alg.dim_piece(d, "v", "v") for d in range(9)] == [comb(d + 2, 2) for d in range(9)]

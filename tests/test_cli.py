@@ -97,6 +97,25 @@ def test_cli_ars_fix_b(tmp_path, capsys):
     assert out["verified"] is True
 
 
+def test_cli_ars_exits_1_when_verification_fails(tmp_path, monkeypatch, capsys):
+    from gradedquiver import cli
+
+    good = tmp_path / "seq.json"
+    assert main([fix("fix_b"), "ars", "--module", "S1", "--json", "--out", str(good)]) == 0
+    data = json.loads(good.read_text())
+    data["left_map"]["blocks"]["(1,2)"] = [["0"]]
+    bad = tmp_path / "tampered.json"
+    bad.write_text(json.dumps(data))
+    assert main([fix("fix_b"), "verify-ars", "--sequence", str(bad)]) == 1
+    # hand `ars` the tampered sequence in place of the one it constructs
+    monkeypatch.setattr(cli, "almost_split_sequence",
+                        lambda M, direction, seed=None: cli._sequence_from_file(M.algebra, str(bad)))
+    capsys.readouterr()
+    assert main([fix("fix_b"), "ars", "--module", "S1", "--json"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["verified"] is False and out["failures"]
+
+
 def test_cli_ars_starting_matches_ending(tmp_path):
     end_f = tmp_path / "end.json"
     start_f = tmp_path / "start.json"

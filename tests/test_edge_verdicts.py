@@ -69,7 +69,8 @@ def test_cli_verify_tampered_sequence(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     code = main([fix("fix_b"), "verify-ars", "--sequence", str(bad), "--json"])
-    assert code == 0
+    # a failed certificate exits 1, as it does for `ars`
+    assert code == 1
     rep = json.loads(capsys.readouterr().out)
     assert rep["verified"] is False
     assert any("surjective" in m or "rank" in m for m in rep["failures"])
