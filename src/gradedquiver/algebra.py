@@ -346,8 +346,8 @@ class GradedAlgebra:
         cols = []
         for p in src_piece.rep_paths:
             w = self.element_from_path(p)
-            cols.append(list(self.multiply(u, w).coeffs))
-        return Matrix.from_cols(self.field, tgt_dim, cols)
+            cols.append(self.multiply(u, w).coeffs)
+        return Matrix._make_cols(self.field, tgt_dim, cols)
 
     def right_mult_matrix(self, u, degree, top_vertex):
         """Matrix of w -> w*u on e_top A_degree e_{u.target} -> e_top A_{degree+deg u} e_{u.source}."""
@@ -356,8 +356,8 @@ class GradedAlgebra:
         cols = []
         for p in src_piece.rep_paths:
             w = self.element_from_path(p)
-            cols.append(list(self.multiply(w, u).coeffs))
-        return Matrix.from_cols(self.field, tgt_dim, cols)
+            cols.append(self.multiply(w, u).coeffs)
+        return Matrix._make_cols(self.field, tgt_dim, cols)
 
     # -- opposite algebra ------------------------------------------------
 

@@ -8,7 +8,7 @@ flag intersects them, rather than silently approximating.
 """
 
 from .errors import InputError, WindowError, MathRefusal
-from .linalg import Matrix
+from .linalg import Matrix, linear_combination
 
 EXACT = "exact"
 TRUNCATED = "truncated"
@@ -105,29 +105,26 @@ class GradedModule:
     def element_action(self, u, i):
         """Matrix of left multiplication by the algebra element u from degree i."""
         piece = self.algebra.piece(u.degree, u.source, u.target)
-        acc = Matrix.zeros(self.algebra.field,
-                           self.dim(i + u.degree, u.target), self.dim(i, u.source))
-        for c, p in zip(u.coeffs, piece.rep_paths):
-            if c:
-                acc = acc + self.path_action(p, i).scale(c)
-        return acc
+        return linear_combination(self.algebra.field,
+                                  self.dim(i + u.degree, u.target), self.dim(i, u.source),
+                                  ((c, self.path_action(p, i))
+                                   for c, p in zip(u.coeffs, piece.rep_paths) if c))
 
     # -- validation ---------------------------------------------------------
 
     def validate(self):
         """None if every relation composite vanishes inside the window,
         else the first violating (relation index, degree) pair."""
+        f = self.algebra.field
         for ridx, rel in enumerate(self.algebra.relations):
             for i in range(self.lo, self.hi - rel.degree + 1):
-                if self.dims.get((i, rel.source), 0) == 0:
+                cols = self.dims.get((i, rel.source), 0)
+                rows = self.dims.get((i + rel.degree, rel.target), 0)
+                if cols == 0 or rows == 0:
                     continue
-                acc = Matrix.zeros(self.algebra.field,
-                                   self.dims.get((i + rel.degree, rel.target), 0),
-                                   self.dims.get((i, rel.source), 0))
-                if acc.rows == 0:
-                    continue
-                for c, p in rel.terms:
-                    acc = acc + self.path_action(p, i).scale(self.algebra.field.of(c))
+                acc = linear_combination(f, rows, cols,
+                                         ((f.of(c), self.path_action(p, i))
+                                          for c, p in rel.terms))
                 if not acc.is_zero():
                     return (ridx, i)
         return None
@@ -474,7 +471,7 @@ class GradedMorphism:
             dims[(i, x)] = reps.cols
             full = img.hstack(reps) if img.cols else reps
             inv = full.solve(Matrix.identity(f, n))
-            proj_blocks[(i, x)] = Matrix(f, reps.cols, n, inv.data[img.cols:])
+            proj_blocks[(i, x)] = Matrix._make(f, reps.cols, n, inv.data[img.cols:])
             sect_blocks[(i, x)] = reps
         maps = {}
         for (i, x) in sorted(dims):
@@ -527,7 +524,7 @@ class ModuleElement:
             raise InputError("action endpoint mismatch")
         mat = self.module.element_action(u, self.degree)
         f = self.module.algebra.field
-        res = mat @ Matrix.from_cols(f, mat.cols, [list(self.coords)])
+        res = mat @ Matrix.from_cols(f, mat.cols, [self.coords])
         return ModuleElement(self.module, self.degree + u.degree, u.target, res.col(0))
 
     def is_zero(self):
@@ -540,6 +537,31 @@ def zero_module(algebra, lo=0, hi=0):
 
 def direct_sum(modules):
     """(sum, injections, projections); windows must agree."""
+    total, offsets = _sum_with_offsets(modules)
+    f = total.algebra.field
+    zero = f.zero()
+    injections = []
+    projections = []
+    for m, off in zip(modules, offsets):
+        inj = {}
+        prj = {}
+        for (i, x), n in m.dims.items():
+            big = total.dims[(i, x)]
+            r0 = off[(i, x)]
+            # the identity on rows r0 .. r0+n-1, zero elsewhere
+            zero_row = (zero,) * n
+            inj[(i, x)] = Matrix._make(f, big, n, (zero_row,) * r0
+                                       + Matrix.identity(f, n).data
+                                       + (zero_row,) * (big - r0 - n))
+            prj[(i, x)] = inj[(i, x)].transpose()
+        injections.append(GradedMorphism(m, total, inj, check=False))
+        projections.append(GradedMorphism(total, m, prj, check=False))
+    return total, injections, projections
+
+
+def _sum_with_offsets(modules):
+    """(sum, offsets): offsets[k][(i, x)] is the first coordinate of the k-th
+    module's piece (i, x) inside the sum's piece; windows must agree."""
     if not modules:
         raise InputError("empty direct sum")
     algebra = modules[0].algebra
@@ -571,45 +593,36 @@ def direct_sum(modules):
                 continue
             r0 = off[(i + 1, a.target)]
             c0 = off[(i, a.source)]
-            for r in range(blk.rows):
-                for c in range(blk.cols):
-                    entries[r0 + r][c0 + c] = blk.data[r][c]
-        maps[(name, i)] = Matrix(f, rows, cols, entries)
+            for r, row in enumerate(blk.data):
+                entries[r0 + r][c0:c0 + blk.cols] = row
+        maps[(name, i)] = Matrix._make(f, rows, cols, tuple(map(tuple, entries)))
     total = GradedModule(algebra, lo, hi, dims, maps,
                          exact_below=all(m.exact_below for m in modules),
                          exact_above=all(m.exact_above for m in modules), check=False)
-    injections = []
-    projections = []
-    for m, off in zip(modules, offsets):
-        inj = {}
-        prj = {}
-        for (i, x), n in m.dims.items():
-            big = total.dims[(i, x)]
-            r0 = off[(i, x)]
-            inj[(i, x)] = Matrix(f, big, n,
-                                 [[f.one() if (r - r0) == c and 0 <= r - r0 < n else f.zero()
-                                   for c in range(n)] for r in range(big)])
-            prj[(i, x)] = inj[(i, x)].transpose()
-        injections.append(GradedMorphism(m, total, inj, check=False))
-        projections.append(GradedMorphism(total, m, prj, check=False))
-    return total, injections, projections
+    return total, offsets
 
 
 def _complement_columns(field, basis, ambient_dim):
-    """Unit vectors extending the column space of `basis` to the full space."""
-    cols = [basis.col(j) for j in range(basis.cols)]
-    chosen = []
-    current = basis
-    for k in range(ambient_dim):
-        if current.cols == ambient_dim:
-            break
-        e = [field.zero()] * ambient_dim
-        e[k] = field.one()
-        test = current.hstack(Matrix.from_cols(field, ambient_dim, [e]))
-        if test.rank() > current.rank():
-            chosen.append(e)
-            current = test
-    return Matrix.from_cols(field, ambient_dim, chosen)
+    """Unit vectors extending the column space of `basis` to the full space.
+
+    e_k is taken when it is not in the span of `basis` and the earlier unit
+    vectors: these are the pivot columns of [basis | I] past `basis`.
+    """
+    ident = Matrix.identity(field, ambient_dim)
+    _, pivots = basis.hstack(ident).rref()
+    return ident.select_cols([c - basis.cols for c in pivots if c >= basis.cols])
+
+
+def _support_scan(algebra, degrees, dim_at):
+    """Nonzero dims dim_at(i, x) over the degrees in scan order, stopping at
+    the first degree where every vertex gives 0; also whether it stopped."""
+    dims = {}
+    for i in degrees:
+        row = [(x, dim_at(i, x)) for x in algebra.quiver.vertices]
+        if not any(n for _x, n in row):
+            return dims, True
+        dims.update(((i, x), n) for x, n in row if n)
+    return dims, False
 
 
 def standard_module(algebra, kind, vertex, shift=0, window=None):
@@ -629,20 +642,18 @@ def standard_module(algebra, kind, vertex, shift=0, window=None):
         if window is None:
             raise WindowError("projective realization needs a window")
         lo, hi = window
-        dims = {}
+        # P_a<s> lives in degrees -s and up, through the last nonzero
+        # (A e_a)_{i+s}; a zero degree makes every higher one zero
+        dims, vanished = _support_scan(algebra, range(max(lo, -s), hi + 1),
+                                       lambda i, x: algebra.dim_piece(i + s, vertex, x))
         maps = {}
-        for i in range(lo, hi + 1):
-            for x in algebra.quiver.vertices:
-                n = algebra.dim_piece(i + s, vertex, x)
-                if n:
-                    dims[(i, x)] = n
-        for i in range(lo, hi):
+        for i in range(max(lo, -s), hi):
             for a in algebra.quiver.arrows:
                 if dims.get((i, a.source), 0) and dims.get((i + 1, a.target), 0):
                     u = algebra.arrow_element(a.name)
                     maps[(a.name, i)] = algebra.left_mult_matrix(u, i + s, vertex)
         exact_below = lo <= -s
-        exact_above = algebra.column_dim(hi + 1 + s, vertex) == 0
+        exact_above = vanished or algebra.column_dim(hi + 1 + s, vertex) == 0
         return GradedModule(algebra, lo, hi, dims, maps,
                             exact_below=exact_below, exact_above=exact_above, check=False)
     if kind == "I":
@@ -650,21 +661,19 @@ def standard_module(algebra, kind, vertex, shift=0, window=None):
             raise WindowError("injective realization needs a window")
         lo, hi = window
         opp = algebra.opposite()
-        dims = {}
+        # I_a<s> lives in degrees -s and down, the mirror image of P°_a<-s>
+        dims, vanished = _support_scan(algebra, range(min(hi, -s), lo - 1, -1),
+                                       lambda i, x: opp.dim_piece(-i - s, vertex, x))
+        dims = dict(sorted(dims.items(), key=lambda kv: kv[0][0]))
         maps = {}
-        for i in range(lo, hi + 1):
-            for x in algebra.quiver.vertices:
-                n = opp.dim_piece(-i - s, vertex, x)
-                if n:
-                    dims[(i, x)] = n
-        for i in range(lo, hi):
+        for i in range(lo, min(hi, -s)):
             for a in algebra.quiver.arrows:
                 if dims.get((i, a.source), 0) and dims.get((i + 1, a.target), 0):
                     ao = opp.arrow_element(a.name)
                     # dual of left multiplication on the opposite projective
                     maps[(a.name, i)] = opp.left_mult_matrix(ao, -i - 1 - s, vertex).transpose()
         exact_above = hi >= -s
-        exact_below = opp.column_dim(-lo + 1 - s, vertex) == 0
+        exact_below = vanished or opp.column_dim(-lo + 1 - s, vertex) == 0
         return GradedModule(algebra, lo, hi, dims, maps,
                             exact_below=exact_below, exact_above=exact_above, check=False)
     raise InputError(f"unknown standard module kind {kind!r}")

@@ -91,7 +91,7 @@ class HomSpace:
     def basis_matrix(self):
         f = self.source.algebra.field
         _, size = self.slots()
-        return Matrix.from_cols(f, size, [self.flatten(b) for b in self.basis_blocks])
+        return Matrix._make_cols(f, size, [self.flatten(b) for b in self.basis_blocks])
 
     def coordinates(self, morphism_or_blocks):
         blocks = getattr(morphism_or_blocks, "blocks", morphism_or_blocks)
@@ -164,7 +164,7 @@ def ghom(M, N):
                     if nontrivial:
                         eq_rows.append(row)
     if eq_rows:
-        sys = Matrix(f, len(eq_rows), size, eq_rows)
+        sys = Matrix._make(f, len(eq_rows), size, tuple(map(tuple, eq_rows)))
         ker = sys.kernel_basis()
     else:
         ker = Matrix.identity(f, size)
@@ -174,7 +174,7 @@ def ghom(M, N):
         for (i, x, rows, cols, off) in slots:
             entries = [[ker.data[off + r * cols + c][k] for c in range(cols)]
                        for r in range(rows)]
-            blk = Matrix(f, rows, cols, entries)
+            blk = Matrix._make(f, rows, cols, tuple(map(tuple, entries)))
             if not blk.is_zero():
                 blocks[(i, x)] = blk
         basis.append(blocks)
@@ -236,7 +236,7 @@ def psum_pullback_matrix(pmap, N):
                 for c in range(ni):
                     entries[offj + r][offi + c] = f.add(entries[offj + r][offi + c],
                                                         act.data[r][c])
-    return Matrix(f, src_size, dst_size, entries)
+    return Matrix._make(f, src_size, dst_size, tuple(map(tuple, entries)))
 
 
 def psum_hom_to_morphism(psum, N, coords, window):
@@ -378,16 +378,11 @@ class EndAlgebra:
         for _ in range(self.dim + 1):
             if not layer:
                 return
-            nxt = []
-            span = Matrix.from_cols(self.field, self.dim, [])
-            for u in layer:
-                for v in cols:
-                    w = self.multiply_coords(u, v)
-                    test = span.hstack(Matrix.from_cols(self.field, self.dim, [w]))
-                    if test.rank() > span.rank():
-                        span = test
-                        nxt.append(w)
-            layer = nxt
+            # the products that enlarge the span, taken greedily in order,
+            # are the pivot columns
+            products = [self.multiply_coords(u, v) for u in layer for v in cols]
+            _, pivots = Matrix.from_cols(self.field, self.dim, products).rref()
+            layer = [products[j] for j in pivots]
         raise MathRefusal("radical candidate failed the nilpotency check")
 
     def residue_dim(self):
@@ -484,7 +479,7 @@ def _projection_onto_image(M, power):
         inv = S.solve(Matrix.identity(f, n))
         if inv is None:
             raise MathRefusal("Fitting decomposition is not piecewise split")
-        lower = Matrix(f, ib.cols, n, inv.data[kb.cols:])
+        lower = Matrix._make(f, ib.cols, n, inv.data[kb.cols:])
         blocks[(i, x)] = ib @ lower
     return GradedMorphism(M, M, blocks, check=False)
 
@@ -578,16 +573,10 @@ class ExtSpace:
         self.B = boundary.image_basis()
         constraints = _kernel_constraints(d1, N, window)
         self.Z = constraints.kernel_basis()
-        reps = []
-        span = self.B
-        for k in range(self.Z.cols):
-            cand = self.Z.select_cols([k])
-            test = span.hstack(cand)
-            if test.rank() > span.rank():
-                span = test
-                reps.append(self.Z.col(k))
-        self.reps = reps
-        self.dim = len(reps)
+        # the cocycles outside the span of B and the earlier ones
+        _, pivots = self.B.hstack(self.Z).rref()
+        self.reps = [self.Z.col(c - self.B.cols) for c in pivots if c >= self.B.cols]
+        self.dim = len(self.reps)
 
     def class_coordinates(self, tuple_vec):
         """Coordinates of a cocycle tuple over the chosen representatives."""

@@ -3,12 +3,25 @@
 Everything downstream (piece bases, hom spaces, syzygies, translates) reduces
 to kernel/image/solve calls on small dense matrices, so this module is kept
 dependency-free and fully deterministic: same input, same output basis.
+
+Invariant: a Matrix holds canonical scalars of its field, `Fraction` over Q
+and ints in [0, p) over F_p, in a tuple of row tuples.  Only the public
+constructors (`Matrix(...)` and `Matrix.from_cols`) check shapes and coerce;
+every operation here builds its result with the trusted `Matrix._make`, and
+so may callers whose entries are already canonical.  Over Q the row
+reduction runs in integers and makes one `Fraction` per nonzero entry of the
+result.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 from .errors import FieldMismatch, DimensionMismatch, InputError
+
+# the shared rational zero and one (Fractions are immutable)
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _is_prime(n):
@@ -59,18 +72,19 @@ class Field:
         return 0 if self.p is None else self.p
 
     def zero(self):
-        return Fraction(0) if self.p is None else 0
+        return _ZERO if self.p is None else 0
 
     def one(self):
-        return Fraction(1) if self.p is None else 1
+        return _ONE if self.p is None else 1
 
     def of(self, v):
         """Coerce an int, Fraction or string into a scalar of this field."""
-        if isinstance(v, str):
-            return self.parse(v)
         if self.p is None:
-            return Fraction(v)
-        return int(v) % self.p
+            return v if type(v) is Fraction else (
+                self.parse(v) if isinstance(v, str) else Fraction(v))
+        if type(v) is int:
+            return v % self.p
+        return self.parse(v) if isinstance(v, str) else int(v) % self.p
 
     def add(self, a, b):
         return a + b if self.p is None else (a + b) % self.p
@@ -120,7 +134,8 @@ class Matrix:
     """An immutable dense matrix over one field, stored row-major.
 
     Zero-row and zero-column shapes are legal and occur constantly (graded
-    pieces are very often 0-dimensional).
+    pieces are very often 0-dimensional).  `data` is a tuple of row tuples of
+    canonical scalars (see the module docstring).
     """
 
     __slots__ = ("field", "rows", "cols", "data", "_rref")
@@ -131,18 +146,37 @@ class Matrix:
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.data = tuple(tuple(field.of(v) for v in row) for row in entries)
+        of = field.of
+        self.data = tuple(tuple(map(of, row)) for row in entries)
         self._rref = None
 
     @classmethod
+    def _make(cls, field, rows, cols, data):
+        """Trusted constructor: `data` is a tuple of `rows` tuples of `cols`
+        canonical scalars of `field`; nothing is checked or coerced."""
+        self = object.__new__(cls)
+        self.field = field
+        self.rows = rows
+        self.cols = cols
+        self.data = data
+        self._rref = None
+        return self
+
+    @classmethod
+    def _make_cols(cls, field, nrows, columns):
+        """Trusted `from_cols`: the columns hold canonical scalars."""
+        return cls._make(field, nrows, len(columns),
+                         tuple(zip(*columns)) if columns else ((),) * nrows)
+
+    @classmethod
     def zeros(cls, field, rows, cols):
-        z = field.zero()
-        return cls(field, rows, cols, [[z] * cols for _ in range(rows)])
+        return cls._make(field, rows, cols, ((field.zero(),) * cols,) * rows)
 
     @classmethod
     def identity(cls, field, n):
         z, o = field.zero(), field.one()
-        return cls(field, n, n, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls._make(field, n, n, tuple((z,) * i + (o,) + (z,) * (n - i - 1)
+                                            for i in range(n)))
 
     @classmethod
     def from_cols(cls, field, nrows, columns):
@@ -167,58 +201,72 @@ class Matrix:
         self._check_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix addition shape mismatch")
-        f = self.field
-        return Matrix(f, self.rows, self.cols,
-                      [[f.add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)])
+        p = self.field.p
+        if p is None:
+            data = tuple(tuple(a + b for a, b in zip(ra, rb))
+                         for ra, rb in zip(self.data, other.data))
+        else:
+            data = tuple(tuple((a + b) % p for a, b in zip(ra, rb))
+                         for ra, rb in zip(self.data, other.data))
+        return Matrix._make(self.field, self.rows, self.cols, data)
 
     def __sub__(self, other):
         return self + other.scale(self.field.of(-1))
 
     def scale(self, c):
         f = self.field
-        return Matrix(f, self.rows, self.cols, [[f.mul(c, v) for v in row] for row in self.data])
+        c = f.of(c)
+        if f.p is None:
+            data = tuple(tuple(c * v for v in row) for row in self.data)
+        else:
+            data = tuple(tuple(c * v % f.p for v in row) for row in self.data)
+        return Matrix._make(f, self.rows, self.cols, data)
 
     def __matmul__(self, other):
         self._check_field(other)
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         f = self.field
-        out = []
+        dot = self._dot
         bt = other.transpose().data
-        for row in self.data:
-            out.append([self._dot(f, row, col) for col in bt])
-        return Matrix(f, self.rows, other.cols, out)
+        return Matrix._make(f, self.rows, other.cols,
+                            tuple(tuple(dot(f, row, col) for col in bt) for row in self.data))
 
     @staticmethod
     def _dot(f, u, v):
-        s = f.zero()
+        if f.p is not None:
+            return sum(map(mul, u, v)) % f.p
+        s = _ZERO
         for a, b in zip(u, v):
             if a and b:
-                s = f.add(s, f.mul(a, b))
+                s += a * b
         return s
 
     def transpose(self):
-        return Matrix(self.field, self.cols, self.rows,
-                      [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        if not self.rows:
+            return Matrix._make(self.field, self.cols, 0, ((),) * self.cols)
+        return Matrix._make(self.field, self.cols, self.rows, tuple(zip(*self.data)))
 
     def hstack(self, other):
         self._check_field(other)
         if self.rows != other.rows:
             raise DimensionMismatch("hstack row mismatch")
-        return Matrix(self.field, self.rows, self.cols + other.cols,
-                      [ra + rb for ra, rb in zip(self.data, other.data)])
+        return Matrix._make(self.field, self.rows, self.cols + other.cols,
+                            tuple(ra + rb for ra, rb in zip(self.data, other.data)))
 
     def vstack(self, other):
         self._check_field(other)
         if self.cols != other.cols:
             raise DimensionMismatch("vstack column mismatch")
-        return Matrix(self.field, self.rows + other.rows, self.cols, self.data + other.data)
+        return Matrix._make(self.field, self.rows + other.rows, self.cols,
+                            self.data + other.data)
 
     def col(self, j):
         return [self.data[i][j] for i in range(self.rows)]
 
     def select_cols(self, js):
-        return Matrix(self.field, self.rows, len(js), [[row[j] for j in js] for row in self.data])
+        return Matrix._make(self.field, self.rows, len(js),
+                            tuple(tuple(row[j] for j in js) for row in self.data))
 
     def is_zero(self):
         return all(not v for row in self.data for v in row)
@@ -226,10 +274,12 @@ class Matrix:
     def rref(self):
         """Reduced row echelon form and pivot columns.
 
-        Over the rationals the forward pass is fraction-free (Bareiss) on a
-        denominator-cleared copy, which bounds intermediate entry growth; the
-        pivot inside a column is the candidate of smallest numerator bit-size.
-        Over a prime field, plain Gauss-Jordan with first-nonzero pivoting.
+        Over the rationals the elimination runs on a denominator-cleared
+        integer copy: a fraction-free (Bareiss) forward pass, which bounds
+        intermediate entry growth, and an integer back substitution that
+        divides each row by its content; the pivot inside a column is the
+        candidate of smallest numerator bit-size.  Over a prime field, plain
+        Gauss-Jordan with first-nonzero pivoting.
         """
         if self._rref is None:
             if self.field.is_rationals:
@@ -247,19 +297,19 @@ class Matrix:
         f = self.field
         pivset = set(pivots)
         free = [j for j in range(self.cols) if j not in pivset]
-        cols = []
-        for fc in free:
-            v = [f.zero()] * self.cols
-            v[fc] = f.one()
-            for r, pc in enumerate(pivots):
-                v[pc] = f.neg(R.data[r][fc])
-            cols.append(v)
-        return Matrix.from_cols(f, self.cols, cols)
+        z = f.zero()
+        out = [(z,) * len(free)] * self.cols
+        for k, fc in enumerate(free):
+            out[fc] = (z,) * k + (f.one(),) + (z,) * (len(free) - k - 1)
+        for r, pc in enumerate(pivots):
+            row = R.data[r]
+            out[pc] = tuple(f.neg(row[fc]) for fc in free)
+        return Matrix._make(f, self.cols, len(free), tuple(out))
 
     def image_basis(self):
         """The pivot columns of self: a basis of the column space."""
         _, pivots = self.rref()
-        return self.select_cols(list(pivots))
+        return self.select_cols(pivots)
 
     def solve(self, B):
         """Return X with self @ X = B, or None if the system is inconsistent.
@@ -269,23 +319,14 @@ class Matrix:
         self._check_field(B)
         if B.rows != self.rows:
             raise DimensionMismatch("solve: right-hand side row mismatch")
-        f = self.field
-        aug = self.hstack(B)
-        R, pivots = aug.rref()
+        R, pivots = self.hstack(B).rref()
         n = self.cols
-        for r in range(len(pivots)):
-            if pivots[r] >= n:
-                return None
-        cols = []
-        for k in range(B.cols):
-            x = [f.zero()] * n
-            for r, pc in enumerate(pivots):
-                x[pc] = R.data[r][n + k]
-            cols.append(x)
-        return Matrix.from_cols(f, n, cols)
-
-    def to_lists(self):
-        return [list(row) for row in self.data]
+        if pivots and pivots[-1] >= n:
+            return None
+        out = [(self.field.zero(),) * B.cols] * n
+        for r, pc in enumerate(pivots):
+            out[pc] = R.data[r][n:]
+        return Matrix._make(self.field, n, B.cols, tuple(out))
 
     def fmt(self):
         f = self.field
@@ -293,6 +334,24 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.field.tag}, {self.rows}x{self.cols})"
+
+
+def linear_combination(field, rows, cols, terms):
+    """The rows x cols matrix sum of c*M over the (scalar c, Matrix M) terms,
+    accumulated in one dense pass."""
+    acc = [[0] * cols for _ in range(rows)]
+    for c, mat in terms:
+        if not c:
+            continue
+        for arow, mrow in zip(acc, mat.data):
+            for j, v in enumerate(mrow):
+                if v:
+                    arow[j] += c * v
+    if field.p is None:
+        data = tuple(tuple(v if v else _ZERO for v in row) for row in acc)
+    else:
+        data = tuple(tuple(v % field.p for v in row) for row in acc)
+    return Matrix._make(field, rows, cols, data)
 
 
 def kernel_image(A):
@@ -303,7 +362,7 @@ def kernel_image(A):
 
 
 def _rref_modp(A):
-    f = A.field
+    p = A.field.p
     m = [list(row) for row in A.data]
     rows, cols = A.rows, A.cols
     pivots = []
@@ -317,17 +376,19 @@ def _rref_modp(A):
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = f.inv(m[r][c])
-        m[r] = [f.mul(inv, v) for v in m[r]]
+        top = m[r]
+        inv = pow(top[c], p - 2, p)
+        if inv != 1:
+            top = m[r] = [inv * v % p for v in top]
         for i in range(rows):
-            if i != r and m[i][c]:
-                q = m[i][c]
-                m[i] = [f.sub(a, f.mul(q, b)) for a, b in zip(m[i], m[r])]
+            q = m[i][c]
+            if q and i != r:
+                m[i] = [(a - q * b) % p for a, b in zip(m[i], top)]
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    return Matrix(f, rows, cols, m), tuple(pivots)
+    return Matrix._make(A.field, rows, cols, tuple(map(tuple, m))), tuple(pivots)
 
 
 def _rref_bareiss(A):
@@ -337,8 +398,10 @@ def _rref_bareiss(A):
     m = []
     for row in A.data:
         mult = lcm(*(v.denominator for v in row)) if row else 1
-        m.append([int(v * mult) for v in row])
-    perm = list(range(rows))
+        if mult == 1:
+            m.append([v.numerator for v in row])
+        else:
+            m.append([v.numerator * (mult // v.denominator) for v in row])
     pivots = []
     prev = 1
     r = 0
@@ -348,7 +411,6 @@ def _rref_bareiss(A):
             continue
         pr = min(cand, key=lambda i: (abs(m[i][c]).bit_length(), i))
         m[r], m[pr] = m[pr], m[r]
-        perm[r], perm[pr] = perm[pr], perm[r]
         for i in range(r + 1, rows):
             if any(m[i][c:]):
                 piv = m[r][c]
@@ -361,17 +423,27 @@ def _rref_bareiss(A):
         r += 1
         if r == rows:
             break
-    # Back substitution with exact rationals to reach reduced form.
-    q = [[Fraction(v) for v in row] for row in m]
-    for r in range(len(pivots) - 1, -1, -1):
+    # Integer back substitution, last pivot first: clear the pivot column in
+    # the rows above, then divide each changed row by its content.
+    for r in range(len(pivots) - 1, 0, -1):
         c = pivots[r]
-        piv = q[r][c]
-        q[r] = [v / piv for v in q[r]]
+        mr = m[r]
+        piv = mr[c]
         for i in range(r):
-            factor = q[i][c]
+            mi = m[i]
+            factor = mi[c]
             if factor:
-                q[i] = [a - factor * b for a, b in zip(q[i], q[r])]
-    return Matrix(QQ, rows, cols, q), tuple(pivots)
+                row = [piv * a - factor * b for a, b in zip(mi, mr)]
+                g = gcd(*row)
+                m[i] = [v // g for v in row] if g > 1 else row
+    # one Fraction per nonzero entry of the reduced rows
+    out = []
+    for r, c in enumerate(pivots):
+        piv = m[r][c]
+        out.append(tuple(_ONE if j == c else (Fraction(v, piv) if v else _ZERO)
+                         for j, v in enumerate(m[r])))
+    out.extend([(_ZERO,) * cols] * (rows - len(pivots)))
+    return Matrix._make(QQ, rows, cols, tuple(out)), tuple(pivots)
 
 
 def charpoly(A):

@@ -10,7 +10,7 @@ dualizing the projective-side machinery over the opposite algebra.
 from .errors import InputError, WindowError, MathRefusal
 from .algebra import AlgElement
 from .gmodule import (GradedMorphism, ModuleElement,
-                      direct_sum, zero_module, _complement_columns)
+                      zero_module, _complement_columns, _sum_with_offsets)
 from .linalg import Matrix
 
 
@@ -46,18 +46,8 @@ class ProjSum:
         if not self.summands:
             result = zero_module(self.algebra, *window), []
         else:
-            parts = [standard_module(self.algebra, "P", a, s, window=window)
-                     for a, s in self.summands]
-            total, _, _ = direct_sum(parts)
-            offsets = []
-            acc = {}
-            for part in parts:
-                off = {}
-                for (i, x), n in part.dims.items():
-                    off[(i, x)] = acc.get((i, x), 0)
-                    acc[(i, x)] = acc.get((i, x), 0) + n
-                offsets.append(off)
-            result = total, offsets
+            result = _sum_with_offsets([standard_module(self.algebra, "P", a, s, window=window)
+                                        for a, s in self.summands])
         self._realized[window] = result
         return result
 
@@ -172,7 +162,7 @@ class PMap:
                         for c in range(blk.cols):
                             entries[r0 + r][c0 + c] = f.add(entries[r0 + r][c0 + c],
                                                             blk.data[r][c])
-            blocks[(d, x)] = Matrix(f, nrows, ncols, entries)
+            blocks[(d, x)] = Matrix._make(f, nrows, ncols, tuple(map(tuple, entries)))
         result = GradedMorphism(src_mod, dst_mod, blocks, check=False)
         self._realized[window] = result
         return result
@@ -223,9 +213,8 @@ class InjSum:
         from .gmodule import standard_module
         if not self.summands:
             return zero_module(self.algebra, *window)
-        parts = [standard_module(self.algebra, "I", a, s, window=window)
-                 for a, s in self.summands]
-        total, _, _ = direct_sum(parts)
+        total, _ = _sum_with_offsets([standard_module(self.algebra, "I", a, s, window=window)
+                                      for a, s in self.summands])
         return total
 
     def to_json(self):
@@ -336,12 +325,12 @@ class Cover:
                     if piece.dim == 0:
                         continue
                     c0 = offsets[j][(i, x)]
-                    gcol = Matrix.from_cols(f, len(gen.coords), [list(gen.coords)])
+                    gcol = Matrix.from_cols(f, len(gen.coords), [gen.coords])
                     for c, rep in enumerate(piece.rep_paths):
                         col = target.path_action(rep, gen.degree) @ gcol
                         for r in range(nrows):
                             entries[r][c0 + c] = col.data[r][0]
-            blocks[(i, x)] = Matrix(f, nrows, ncols, entries)
+            blocks[(i, x)] = Matrix._make(f, nrows, ncols, tuple(map(tuple, entries)))
         return GradedMorphism(src, target, blocks, check=False)
 
 
@@ -406,7 +395,7 @@ def _pmap_from_kernel_generators(p0, window, gens, K_incl):
     entries = [[None] * len(gens) for _ in range(len(p0))]
     for j, g in enumerate(gens):
         vec = K_incl.block(g.degree, g.vertex) @ Matrix.from_cols(
-            alg.field, len(g.coords), [list(g.coords)])
+            alg.field, len(g.coords), [g.coords])
         for i, (a, s) in enumerate(p0.summands):
             piece = alg.piece(g.degree + s, a, g.vertex)
             if piece.dim == 0:
@@ -481,7 +470,7 @@ class Resolution:
         self.psums = psums    # [P_0, ..., P_m]
         self.pmaps = pmaps    # [d_1: P_1 -> P_0, ...]
         self.status = status  # "finite" | "at-least"
-        self.length = length  # pd when finite, else the cap
+        self.length = length  # pd when finite, else a lower bound for it
         self.window = window
 
     def report(self):
@@ -498,6 +487,11 @@ def resolution(M, cap, pad=5, window_hi=None):
     Generator searches beyond the first syzygy have no a-priori degree bound;
     the working window is grown once by `pad` when a generator shows up at
     the very top of the window, and the run errors out if that happens again.
+    A syzygy that is zero on the window certifies a finite pd only when every
+    syzygy so far, this one included, has all its generators inside the
+    window (see `_generated_in_window`): otherwise a generator above the
+    window was missed.  If not, the window is grown once by `pad`, and if
+    that does not settle it the result is "at-least" the current length.
     Results are exact under the declared contract that every syzygy is
     finitely generated inside the working window.
     """
@@ -506,7 +500,7 @@ def resolution(M, cap, pad=5, window_hi=None):
     hi = window_hi if window_hi is not None else M.hi + 1 + cap + pad
     for attempt in range(2):
         try:
-            return _resolution_attempt(M, cap, (M.lo, hi))
+            return _resolution_attempt(M, cap, (M.lo, hi), final=attempt == 1)
         except _NeedsWiderWindow as e:
             if attempt == 1:
                 raise WindowError(f"syzygy generator at the window top "
@@ -520,7 +514,42 @@ class _NeedsWiderWindow(Exception):
         self.degree = degree
 
 
-def _resolution_attempt(M, cap, window):
+def _generated_in_window(syzygy, d, hi):
+    """Whether every generator of the syzygy ker d lies in degrees <= hi.
+
+    It does when the syzygy is exact above.  Over a monomial algebra it also
+    does when every entry of d is one path and, within each row, no entry's
+    path is where another's begins (in the order arrows apply): then
+    products w*u from different columns are different paths, so ker d is
+    spanned by paths, and a path w with w*u = 0 meets a relation across the
+    junction with u inside its first (max relation degree - 1) arrows.  So
+    ker d is generated in degrees <= max(-t) + max relation degree - 1 over
+    the source summands P_b<t>.
+    """
+    if syzygy.exact_above:
+        return True
+    alg = d.algebra
+    if any(len(r.terms) != 1 for r in alg.relations):
+        return False
+    for row in d.entries:
+        paths = []
+        for e in row:
+            if e is None:
+                continue
+            support = [k for k, c in enumerate(e.coeffs) if c]
+            if len(support) != 1:
+                return False
+            paths.append(alg.piece(e.degree, e.source, e.target).rep_paths[support[0]].names())
+        # names are last-applied first, so a path begins another one when
+        # it is a suffix of it
+        if any(i != j and len(p) <= len(q) and q[len(q) - len(p):] == p
+               for i, p in enumerate(paths) for j, q in enumerate(paths)):
+            return False
+    rel_degree = max((r.degree for r in alg.relations), default=1)
+    return max(-t for _b, t in d.src.summands) + rel_degree - 1 <= hi
+
+
+def _resolution_attempt(M, cap, window, final):
     lo, hi = window
     cover = projective_cover(M)
     psums = [cover.psum]
@@ -528,9 +557,18 @@ def _resolution_attempt(M, cap, window):
     aug = cover.realize(M, window)
     current, current_incl = aug.kernel()
     step = 0
+    # whether every syzygy so far had all its generators inside the window;
+    # the first one is generated in degrees <= M.hi + 1
+    complete = hi > M.hi
     while True:
+        if step > 0:
+            complete = complete and _generated_in_window(current, pmaps[-1], hi)
         if current.is_zero():
-            return Resolution(M, psums, pmaps, "finite", step, window)
+            if complete:
+                return Resolution(M, psums, pmaps, "finite", step, window)
+            if not final:
+                raise _NeedsWiderWindow(hi)
+            return Resolution(M, psums, pmaps, "at-least", step, window)
         if step + 1 > cap:
             return Resolution(M, psums, pmaps, "at-least", cap, window)
         bound = M.hi + 1 if step == 0 else hi

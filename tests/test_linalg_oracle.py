@@ -1,0 +1,144 @@
+"""Differential tests of the exact linear algebra against `linalg_oracle`.
+
+The library reduces rational matrices in integers and builds its results
+without re-coercing entries; the oracle is the earlier Fraction-based code.
+Both must give the same reduced row echelon form, pivots, kernel, image and
+solutions, and every matrix a public operation returns must hold canonical
+scalars: `Fraction` over Q, ints in [0, p) over F_p.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from gradedquiver.linalg import QQ, GF, Matrix, linear_combination
+
+import linalg_oracle as oracle
+
+FIELDS = [QQ, GF(2), GF(3), GF(7)]
+
+
+def raw_scalar(field):
+    """Values the public constructor coerces: negative and non-integer
+    rationals over Q, arbitrary ints over F_p."""
+    if field.p is None:
+        return st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    return st.integers(-20, 20)
+
+
+@st.composite
+def matrices(draw, field=None, rows=None, cols=None):
+    field = field if field is not None else draw(st.sampled_from(FIELDS))
+    rows = rows if rows is not None else draw(st.integers(0, 6))
+    cols = cols if cols is not None else draw(st.integers(0, 6))
+    # sparse rows and repeated rows make rank deficiency common
+    entry = st.one_of(st.just(0), raw_scalar(field))
+    data = [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+    if rows > 1 and draw(st.booleans()):
+        data[-1] = list(data[0])
+    return Matrix(field, rows, cols, data)
+
+
+def canonical(M):
+    if len(M.data) != M.rows or any(type(row) is not tuple or len(row) != M.cols
+                                    for row in M.data):
+        return False
+    if M.field.p is None:
+        return all(type(v) is Fraction for row in M.data for v in row)
+    return all(type(v) is int and 0 <= v < M.field.p for row in M.data for v in row)
+
+
+def columns(M):
+    return [M.col(j) for j in range(M.cols)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_rref_matches_oracle(A):
+    R, pivots = A.rref()
+    R0, pivots0 = oracle.rref(A.field, A.rows, A.cols, A.data)
+    assert pivots == pivots0
+    assert [list(row) for row in R.data] == R0
+    assert A.rank() == len(pivots0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_kernel_and_image_match_oracle(A):
+    K = A.kernel_basis()
+    assert (K.rows, K.cols) == (A.cols, A.cols - A.rank())
+    assert columns(K) == oracle.kernel_columns(A.field, A.rows, A.cols, A.data)
+    assert (A @ K).is_zero()
+    im = A.image_basis()
+    assert im.rows == A.rows
+    assert columns(im) == oracle.image_columns(A.field, A.rows, A.cols, A.data)
+
+
+@st.composite
+def systems(draw):
+    A = draw(matrices())
+    k = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        # consistent by construction
+        B = A @ draw(matrices(field=A.field, rows=A.cols, cols=k))
+    else:
+        B = draw(matrices(field=A.field, rows=A.rows, cols=k))
+    return A, B
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems())
+def test_solve_matches_oracle(system):
+    A, B = system
+    X = A.solve(B)
+    X0 = oracle.solve_columns(A.field, A.rows, A.cols, A.data, B.cols, B.data)
+    if X0 is None:
+        assert X is None
+        return
+    assert X is not None and (X.rows, X.cols) == (A.cols, B.cols)
+    assert columns(X) == X0
+    assert A @ X == B
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_public_operations_return_canonical_entries(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    r, c, k = (data.draw(st.integers(0, 4)) for _ in range(3))
+    A = data.draw(matrices(field=field, rows=r, cols=c))
+    A2 = data.draw(matrices(field=field, rows=r, cols=c))
+    B = data.draw(matrices(field=field, rows=c, cols=k))
+    C = data.draw(matrices(field=field, rows=r, cols=k))
+    raw = data.draw(raw_scalar(field))
+    cols = [[data.draw(raw_scalar(field)) for _ in range(r)] for _ in range(k)]
+    js = data.draw(st.lists(st.integers(0, c - 1), max_size=4)) if c else []
+    results = [
+        A, Matrix.zeros(field, r, c), Matrix.identity(field, c),
+        Matrix.from_cols(field, r, cols), A.transpose(), A.hstack(C), A.vstack(A2),
+        A.select_cols(js), A + A2, A - A2, A.scale(raw), A @ B, A.rref()[0],
+        A.kernel_basis(), A.image_basis(), A.hstack(C).rref()[0],
+        linear_combination(field, r, c, [(field.of(raw), A), (field.one(), A2)]),
+    ]
+    X = A.solve(C)
+    if X is not None:
+        results.append(X)
+    for M in results:
+        assert canonical(M), M
+    assert (A + A2).data == tuple(tuple(field.add(x, y) for x, y in zip(ra, rb))
+                                  for ra, rb in zip(A.data, A2.data))
+    assert A.scale(raw).data == tuple(tuple(field.mul(field.of(raw), x) for x in row)
+                                      for row in A.data)
+
+
+def test_degenerate_shapes():
+    for field in FIELDS:
+        for rows, cols in ((0, 3), (3, 0), (0, 0), (2, 2)):
+            A = Matrix.zeros(field, rows, cols)
+            R, pivots = A.rref()
+            assert pivots == () and canonical(R) and R == A
+            K = A.kernel_basis()
+            assert (K.rows, K.cols) == (cols, cols) and K == Matrix.identity(field, cols)
+            assert A.image_basis().cols == 0 and A.image_basis().rows == rows
+            X = A.solve(Matrix.zeros(field, rows, 1))
+            assert X == Matrix.zeros(field, cols, 1)
+            assert A.transpose().rows == cols and A.transpose().cols == rows
