@@ -150,6 +150,7 @@ class GradedAlgebra:
         self._reach = {}    # source -> first degree not yet filled (inf once all vanish)
         self._nfs = {}      # path name tuple -> normal form
         self._opp = None
+        self._standard_modules = {}  # (kind, vertex, shift, window) -> module, by gmodule
 
     # -- piece bases ---------------------------------------------------
 

@@ -11,7 +11,7 @@ import random
 
 from .errors import InputError, WindowError, MathRefusal
 from .linalg import Matrix
-from .gmodule import GradedMorphism, direct_sum, zero_module
+from .gmodule import GradedMorphism, direct_sum, zero_module, _memo
 from .presentations import ProjSum, PMap, InjSum, IMap, minimal_presentation
 from .homs import (ghom, ghom_dim, end_algebra, is_strongly_indecomposable,
                    ext1, ExtSpace, EndActionOnExt, underline_hom_dim,
@@ -19,10 +19,15 @@ from .homs import (ghom, ghom_dim, end_algebra, is_strongly_indecomposable,
 
 
 class TransposeData:
-    """Tr M over the opposite algebra with its projective presentation."""
+    """Tr M over the opposite algebra with its projective presentation.
+
+    One per presentation (see `transpose`); its realizations are memoized
+    per window.
+    """
 
     def __init__(self, pres):
         self.source_pres = pres
+        self._realized = {}
         self.algebra = pres.module.algebra.opposite()
         if pres.module_is_projective():
             self.d = None
@@ -41,8 +46,7 @@ class TransposeData:
         if self.is_zero():
             zm = zero_module(self.algebra, *window)
             return zm, GradedMorphism.zero(zm, zm)
-        real = self.d.realize(window)
-        return real.cokernel()
+        return _memo(self._realized, tuple(window), lambda: self.d.realize(window).cokernel())
 
     def transpose_back(self):
         """The double-transpose differential (equals the original for
@@ -53,10 +57,11 @@ class TransposeData:
 
 
 def transpose(M, pres=None):
-    """The graded transpose as presented data over the opposite algebra."""
+    """The graded transpose as presented data over the opposite algebra,
+    built once per presentation (by default the minimal one of M)."""
     if pres is None:
         pres = minimal_presentation(M)
-    return TransposeData(pres)
+    return _memo(pres._derived, "transpose", lambda: TransposeData(pres))
 
 
 class TauResult:
@@ -79,8 +84,8 @@ def tau(M, window=None, pad=4, check_verdict=True, budget=64, seed=0):
     check_verdict=False for bulk dimension checks, where the translate is
     defined for any finitely presented module).
     """
-    pres = minimal_presentation(M)
-    trdata = TransposeData(pres)
+    trdata = transpose(M)
+    pres = trdata.source_pres
     if window is None:
         window = (M.lo - pad, M.hi + 2 + pad)
     if trdata.is_zero():
@@ -99,9 +104,8 @@ def tau(M, window=None, pad=4, check_verdict=True, budget=64, seed=0):
 
 def tau_inverse(N, window=None, pad=4, check_verdict=True, budget=64, seed=0):
     """The left translate: the transpose of the dual."""
-    D = N.dual()
-    pres = minimal_presentation(D)
-    trdata = TransposeData(pres)  # over the double opposite = base algebra
+    trdata = transpose(N.dual())  # over the double opposite = base algebra
+    pres = trdata.source_pres
     if window is None:
         window = (N.lo - 1, N.hi + 1 + pad)
     if trdata.is_zero():
@@ -155,7 +159,6 @@ def ar_formula_check(M, X, pad=4):
     translates; returns all four numbers and the two verdicts."""
     report = {}
     lhs1 = underline_hom_dim(M, X)
-    presM = minimal_presentation(M)
     t = tau(M, window=(min(M.lo, X.lo) - pad, max(M.hi, X.hi) + 2 + pad),
             check_verdict=False)
     if t.is_zero():

@@ -5,6 +5,14 @@ flags.  "Exact" on a side promises that every piece beyond the window on that
 side is zero; "truncated" means unknown support was cut off.  Every operation
 declares which degrees it reads and refuses (WindowError) when a truncation
 flag intersects them, rather than silently approximating.
+
+Modules are immutable: their dims and maps are fixed in `__init__` and never
+written afterwards.  Data derived from a module is therefore computed once
+and kept on it (see `_memo`): its dual, which links back so that
+`M.dual().dual() is M`, its minimal presentation and its endomorphism
+algebra.  Standard modules are kept once per algebra, by kind, vertex, shift
+and window.  Callers must not mutate a module, a morphism or a matrix they
+are handed, since the same object may be handed to every later caller.
 """
 
 from .errors import InputError, WindowError, MathRefusal
@@ -43,6 +51,7 @@ class GradedModule:
                 raise InputError(f"map {name}@{i} has shape {mat.rows}x{mat.cols}, "
                                  f"expected {rows}x{cols}")
             self.maps[(name, i)] = mat
+        self._derived = {}  # dual, presentation, End: computed once, see _memo
         if check:
             bad = self.validate()
             if bad is not None:
@@ -166,7 +175,12 @@ class GradedModule:
         """
         if not self.is_exact:
             raise WindowError("duality needs an exact window (truncation flags off)")
-        return self.dual_windowed()
+        return _memo(self._derived, "dual", self._linked_dual)
+
+    def _linked_dual(self):
+        D = self.dual_windowed()
+        D._derived["dual"] = self
+        return D
 
     def dual_windowed(self):
         """Window-level dual with mirrored truncation flags (internal uses)."""
@@ -531,6 +545,18 @@ class ModuleElement:
         return all(not c for c in self.coords)
 
 
+def _memo(table, key, make):
+    """table[key], made by make() on first use.
+
+    Insert-once: concurrent first uses may each run make(), but all of them
+    get the one value setdefault keeps.  The value must not be None.
+    """
+    got = table.get(key)
+    if got is None:
+        got = table.setdefault(key, make())
+    return got
+
+
 def zero_module(algebra, lo=0, hi=0):
     return GradedModule(algebra, lo, hi, {}, {}, check=False)
 
@@ -629,8 +655,15 @@ def standard_module(algebra, kind, vertex, shift=0, window=None):
     """The standard projective P_a<s>, injective I_a<s>, or simple S_a<s>.
 
     `shift` is the signed grading shift s, so P_a<-2> has its generator in
-    degree 2.  The window defaults to the natural support when finite.
+    degree 2.  The window defaults to the natural support when finite.  Each
+    is built once per algebra and key, so equal calls return the same object.
     """
+    key = (kind, vertex, shift, None if window is None else tuple(window))
+    return _memo(algebra._standard_modules, key,
+                 lambda: _standard_module(algebra, kind, vertex, shift, window))
+
+
+def _standard_module(algebra, kind, vertex, shift, window):
     algebra.quiver.check_vertex(vertex)
     s = shift
     if kind == "S":

@@ -12,7 +12,7 @@ import random
 
 from .errors import InputError, WindowError, UnsupportedRadical, MathRefusal
 from .linalg import Matrix, charpoly, roots_in_field
-from .gmodule import GradedMorphism
+from .gmodule import GradedMorphism, _memo
 from .presentations import projective_cover, Cover
 
 
@@ -393,9 +393,10 @@ class EndAlgebra:
 
 
 def end_algebra(M):
+    """GEnd(M), computed once per module."""
     if not M.is_exact:
         raise WindowError("endomorphism algebra needs an exact window")
-    return EndAlgebra(ghom(M, M))
+    return _memo(M._derived, "end", lambda: EndAlgebra(ghom(M, M)))
 
 
 class IndecomposabilityVerdict:
@@ -654,7 +655,8 @@ def _kernel_constraints(d1, N, window):
 
 
 def ext1(M, N, pres=None):
-    """Ext^1(M, N) from a (cached) minimal presentation of M."""
+    """Ext^1(M, N) from the given presentation of M, else from its minimal
+    presentation, which `minimal_presentation` keeps on M."""
     from .presentations import minimal_presentation
     if pres is None:
         pres = minimal_presentation(M)
@@ -663,7 +665,11 @@ def ext1(M, N, pres=None):
 
 
 class EndActionOnExt:
-    """The right End(M)-action on Ext^1(M, N) by lifting endomorphisms."""
+    """The right End(M)-action on Ext^1(M, N) by lifting endomorphisms.
+
+    Lifts along `pres`, else along the minimal presentation of M, which
+    `minimal_presentation` keeps on M; `ext` must be built from the same one.
+    """
 
     def __init__(self, ext, end, pres=None):
         from .presentations import minimal_presentation

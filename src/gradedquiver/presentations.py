@@ -3,14 +3,16 @@
 Finitely generated projectives are handled formally: a ProjSum is a list of
 (vertex, shift) summands and a PMap is a matrix of algebra elements acting by
 right multiplication.  Formal data is exact in every degree; realizations on
-a window are produced on demand.  Everything injective-side is obtained by
-dualizing the projective-side machinery over the opposite algebra.
+a window are produced on demand and memoized per object and window.  The
+minimal presentation of a module is computed once and kept on the module.
+Everything injective-side is obtained by dualizing the projective-side
+machinery over the opposite algebra.
 """
 
 from .errors import InputError, WindowError, MathRefusal
 from .algebra import AlgElement
 from .gmodule import (GradedMorphism, ModuleElement,
-                      zero_module, _complement_columns, _sum_with_offsets)
+                      zero_module, _complement_columns, _memo, _sum_with_offsets)
 from .linalg import Matrix
 
 
@@ -240,6 +242,7 @@ class IMap:
         self._pdata = PMap(ProjSum(self.algebra, src.summands),
                            ProjSum(self.algebra, dst.summands), entries)
         self.entries = self._pdata.entries
+        self._derived = {}
 
     def is_zero(self):
         return self._pdata.is_zero()
@@ -247,7 +250,8 @@ class IMap:
     def realize(self, window):
         """Realized as the dual of the opposite projective map."""
         lo, hi = window
-        op = self._pdata.transpose_to_opposite()  # dst° -> src° over the opposite
+        # dst° -> src° over the opposite, built once so its realizations memoize
+        op = _memo(self._derived, "opposite", self._pdata.transpose_to_opposite)
         real = op.realize((-hi, -lo))
         return real.dual()
 
@@ -342,7 +346,11 @@ def projective_cover(M, gen_degree_bound=None):
 
 
 class ProjPresentation:
-    """A minimal projective presentation P1 --d1--> P0 --aug--> M -> 0."""
+    """A minimal projective presentation P1 --d1--> P0 --aug--> M -> 0.
+
+    Immutable, like the module it presents; `_derived` keeps data computed
+    from it once (the transpose, filled by artheory).
+    """
 
     def __init__(self, module, p0, cover0, p1, d1, cover1, syzygy, syzygy_incl,
                  window):
@@ -355,6 +363,7 @@ class ProjPresentation:
         self.syzygy = syzygy            # realized kernel inside p0
         self.syzygy_incl = syzygy_incl  # syzygy -> realized p0
         self.window = window
+        self._derived = {}
 
     def is_minimal(self):
         return self.d1.is_radical()
@@ -372,10 +381,15 @@ def minimal_presentation(M):
 
     The first syzygy K agrees with P0 above the support of M, so all its
     generators live in degrees <= hi(M) + 1 and the fixed working window
-    [lo, hi+1] is provably sufficient.
+    [lo, hi+1] is provably sufficient.  Computed once per module: equal
+    calls return the same presentation.
     """
     if not M.is_exact:
         raise WindowError("minimal presentation needs an exact window")
+    return _memo(M._derived, "presentation", lambda: _minimal_presentation(M))
+
+
+def _minimal_presentation(M):
     window = (M.lo, M.hi + 1)
     cover0 = projective_cover(M)
     aug = cover0.realize(M, window)
@@ -383,13 +397,14 @@ def minimal_presentation(M):
     gens1 = top_basis(K, gen_degree_bound=M.hi + 1)
     p0 = cover0.psum
     p1 = ProjSum(M.algebra, [(g.vertex, -g.degree) for g in gens1])
-    d1 = _pmap_from_kernel_generators(p0, window, gens1, K_incl)
+    d1 = _pmap_from_kernel_generators(p1, p0, window, gens1, K_incl)
     cover1 = Cover(p1, gens1)
     return ProjPresentation(M, p0, cover0, p1, d1, cover1, K, K_incl, window)
 
 
-def _pmap_from_kernel_generators(p0, window, gens, K_incl):
-    """Split kernel generators into per-summand algebra-element entries."""
+def _pmap_from_kernel_generators(src, p0, window, gens, K_incl):
+    """The map src -> p0 sending the j-th summand's generator to gens[j],
+    split into per-summand algebra-element entries."""
     alg = p0.algebra
     _total, offsets = p0.realize(window)
     entries = [[None] * len(gens) for _ in range(len(p0))]
@@ -404,7 +419,7 @@ def _pmap_from_kernel_generators(p0, window, gens, K_incl):
             coeffs = [vec.data[c0 + k][0] for k in range(piece.dim)]
             if any(coeffs):
                 entries[i][j] = AlgElement(alg, g.degree + s, a, g.vertex, coeffs)
-    return PMap(ProjSum(alg, [(g.vertex, -g.degree) for g in gens]), p0, entries)
+    return PMap(src, p0, entries)
 
 
 class InjCopresentation:
@@ -579,7 +594,7 @@ def _resolution_attempt(M, cap, window, final):
             raise MathRefusal("nonzero syzygy without generators in the window")
         prev = psums[-1]
         pnext = ProjSum(M.algebra, [(g.vertex, -g.degree) for g in gens])
-        d = _pmap_from_kernel_generators(prev, window, gens, current_incl)
+        d = _pmap_from_kernel_generators(pnext, prev, window, gens, current_incl)
         if not d.is_radical():
             raise MathRefusal("cover produced a non-radical differential")
         psums.append(pnext)

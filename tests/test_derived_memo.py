@@ -1,0 +1,282 @@
+"""Derived data is computed once per module, presentation or algebra.
+
+Modules never change after construction, so their dual, minimal
+presentation, endomorphism algebra and transpose, and the standard modules of
+an algebra, are kept and handed out again.  These tests check that the kept
+objects are really shared, and that sharing them changes no result: every
+query gives the same answer on an algebra whose memos earlier queries filled
+("warm") as on a freshly parsed algebra ("cold"), and the kept objects are
+unchanged afterwards.
+"""
+
+import json
+import os
+import random
+import sys
+import threading
+
+import pytest
+
+from gradedquiver import GradedQuiverError, standard_module
+from gradedquiver.artheory import (almost_split_sequence, ar_formula_check, tau,
+                                   tau_inverse, transpose, verify_almost_split)
+from gradedquiver.homs import end_algebra
+from gradedquiver.presentations import minimal_presentation
+from gradedquiver.problem import canonical_dumps, parse_problem_dict
+
+from conftest import make_fix_d
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+
+# -- identity ----------------------------------------------------------------
+
+
+def test_presentation_dual_end_and_transpose_are_computed_once():
+    alg = make_fix_d()
+    S = standard_module(alg, "S", "2", 0)
+    assert minimal_presentation(S) is minimal_presentation(S)
+    assert S.dual().dual() is S
+    assert S.dual() is S.dual()
+    assert end_algebra(S) is end_algebra(S)
+    assert transpose(S) is transpose(S)
+    assert tau(S).transpose is tau(S, check_verdict=False).transpose
+    trdata = transpose(S)
+    assert trdata.realize((-5, 3)) is trdata.realize((-5, 3))
+    assert tau_inverse(S).presentation is minimal_presentation(S.dual())
+
+
+def test_standard_modules_are_kept_per_algebra_and_key():
+    alg = make_fix_d()
+    assert standard_module(alg, "S", "1", 2) is standard_module(alg, "S", "1", 2)
+    assert standard_module(alg, "P", "3", 0, window=(0, 4)) is standard_module(
+        alg, "P", "3", 0, window=[0, 4])
+    assert standard_module(alg, "P", "3", 0, window=(0, 4)) is not standard_module(
+        alg, "P", "3", 0, window=(0, 5))
+    assert standard_module(alg, "I", "3", 0, window=(-4, 0)) is not standard_module(
+        alg, "I", "3", 0, window=(-5, 0))
+    assert standard_module(alg, "S", "1", 0) is not standard_module(alg, "S", "1", 1)
+    # the opposite algebra keeps its own table
+    opp = alg.opposite()
+    assert standard_module(opp, "S", "1", 0) is not standard_module(alg, "S", "1", 0)
+
+
+def test_copies_of_a_module_do_not_share_memos():
+    alg = make_fix_d()
+    S = standard_module(alg, "S", "2", 0)
+    T = S.with_window(-1, 1)
+    assert minimal_presentation(T) is not minimal_presentation(S)
+    assert (canonical_dumps(minimal_presentation(T).to_json_dict())
+            != canonical_dumps(minimal_presentation(S).to_json_dict()))
+
+
+def test_concurrent_first_use_hands_out_one_object():
+    # insert-once: threads racing on an empty memo may each compute, but all
+    # of them must get the one value that is kept
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(4):
+            alg = make_fix_d()
+            S = standard_module(alg, "S", str(trial), 0)
+            got = [None] * 8
+
+            def work(k):
+                got[k] = (minimal_presentation(S), S.dual(), end_algebra(S))
+
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            for k in range(8):
+                assert all(a is b for a, b in zip(got[k], got[0])), (trial, k)
+            assert got[0][0] is minimal_presentation(S)
+    finally:
+        sys.setswitchinterval(old)
+
+
+# -- warm against cold ---------------------------------------------------------
+
+
+def _refusal(e):
+    return ("refused", type(e).__name__, str(e))
+
+
+def _module(problem, ref):
+    if ref[0] == "named":
+        return problem.module(ref[1])
+    _s, v, shift = ref
+    return standard_module(problem.algebra, "S", v, shift)
+
+
+def _ars(M, direction):
+    try:
+        seq = almost_split_sequence(M, direction)
+    except GradedQuiverError as e:
+        return _refusal(e)
+    return canonical_dumps(seq.to_json_dict()), verify_almost_split(seq)
+
+
+def _translate(fn, M):
+    try:
+        t = fn(M, check_verdict=False)
+    except GradedQuiverError as e:
+        return _refusal(e)
+    m = t.module
+    return sorted(m.dims.items()), (m.lo, m.hi, m.exact_below, m.exact_above)
+
+
+def _ar_formula(M, X):
+    try:
+        return ar_formula_check(M, X)
+    except GradedQuiverError as e:
+        return _refusal(e)
+
+
+def queries(refs, others):
+    """(label, module refs, evaluator) for every compared result."""
+    out = []
+    for m in refs:
+        for direction in ("ending", "starting"):
+            out.append((("ars", m, direction), (m,),
+                        lambda M, d=direction: _ars(M, d)))
+        out.append((("tau", m), (m,), lambda M: _translate(tau, M)))
+        out.append((("tau-inverse", m), (m,), lambda M: _translate(tau_inverse, M)))
+        for x in others:
+            out.append((("ar-formula", m, x), (m, x), _ar_formula))
+    return out
+
+
+def snapshot(M):
+    """JSON of a module, its dual and its presentation, where defined."""
+    out = [canonical_dumps(M.to_json_dict())]
+    for derive in (lambda: M.dual(), lambda: minimal_presentation(M)):
+        try:
+            out.append(canonical_dumps(derive().to_json_dict()))
+        except GradedQuiverError as e:
+            out.append(_refusal(e))
+    return out
+
+
+def assert_warm_matches_cold(data, refs, others):
+    qs = queries(refs, others)
+    cold = {}
+    for label, mrefs, fn in qs:
+        problem = parse_problem_dict(data)
+        cold[label] = fn(*[_module(problem, r) for r in mrefs])
+    problem = parse_problem_dict(data)
+    modules = {r: _module(problem, r) for r in set(refs) | set(others)}
+    before = {r: snapshot(M) for r, M in modules.items()}
+    kept = {}
+    for r, M in modules.items():
+        try:
+            kept[r] = minimal_presentation(M)
+        except GradedQuiverError:
+            pass
+    # the second pass runs with every memo filled
+    for _ in range(2):
+        for label, mrefs, fn in qs:
+            assert fn(*[modules[r] for r in mrefs]) == cold[label], label
+    for r, M in modules.items():
+        assert snapshot(M) == before[r], r
+        if r in kept:
+            assert minimal_presentation(M) is kept[r], r
+
+
+def _fixture(name):
+    with open(os.path.join(FIXTURES, name)) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("name", ["fix_a.json", "fix_b.json", "fix_c.json", "fix_d.json"])
+def test_fixture_results_do_not_depend_on_memos(name):
+    data = _fixture(name)
+    refs = [("named", m) for m in sorted(data["modules"])]
+    assert_warm_matches_cold(data, refs, refs)
+
+
+# binomial relations p + c*q need units c: over F_2 only c = 1
+COEFFS = {"Q": ("1", "-1", "2", "-2"), "Fp:2": ("1",), "Fp:3": ("1", "-1", "2")}
+
+
+def random_problem(seed):
+    """A seeded acyclic algebra on 3-4 vertices with up to two parallel
+    arrows, whose relations have degree 2 or 3: binomials p + c*q of two
+    parallel paths, or monomials.  Seeds cycle through Q, F_2 and F_3, and
+    each draw is kept only if it has a binomial relation of degree 2 (seeds
+    0-2 mod 6) or 3 (seeds 3-5 mod 6)."""
+    rng = random.Random(seed)
+    field = ("Q", "Fp:2", "Fp:3")[seed % 3]
+    wanted = 2 + (seed // 3) % 2
+    while True:
+        data = _draw_problem(rng, field)
+        if any(len(r["paths"]) == 2 and len(r["paths"][0]) == wanted
+               for r in data["relations"]):
+            return data
+
+
+def _draw_problem(rng, field):
+    nv = rng.randint(3, 4)
+    while True:
+        arrows = []
+        for _ in range(nv + rng.randint(0, 1)):
+            s = rng.randrange(nv - 1)
+            arrows.append((s, rng.randrange(s + 1, nv)))
+        if max(arrows.count(a) for a in arrows) <= 2:
+            break
+    named = [(f"a{k}", s, t) for k, (s, t) in enumerate(sorted(arrows))]
+    # paths as arrow names, last applied first, with their end points
+    paths = {1: [([a], s, t) for a, s, t in named]}
+    for length in (2, 3):
+        paths[length] = [([b] + p, s, t) for p, s, m in paths[length - 1]
+                         for b, m2, t in named if m2 == m]
+    relations = []
+    dead = []   # monomial relations: the longer paths through them are zero
+    for length in (2, 3):
+        by_ends = {}
+        for p, s, t in paths[length]:
+            if not any(_contains(p, d) for d in dead):
+                by_ends.setdefault((s, t), []).append(p)
+        for key in sorted(by_ends):
+            group = by_ends[key]
+            rng.shuffle(group)
+            while group:
+                r = rng.random()
+                if len(group) >= 2 and r < 0.5:
+                    relations.append({"paths": [group.pop(), group.pop()],
+                                      "coeffs": ["1", rng.choice(COEFFS[field])]})
+                elif r < 0.7:
+                    dead.append(group.pop())
+                    relations.append({"paths": [dead[-1]], "coeffs": ["1"]})
+                else:
+                    group.pop()
+    return {"field": field,
+            "quiver": {"vertices": [str(v) for v in range(nv)],
+                       "arrows": [{"name": a, "from": str(s), "to": str(t)}
+                                  for a, s, t in named]},
+            "relations": relations, "modules": {}}
+
+
+def _contains(path, sub):
+    n = len(sub)
+    return any(path[i:i + n] == sub for i in range(len(path) - n + 1))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_random_algebra_results_do_not_depend_on_memos(seed):
+    data = random_problem(seed)
+    vertices = data["quiver"]["vertices"]
+    refs = [("S", v, 0) for v in vertices]
+    others = [("S", w, s) for w in vertices for s in (-1, 0, 1)]
+    assert_warm_matches_cold(data, refs, others)
+
+
+def test_random_algebras_cover_binomials_of_degree_two_and_three_over_each_field():
+    seen = set()
+    for seed in range(12):
+        data = random_problem(seed)
+        seen |= {(data["field"], len(r["paths"][0]))
+                 for r in data["relations"] if len(r["paths"]) == 2}
+    assert seen == {(f, d) for f in COEFFS for d in (2, 3)}
