@@ -148,6 +148,9 @@ class GradedAlgebra:
             self._rels_into[r.target].append((r.degree, r.source, terms))
         self._pieces = {}
         self._reach = {}    # source -> first degree not yet filled (inf once all vanish)
+        self._vanish = {}   # source -> first degree where every piece from it is zero
+        self._columns = {}  # (source, degree) -> column dims, see column()
+        self._column_maps = {}  # (source, degree) -> arrow actions, see column_maps()
         self._nfs = {}      # path name tuple -> normal form
         self._opp = None
         self._standard_modules = {}  # (kind, vertex, shift, window) -> module, by gmodule
@@ -190,6 +193,8 @@ class GradedAlgebra:
             for t in self.quiver.vertices:
                 p = self._pieces.setdefault((e, source, t), self._compute_piece(e, source, t))
                 nonzero = nonzero or p.dim > 0
+            if not nonzero:
+                self._vanish[source] = e
             e = e + 1 if nonzero else math.inf
             self._reach[source] = e
 
@@ -386,11 +391,47 @@ class GradedAlgebra:
             return opp.zero_element(u.degree, u.target, u.source)
         return opp.element_from_terms(terms)
 
+    # -- columns ---------------------------------------------------------
+
+    def column(self, gen_vertex, degree):
+        """Degree `degree` of the column A e_gen: the nonzero (x, dim e_x A_degree
+        e_gen), in vertex order; memoized.
+
+        Empty from the first degree where the column vanishes, which _fill
+        records, with no piece lookup past it.
+        """
+        got = self._columns.get((gen_vertex, degree))
+        if got is not None:
+            return got
+        if degree < 0:
+            return ()
+        self.quiver.check_vertex(gen_vertex)
+        self._fill(gen_vertex, degree)
+        if degree >= self._vanish.get(gen_vertex, math.inf):
+            return ()
+        pieces = self._pieces
+        col = tuple((x, pieces[(degree, gen_vertex, x)].dim) for x in self.quiver.vertices
+                    if pieces[(degree, gen_vertex, x)].dim)
+        return self._columns.setdefault((gen_vertex, degree), col)
+
+    def column_maps(self, gen_vertex, degree):
+        """{arrow name: left multiplication by the arrow from degree `degree` of
+        A e_gen}, for the arrows, in quiver order, between nonzero pieces of the
+        column; memoized."""
+        got = self._column_maps.get((gen_vertex, degree))
+        if got is not None:
+            return got
+        here = dict(self.column(gen_vertex, degree))
+        above = dict(self.column(gen_vertex, degree + 1))
+        maps = {a.name: self.left_mult_matrix(self.arrow_element(a.name), degree, gen_vertex)
+                for a in self.quiver.arrows if a.source in here and a.target in above}
+        return self._column_maps.setdefault((gen_vertex, degree), maps)
+
     # -- boundedness -----------------------------------------------------
 
     def column_dim(self, degree, gen_vertex):
         """dim of (A e_gen)_degree: all pieces with source gen_vertex."""
-        return sum(self.dim_piece(degree, gen_vertex, y) for y in self.quiver.vertices)
+        return sum(n for _x, n in self.column(gen_vertex, degree))
 
     def row_dim(self, degree, top_vertex):
         """dim of (e_top A)_degree: all pieces with target top_vertex."""

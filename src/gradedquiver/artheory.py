@@ -287,8 +287,7 @@ def _pushout_sequence(C, A, pres, ext, xi_tuple):
         if pre is None:
             raise MathRefusal("syzygy cover stopped being surjective")
         h_blocks[(d, x)] = htilde.block(d, x) @ pre
-    h = GradedMorphism(K, A.with_window(lo, hi) if (A.lo, A.hi) != W else A,
-                       h_blocks, check=False)
+    h = GradedMorphism(K, A.with_window(lo, hi), h_blocks, check=False)
     A_W = h.target
     C_W = C.with_window(lo, hi)
     # E = coker of (h, -incl): K -> A (+) P0

@@ -13,6 +13,13 @@ and kept on it (see `_memo`): its dual, which links back so that
 algebra.  Standard modules are kept once per algebra, by kind, vertex, shift
 and window.  Callers must not mutate a module, a morphism or a matrix they
 are handed, since the same object may be handed to every later caller.
+
+A standard projective P_a<s> is a re-indexed view of the column A e_a, whose
+per-degree dims and arrow actions the algebra computes once (`column`,
+`column_maps`): degree i of P_a<s> is degree i+s of the column, clipped to the
+window, so shifts and windows cost no algebra work after the first use.  The
+injective I_a<s> is the dual of the projective P°_a<-s> over the opposite
+algebra.
 """
 
 from .errors import InputError, WindowError, MathRefusal
@@ -141,7 +148,12 @@ class GradedModule:
     # -- window surgery -------------------------------------------------------
 
     def with_window(self, lo, hi):
-        """Re-window: grows only across exact sides, cuts set truncation flags."""
+        """Re-window: grows only across exact sides, cuts set truncation flags.
+
+        The same window gives back this module, so its memos keep hitting.
+        """
+        if (lo, hi) == (self.lo, self.hi):
+            return self
         if lo > hi:
             raise InputError("bad window")
         if lo < self.lo and not self.exact_below:
@@ -225,7 +237,7 @@ class GradedModule:
             if basis.cols:
                 dims[(i, x)] = basis.cols
                 incl_blocks[(i, x)] = basis
-        ambient = self if lo == self.lo else self.with_window(lo, self.hi)
+        ambient = self.with_window(lo, self.hi)
         rad = GradedModule(self.algebra, lo, self.hi, dims,
                            _induced_sub_maps(ambient, dims, incl_blocks),
                            exact_below=self.exact_below, exact_above=self.exact_above,
@@ -260,7 +272,7 @@ class GradedModule:
             if basis.cols:
                 dims[(i, x)] = basis.cols
                 incl_blocks[(i, x)] = basis
-        ambient = self if hi == self.hi else self.with_window(self.lo, hi)
+        ambient = self.with_window(self.lo, hi)
         soc = GradedModule(self.algebra, self.lo, hi, dims, {},
                            exact_below=self.exact_below, exact_above=self.exact_above,
                            check=False)
@@ -639,18 +651,6 @@ def _complement_columns(field, basis, ambient_dim):
     return ident.select_cols([c - basis.cols for c in pivots if c >= basis.cols])
 
 
-def _support_scan(algebra, degrees, dim_at):
-    """Nonzero dims dim_at(i, x) over the degrees in scan order, stopping at
-    the first degree where every vertex gives 0; also whether it stopped."""
-    dims = {}
-    for i in degrees:
-        row = [(x, dim_at(i, x)) for x in algebra.quiver.vertices]
-        if not any(n for _x, n in row):
-            return dims, True
-        dims.update(((i, x), n) for x, n in row if n)
-    return dims, False
-
-
 def standard_module(algebra, kind, vertex, shift=0, window=None):
     """The standard projective P_a<s>, injective I_a<s>, or simple S_a<s>.
 
@@ -671,42 +671,28 @@ def _standard_module(algebra, kind, vertex, shift, window):
         if not lo <= -s <= hi:
             raise WindowError(f"window [{lo},{hi}] misses the simple at degree {-s}")
         return GradedModule(algebra, lo, hi, {(-s, vertex): 1}, {}, check=False)
-    if kind == "P":
-        if window is None:
-            raise WindowError("projective realization needs a window")
-        lo, hi = window
-        # P_a<s> lives in degrees -s and up, through the last nonzero
-        # (A e_a)_{i+s}; a zero degree makes every higher one zero
-        dims, vanished = _support_scan(algebra, range(max(lo, -s), hi + 1),
-                                       lambda i, x: algebra.dim_piece(i + s, vertex, x))
-        maps = {}
-        for i in range(max(lo, -s), hi):
-            for a in algebra.quiver.arrows:
-                if dims.get((i, a.source), 0) and dims.get((i + 1, a.target), 0):
-                    u = algebra.arrow_element(a.name)
-                    maps[(a.name, i)] = algebra.left_mult_matrix(u, i + s, vertex)
-        exact_below = lo <= -s
-        exact_above = vanished or algebra.column_dim(hi + 1 + s, vertex) == 0
-        return GradedModule(algebra, lo, hi, dims, maps,
-                            exact_below=exact_below, exact_above=exact_above, check=False)
+    if kind not in ("P", "I"):
+        raise InputError(f"unknown standard module kind {kind!r}")
+    if window is None:
+        raise WindowError(("projective" if kind == "P" else "injective")
+                          + " realization needs a window")
+    lo, hi = window
     if kind == "I":
-        if window is None:
-            raise WindowError("injective realization needs a window")
-        lo, hi = window
-        opp = algebra.opposite()
-        # I_a<s> lives in degrees -s and down, the mirror image of P°_a<-s>
-        dims, vanished = _support_scan(algebra, range(min(hi, -s), lo - 1, -1),
-                                       lambda i, x: opp.dim_piece(-i - s, vertex, x))
-        dims = dict(sorted(dims.items(), key=lambda kv: kv[0][0]))
-        maps = {}
-        for i in range(lo, min(hi, -s)):
-            for a in algebra.quiver.arrows:
-                if dims.get((i, a.source), 0) and dims.get((i + 1, a.target), 0):
-                    ao = opp.arrow_element(a.name)
-                    # dual of left multiplication on the opposite projective
-                    maps[(a.name, i)] = opp.left_mult_matrix(ao, -i - 1 - s, vertex).transpose()
-        exact_above = hi >= -s
-        exact_below = vanished or opp.column_dim(-lo + 1 - s, vertex) == 0
-        return GradedModule(algebra, lo, hi, dims, maps,
-                            exact_below=exact_below, exact_above=exact_above, check=False)
-    raise InputError(f"unknown standard module kind {kind!r}")
+        # I_a<s> = D(P°_a<-s>), the dual of the projective over the opposite
+        return standard_module(algebra.opposite(), "P", vertex, -s, (-hi, -lo)).dual_windowed()
+    # P_a<s> in degree i is degree i+s of the column A e_a, which is nonzero
+    # from degree 0 up to the first degree where it vanishes
+    dims, maps = {}, {}
+    vanished = False
+    for i in range(max(lo, -s), hi + 1):
+        col = algebra.column(vertex, i + s)
+        if not col:
+            vanished = True
+            break
+        dims.update(((i, x), n) for x, n in col)
+        if i < hi:
+            maps.update(((name, i), m) for name, m in algebra.column_maps(vertex, i + s).items())
+    exact_below = lo <= -s
+    exact_above = vanished or not algebra.column(vertex, hi + 1 + s)
+    return GradedModule(algebra, lo, hi, dims, maps,
+                        exact_below=exact_below, exact_above=exact_above, check=False)

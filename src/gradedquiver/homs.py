@@ -24,7 +24,7 @@ def _align_for_hom(M, N):
     sup = M.support_degrees()
     if not sup:
         lo, hi = N.lo, N.hi
-        return M.with_window(lo, hi) if (M.lo, M.hi) != (lo, hi) else M, N
+        return M.with_window(lo, hi), N
     dmin, dmax = sup[0], sup[-1]
     lo = min(dmin, N.lo)
     hi = max(dmax + 1, N.hi)

@@ -319,19 +319,38 @@ class Cover:
         target = module.with_window(*window)
         src, offsets = self.psum.realize(window)
         f = src.algebra.field
+        images = {}
+
+        def image(j, arrows):
+            """The image of the j-th generator under the path, as a column.
+
+            A representative a*rep' maps to a acting on the image of rep',
+            which is itself a representative (standard paths are closed under
+            subwords), so each image is one product.
+            """
+            got = images.get((j, arrows))
+            if got is None:
+                gen = self.generators[j]
+                if arrows:
+                    got = (target.map(arrows[0].name, gen.degree + len(arrows) - 1)
+                           @ image(j, arrows[1:]))
+                else:
+                    got = Matrix.from_cols(f, len(gen.coords), [gen.coords])
+                images[(j, arrows)] = got
+            return got
+
         blocks = {}
         for (i, x), ncols in src.dims.items():
             nrows = target.dims.get((i, x), 0)
             entries = [[f.zero()] * ncols for _ in range(nrows)]
             if nrows:
-                for j, ((b, s), gen) in enumerate(zip(self.psum.summands, self.generators)):
+                for j, (b, s) in enumerate(self.psum.summands):
                     piece = src.algebra.piece(i + s, b, x)
                     if piece.dim == 0:
                         continue
                     c0 = offsets[j][(i, x)]
-                    gcol = Matrix.from_cols(f, len(gen.coords), [gen.coords])
                     for c, rep in enumerate(piece.rep_paths):
-                        col = target.path_action(rep, gen.degree) @ gcol
+                        col = image(j, rep.arrows)
                         for r in range(nrows):
                             entries[r][c0 + c] = col.data[r][0]
             blocks[(i, x)] = Matrix._make(f, nrows, ncols, tuple(map(tuple, entries)))
