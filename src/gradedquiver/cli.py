@@ -5,6 +5,7 @@ is not met), 2 = input error (bad file, bad reference, bad flags).
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -31,7 +32,11 @@ def _window(text):
         raise argparse.ArgumentTypeError("window must look like lo:hi")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The command-line parser, built once per process: parsing does not
+    change it, so every `main` call shares it, the concurrent ones of
+    run-tasks included."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--window", type=_window, default=None,
                         help="degree window lo:hi for realizations")
@@ -393,8 +398,7 @@ def _morphism_from_json(source, target, data):
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return run(args)
     except MathRefusal as e:

@@ -640,15 +640,22 @@ def _sum_with_offsets(modules):
     return total, offsets
 
 
-def _complement_columns(field, basis, ambient_dim):
-    """Unit vectors extending the column space of `basis` to the full space.
+def _complement_indices(field, basis, ambient_dim):
+    """The k whose unit vectors e_k extend the column space of `basis` to the
+    full space, ascending.
 
     e_k is taken when it is not in the span of `basis` and the earlier unit
-    vectors: these are the pivot columns of [basis | I] past `basis`.
+    vectors: these are the pivot columns of [basis | I] past `basis`, so they
+    depend only on the span.
     """
-    ident = Matrix.identity(field, ambient_dim)
-    _, pivots = basis.hstack(ident).rref()
-    return ident.select_cols([c - basis.cols for c in pivots if c >= basis.cols])
+    _, pivots = basis.hstack(Matrix.identity(field, ambient_dim)).rref()
+    return [c - basis.cols for c in pivots if c >= basis.cols]
+
+
+def _complement_columns(field, basis, ambient_dim):
+    """The unit vectors of `_complement_indices`, as columns."""
+    return Matrix.identity(field, ambient_dim).select_cols(
+        _complement_indices(field, basis, ambient_dim))
 
 
 def standard_module(algebra, kind, vertex, shift=0, window=None):

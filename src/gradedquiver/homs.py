@@ -528,11 +528,6 @@ def overline_hom_dim(M, N):
     return underline_hom_dim(N.dual(), M.dual())
 
 
-def stable_hom_dims(M, N):
-    return {"underline": underline_hom_dim(M, N),
-            "overline": overline_hom_dim(M, N)}
-
-
 # -- Ext^1 --------------------------------------------------------------------------
 
 
@@ -608,12 +603,12 @@ def _kernel_constraints(d1, N, window):
     f = alg.field
     p1 = d1.src
     slots, size = hom_psum_slots(p1, N)
-    ker, kincl = d1.realized_kernel(window)
-    if ker.is_zero():
+    kers = d1.kernel_bases(window)
+    if not kers:
         return Matrix.zeros(f, 0, size)
     _total, offsets = p1.realize(window)
     rows = []
-    for (d, x), kdim in ker.dims.items():
+    for (d, x), (basis, _free) in kers.items():
         ndim = N.dims.get((d, x), 0) if N.lo <= d <= N.hi else 0
         if ndim == 0:
             if d > N.hi or (d < N.lo and N.exact_below):
@@ -621,14 +616,13 @@ def _kernel_constraints(d1, N, window):
             if d < N.lo:
                 raise WindowError("kernel constraint below the target window")
             continue
-        basis = kincl.block(d, x)
         acts = {}
         for j, (b, s) in enumerate(p1.summands):
             piece = alg.piece(d + s, b, x)
             if piece.dim == 0:
                 continue
             acts[j] = [N.path_action(rep, -s) for rep in piece.rep_paths]
-        for v in range(kdim):
+        for v in range(basis.cols):
             vec = basis.col(v)
             for r in range(ndim):
                 row = [f.zero()] * size

@@ -3,16 +3,22 @@
 Finitely generated projectives are handled formally: a ProjSum is a list of
 (vertex, shift) summands and a PMap is a matrix of algebra elements acting by
 right multiplication.  Formal data is exact in every degree; realizations on
-a window are produced on demand and memoized per object and window.  The
-minimal presentation of a module is computed once and kept on the module.
-Everything injective-side is obtained by dualizing the projective-side
+a window are produced on demand and memoized per object and window, and so
+is the kernel of a realized PMap, piece by piece.  The minimal presentation
+of a module is computed once and kept on the module.
+
+A resolution is seeded from that presentation; each later syzygy ker d_n is
+kept as the per-piece kernel bases of the realized differential d_n, never
+as a module (see `resolution`).  The right multiplication matrices of the
+realizations are memoized on the algebra with a shift-free key, so the
+recurring shifted differentials reuse them.  Everything injective-side is obtained by dualizing the projective-side
 machinery over the opposite algebra.
 """
 
 from .errors import InputError, WindowError, MathRefusal
 from .algebra import AlgElement
-from .gmodule import (GradedMorphism, ModuleElement,
-                      zero_module, _complement_columns, _memo, _sum_with_offsets)
+from .gmodule import (GradedMorphism, ModuleElement, zero_module,
+                      _complement_columns, _complement_indices, _memo, _sum_with_offsets)
 from .linalg import Matrix
 
 
@@ -95,14 +101,11 @@ class PMap:
         return PMap(self.src.shift(s), self.dst.shift(s),
                     [row[:] for row in self.entries])
 
-    def realized_kernel(self, window):
-        """(kernel module, inclusion) of the realization; memoized."""
-        key = ("kernel", tuple(window))
-        got = self._realized.get(key)
-        if got is None:
-            got = self.realize(window).kernel()
-            self._realized[key] = got
-        return got
+    def kernel_bases(self, window):
+        """The kernel of the realization on the window, piece by piece (see
+        `_kernel_bases`); memoized."""
+        return _memo(self._realized, ("kernel", tuple(window)),
+                     lambda: _kernel_bases(self.realize(window)))
 
     @classmethod
     def zero(cls, src, dst):
@@ -207,10 +210,6 @@ class InjSum:
         opp = self.algebra.opposite()
         return sum(opp.dim_piece(-i - s, a, x) for a, s in self.summands)
 
-    def opposite_projsum(self):
-        """The ProjSum over the opposite algebra whose dual this is."""
-        return ProjSum(self.algebra.opposite(), [(a, -s) for a, s in self.summands])
-
     def realize(self, window):
         from .gmodule import standard_module
         if not self.summands:
@@ -265,29 +264,21 @@ class IMap:
 # -- generators --------------------------------------------------------------
 
 
-def top_basis(M, gen_degree_bound=None):
+def top_basis(M):
     """Pure elements lifting a basis of top M, lowest degrees first.
 
-    Needs M exact below.  Generators are enumerated up to `gen_degree_bound`;
-    without a bound the module must be exact above so that no generator can
-    hide beyond the window.
+    Needs M exact on both sides, so that no generator can hide beyond the
+    window.
     """
     if not M.exact_below:
         raise WindowError("top-basis needs the module exact below")
-    if gen_degree_bound is None:
-        if not M.exact_above:
-            raise WindowError("top-basis of a module truncated above needs a "
-                              "generator-degree bound")
-        bound = M.hi
-    else:
-        bound = min(gen_degree_bound, M.hi)
+    if not M.exact_above:
+        raise WindowError("top-basis needs the module exact above")
     if M.is_zero():
         return []
     _rad, incl = M.radical()
     out = []
     for (i, x) in M.support():
-        if i > bound:
-            continue
         radbasis = incl.block(i, x)
         comp = _complement_columns(M.algebra.field, radbasis, M.dims[(i, x)])
         for c in range(comp.cols):
@@ -357,9 +348,9 @@ class Cover:
         return GradedMorphism(src, target, blocks, check=False)
 
 
-def projective_cover(M, gen_degree_bound=None):
+def projective_cover(M):
     """Cover built on one shifted projective per top-basis element."""
-    gens = top_basis(M, gen_degree_bound)
+    gens = top_basis(M)
     psum = ProjSum(M.algebra, [(g.vertex, -g.degree) for g in gens])
     return Cover(psum, gens)
 
@@ -413,32 +404,78 @@ def _minimal_presentation(M):
     cover0 = projective_cover(M)
     aug = cover0.realize(M, window)
     K, K_incl = aug.kernel()
-    gens1 = top_basis(K, gen_degree_bound=M.hi + 1)
+    found = _kernel_generators(aug.source, _kernel_bases(aug), M.hi + 1)
     p0 = cover0.psum
-    p1 = ProjSum(M.algebra, [(g.vertex, -g.degree) for g in gens1])
-    d1 = _pmap_from_kernel_generators(p1, p0, window, gens1, K_incl)
-    cover1 = Cover(p1, gens1)
-    return ProjPresentation(M, p0, cover0, p1, d1, cover1, K, K_incl, window)
+    d1 = _pmap_from_generators(p0, window, found)
+    f = M.algebra.field
+    gens1 = [ModuleElement(K, i, x, Matrix.identity(f, K.dims[(i, x)]).col(k))
+             for i, x, k, _vec in found]
+    cover1 = Cover(d1.src, gens1)
+    return ProjPresentation(M, p0, cover0, d1.src, d1, cover1, K, K_incl, window)
 
 
-def _pmap_from_kernel_generators(src, p0, window, gens, K_incl):
-    """The map src -> p0 sending the j-th summand's generator to gens[j],
+def _kernel_bases(R):
+    """ker R piece by piece: {(i, x): (basis, free)} over the nonzero pieces,
+    in support order.
+
+    `basis` is the rref kernel basis of R's block at (i, x), which depends
+    only on the kernel, and `free` its free coordinates: the basis is the
+    identity there, so a kernel vector's coordinates over the basis are its
+    entries at `free`.
+    """
+    out = {}
+    for (i, x) in R.source.support():
+        blk = R.block(i, x)
+        basis = blk.kernel_basis()
+        if basis.cols:
+            pivots = set(blk.rref()[1])
+            out[(i, x)] = (basis, [r for r in range(blk.cols) if r not in pivots])
+    return out
+
+
+def _kernel_generators(P, kers, bound):
+    """Generators in degrees <= bound of the submodule K of P given piece by
+    piece by `kers` (see `_kernel_bases`), in support order.
+
+    At (i, x) they are the basis vectors of K_i(x) completing the radical
+    sum over arrows a: y -> x of a*K_{i-1}(y), whose coordinates are read at
+    the free rows: a list of (degree, vertex, basis column, vector in P).
+    """
+    if not P.exact_below:
+        raise WindowError("top-basis needs the module exact below")
+    alg = P.algebra
+    f = alg.field
+    out = []
+    for (i, x), (basis, free) in kers.items():
+        if i > bound:
+            continue
+        rad = [P.map(a.name, i - 1) @ kers[(i - 1, a.source)][0]
+               for a in alg.quiver.arrows_into[x] if (i - 1, a.source) in kers]
+        coords = Matrix._make(f, len(free), sum(m.cols for m in rad),
+                              tuple(sum((m.data[r] for m in rad), ()) for r in free))
+        for k in _complement_indices(f, coords, basis.cols):
+            out.append((i, x, k, basis.col(k)))
+    return out
+
+
+def _pmap_from_generators(dst, window, gens):
+    """The map onto the generators: one summand P_x<-i> per (i, x, k, vec) in
+    `gens`, its generator sent to the vector `vec` of the realized `dst`,
     split into per-summand algebra-element entries."""
-    alg = p0.algebra
-    _total, offsets = p0.realize(window)
-    entries = [[None] * len(gens) for _ in range(len(p0))]
-    for j, g in enumerate(gens):
-        vec = K_incl.block(g.degree, g.vertex) @ Matrix.from_cols(
-            alg.field, len(g.coords), [g.coords])
-        for i, (a, s) in enumerate(p0.summands):
-            piece = alg.piece(g.degree + s, a, g.vertex)
+    alg = dst.algebra
+    _total, offsets = dst.realize(window)
+    src = ProjSum(alg, [(x, -i) for i, x, _k, _vec in gens])
+    entries = [[None] * len(gens) for _ in range(len(dst))]
+    for j, (deg, vertex, _k, vec) in enumerate(gens):
+        for i, (a, s) in enumerate(dst.summands):
+            piece = alg.piece(deg + s, a, vertex)
             if piece.dim == 0:
                 continue
-            c0 = offsets[i][(g.degree, g.vertex)]
-            coeffs = [vec.data[c0 + k][0] for k in range(piece.dim)]
+            c0 = offsets[i][(deg, vertex)]
+            coeffs = vec[c0:c0 + piece.dim]
             if any(coeffs):
-                entries[i][j] = AlgElement(alg, g.degree + s, a, g.vertex, coeffs)
-    return PMap(src, p0, entries)
+                entries[i][j] = AlgElement(alg, deg + s, a, vertex, coeffs)
+    return PMap(src, dst, entries)
 
 
 class InjCopresentation:
@@ -518,6 +555,13 @@ class Resolution:
 def resolution(M, cap, pad=5, window_hi=None):
     """Iterated minimal covers up to homological degree `cap`.
 
+    P_1 -> P_0 is the minimal presentation of M, which M keeps.  From there
+    the syzygy ker d_n is taken piece by piece on the working window, as the
+    kernel bases of the realized differential d_n; its generators at (i, x)
+    are the basis vectors completing the image of the arrows into x from
+    degree i-1, read in kernel coordinates at the free rows of the piece's
+    rref, and they define P_{n+1} and d_{n+1}.  No syzygy module is built.
+
     Generator searches beyond the first syzygy have no a-priori degree bound;
     the working window is grown once by `pad` when a generator shows up at
     the very top of the window, and the run errors out if that happens again.
@@ -532,6 +576,9 @@ def resolution(M, cap, pad=5, window_hi=None):
     if not M.is_exact:
         raise WindowError("resolution needs an exact window")
     hi = window_hi if window_hi is not None else M.hi + 1 + cap + pad
+    if hi <= M.hi:
+        raise WindowError(f"resolution window [{M.lo},{hi}] must reach degree "
+                          f"{M.hi + 1}, where the first syzygy's generators end")
     for attempt in range(2):
         try:
             return _resolution_attempt(M, cap, (M.lo, hi), final=attempt == 1)
@@ -548,8 +595,9 @@ class _NeedsWiderWindow(Exception):
         self.degree = degree
 
 
-def _generated_in_window(syzygy, d, hi):
-    """Whether every generator of the syzygy ker d lies in degrees <= hi.
+def _generated_in_window(exact_above, d, hi):
+    """Whether every generator of the syzygy ker d lies in degrees <= hi,
+    where `exact_above` says whether d's realized source is exact above.
 
     It does when the syzygy is exact above.  Over a monomial algebra it also
     does when every entry of d is one path and, within each row, no entry's
@@ -560,7 +608,7 @@ def _generated_in_window(syzygy, d, hi):
     ker d is generated in degrees <= max(-t) + max relation degree - 1 over
     the source summands P_b<t>.
     """
-    if syzygy.exact_above:
+    if exact_above:
         return True
     alg = d.algebra
     if any(len(r.terms) != 1 for r in alg.relations):
@@ -585,19 +633,24 @@ def _generated_in_window(syzygy, d, hi):
 
 def _resolution_attempt(M, cap, window, final):
     lo, hi = window
-    cover = projective_cover(M)
-    psums = [cover.psum]
+    pres = minimal_presentation(M)
+    psums = [pres.p0]
     pmaps = []
-    aug = cover.realize(M, window)
-    current, current_incl = aug.kernel()
     step = 0
     # whether every syzygy so far had all its generators inside the window;
-    # the first one is generated in degrees <= M.hi + 1
-    complete = hi > M.hi
+    # the first one is generated in degrees <= M.hi + 1 < hi
+    complete = True
     while True:
-        if step > 0:
-            complete = complete and _generated_in_window(current, pmaps[-1], hi)
-        if current.is_zero():
+        if step == 0:
+            zero = pres.p1.is_zero()
+        else:
+            # syzygy `step + 1` = ker d_step, piece by piece
+            d = pmaps[-1]
+            P, _offsets = d.src.realize(window)
+            kers = d.kernel_bases(window)
+            zero = not kers
+            complete = complete and _generated_in_window(P.exact_above, d, hi)
+        if zero:
             if complete:
                 return Resolution(M, psums, pmaps, "finite", step, window)
             if not final:
@@ -605,22 +658,19 @@ def _resolution_attempt(M, cap, window, final):
             return Resolution(M, psums, pmaps, "at-least", step, window)
         if step + 1 > cap:
             return Resolution(M, psums, pmaps, "at-least", cap, window)
-        bound = M.hi + 1 if step == 0 else hi
-        gens = top_basis(current, gen_degree_bound=bound)
-        if step > 0 and any(g.degree >= hi for g in gens):
-            raise _NeedsWiderWindow(max(g.degree for g in gens))
-        if not gens:
-            raise MathRefusal("nonzero syzygy without generators in the window")
-        prev = psums[-1]
-        pnext = ProjSum(M.algebra, [(g.vertex, -g.degree) for g in gens])
-        d = _pmap_from_kernel_generators(pnext, prev, window, gens, current_incl)
+        if step == 0:
+            d = pres.d1
+        else:
+            gens = _kernel_generators(P, kers, hi)
+            if any(g[0] >= hi for g in gens):
+                raise _NeedsWiderWindow(max(g[0] for g in gens))
+            if not gens:
+                raise MathRefusal("nonzero syzygy without generators in the window")
+            d = _pmap_from_generators(psums[-1], window, gens)
         if not d.is_radical():
             raise MathRefusal("cover produced a non-radical differential")
-        psums.append(pnext)
+        psums.append(d.src)
         pmaps.append(d)
-        cov = Cover(pnext, gens)
-        aug = cov.realize(current, window)
-        current, current_incl = aug.kernel()
         step += 1
 
 

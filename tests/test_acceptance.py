@@ -474,7 +474,7 @@ def test_criterion_9_second_syzygy_golden():
     assert res.status == "finite" and res.length == 2
     # a single shifted copy at vertex 4, not two
     assert res.psums[2].summands == (("4", -2),)
-    syz = res.pmaps[1].realized_kernel((0, 10))[0]
+    syz = res.pmaps[1].realize((0, 10)).kernel()[0]
     assert syz.is_zero()
     _report("criterion 9 (second syzygy is a single P_4<-2>, frozen from the "
             "dimension-count oracle)", started)

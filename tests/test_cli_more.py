@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gradedquiver.cli import main
 
 from test_cli import fix
@@ -101,3 +103,57 @@ def test_cli_rad_top(capsys):
                  "--json"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["dims"] == {"(0,1)": 1}
+
+
+def test_run_tasks_with_shared_parser_matches_sequential_main(tmp_path, capsys,
+                                                             monkeypatch):
+    # run-tasks parses its tasks on 4 threads through the one parser the
+    # process keeps; the same commands run one by one must give the same
+    # exit codes and byte-identical output files
+    problem = json.loads(open(fix("fix_b")).read())
+    problem["tasks"] = [
+        {"name": "dims_p1", "command": "dims", "module": "P1", "window": [0, 3]},
+        {"name": "cover_s1", "command": "cover", "module": "S1"},
+        {"name": "present_s1", "command": "present", "module": "S1"},
+        {"name": "tau_s1", "command": "tau", "module": "S1"},
+        {"name": "hom", "command": "hom", "source": "P1", "target": "S1"},
+        {"name": "ext", "command": "ext1", "module": "S1", "target": "S2"},
+        {"name": "seq", "command": "ars", "module": "S1", "direction": "ending"},
+        {"name": "refused", "command": "ars", "module": "P2"},
+        {"name": "pd_all", "command": "pd", "simple": "all", "cap": 4},
+        {"name": "pd_one", "command": "pd", "simple": "1", "kind": "inj", "cap": 2},
+        {"name": "criteria", "command": "criteria", "cap": 3},
+        {"name": "arf", "command": "ar-formula", "module": "S1", "other": "S2"},
+    ]
+    pfile = tmp_path / "prob.json"
+    pfile.write_text(json.dumps(problem))
+    threaded, sequential = tmp_path / "threaded", tmp_path / "sequential"
+    threaded.mkdir()
+    sequential.mkdir()
+    monkeypatch.setenv("GRADEDQUIVER_OUT_DIR", str(threaded))
+    assert main([str(pfile), "run-tasks", "--json"]) == 1  # one task is refused
+    summary = json.loads(capsys.readouterr().out)["tasks"]
+    monkeypatch.setenv("GRADEDQUIVER_OUT_DIR", str(sequential))
+    for task in problem["tasks"]:
+        argv = [str(pfile), task["command"]]
+        for key in ("module", "source", "target", "other", "simple", "direction",
+                    "kind", "cap"):
+            if key in task:
+                argv += [f"--{key}", str(task[key])]
+        if "window" in task:
+            argv += ["--window", "{}:{}".format(*task["window"])]
+        out = f"{task['name']}.json"
+        assert main(argv + ["--json", "--out", out]) == summary[task["name"]]["exit"]
+        files = [sequential / out, threaded / summary[task["name"]]["out"]]
+        if files[0].exists() or files[1].exists():
+            assert files[0].read_bytes() == files[1].read_bytes(), task
+    assert [r["exit"] for r in summary.values()].count(1) == 1
+    assert not (threaded / "refused.json").exists()
+    # a bad argument still exits 2, and the parser still works afterwards
+    for bad in (["pd", "--simple", "1", "--kind", "both-ways"], ["pd"], ["no-such-command"]):
+        with pytest.raises(SystemExit) as e:
+            main([str(pfile)] + bad)
+        assert e.value.code == 2
+    capsys.readouterr()
+    assert main([str(pfile), "pd", "--simple", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["1"]["proj"]["kind"] == "exact"

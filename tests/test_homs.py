@@ -4,12 +4,17 @@ from gradedquiver import QQ, GF, GradedMorphism, standard_module, direct_sum
 from gradedquiver.errors import WindowError, UnsupportedRadical
 from gradedquiver.homs import (ghom, ghom_dim, ghom_to_injective, extend_to_injective,
                                end_algebra, is_strongly_indecomposable,
-                               stable_hom_dims, ext1, EndActionOnExt,
-                               hom_psum_dim)
+                               underline_hom_dim, overline_hom_dim, ext1,
+                               EndActionOnExt, hom_psum_dim)
 from gradedquiver.presentations import ProjSum
 
 from conftest import make_fix_b
 from ext_oracle import ext1_dim_oracle, ext1_dim_oracle_exhaustive
+
+
+def stable_hom_dims(M, N):
+    return {"underline": underline_hom_dim(M, N),
+            "overline": overline_hom_dim(M, N)}
 
 
 def S(alg, v, s=0, window=None):

@@ -221,5 +221,15 @@ def test_resolution_differentials_radical(fix_c, fix_d):
 def test_top_basis_window_guards(fix_a):
     P1 = standard_module(fix_a, "P", "1", 0, window=(0, 4))
     with pytest.raises(WindowError):
-        top_basis(P1)  # truncated above, no bound supplied
-    assert [(g.degree, g.vertex) for g in top_basis(P1, gen_degree_bound=2)] == [(0, "1")]
+        top_basis(P1)  # truncated above: a generator may hide beyond the window
+    with pytest.raises(WindowError):
+        top_basis(standard_module(fix_a, "P", "1", 0, window=(1, 4)))  # and below
+
+
+def test_resolution_window_must_reach_the_first_syzygy(fix_d):
+    # the first syzygy of a module on [lo, hi] has generators up to degree
+    # hi + 1, so a working window that stops short of it is refused
+    M = S(fix_d, "3", -2)
+    with pytest.raises(WindowError, match=r"\[2,2\] must reach degree 3"):
+        resolution(M, 4, window_hi=2)
+    assert resolution(M, 4, window_hi=3).report()["kind"] == "exact"

@@ -1,0 +1,54 @@
+"""Scale guards for the resolution loop: long resolutions through the CLI.
+
+No timing is asserted; each command runs in well under a second.
+"""
+
+import json
+
+from gradedquiver.cli import main
+
+
+def run_json(tmp_path, problem, argv, capsys):
+    pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps(problem))
+    assert main([str(pfile)] + argv + ["--json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_pd_all_on_a_30_arrow_radical_square_zero_line(tmp_path, capsys):
+    # 30 -> ... -> 1 -> 0, every length-two path dead: the resolution of S_i
+    # walks down the line, pd(S_i) = i and id(S_i) = 30 - i
+    top = 30
+    problem = {"field": "Q",
+               "quiver": {"vertices": [str(i) for i in range(top + 1)],
+                          "arrows": [{"name": f"a{i}", "from": str(i), "to": str(i - 1)}
+                                     for i in range(1, top + 1)]},
+               "relations": [{"paths": [[f"a{i}", f"a{i + 1}"]], "coeffs": ["1"]}
+                             for i in range(1, top)],
+               "modules": {}}
+    table = run_json(tmp_path, problem, ["pd", "--simple", "all", "--cap", str(top + 1)],
+                     capsys)
+    assert len(table) == top + 1
+    for i in range(top + 1):
+        entry = table[str(i)]
+        assert (entry["proj"]["kind"], entry["proj"]["value"]) == ("exact", i)
+        assert (entry["inj"]["kind"], entry["inj"]["value"]) == ("exact", top - i)
+
+
+def test_criteria_on_the_commuting_square_with_a_ray_to_25(tmp_path, capsys):
+    end = 25
+    arrows = [("a", "1", "2"), ("b", "1", "3"), ("g", "2", "4"), ("d", "3", "4")]
+    arrows += [(f"e{k}", str(k - 1), str(k)) for k in range(5, end + 1)]
+    problem = {"field": "Q",
+               "quiver": {"vertices": [str(i) for i in range(1, end + 1)],
+                          "arrows": [{"name": n, "from": s, "to": t} for n, s, t in arrows]},
+               "relations": [{"paths": [["g", "a"], ["d", "b"]], "coeffs": ["1", "-1"]}],
+               "modules": {}}
+    rep = run_json(tmp_path, problem, ["criteria", "--cap", str(end + 1)], capsys)
+    # bounded, and every simple has finite pd and id: every verdict is yes
+    assert [rep["boundedness"][s]["status"] for s in ("left", "right")] == ["finite"] * 2
+    verdicts = {f"{section}.{key}": v["verdict"]
+                for section in ("finitely_presented_category", "finitely_copresented_category",
+                                "finite_dimensional_category", "derived_finite_dimensional")
+                for key, v in rep[section].items()}
+    assert len(verdicts) == 8 and set(verdicts.values()) == {"yes"}, verdicts

@@ -15,10 +15,10 @@ import random
 import pytest
 
 from gradedquiver import GF, QQ, GradedAlgebra, InputError, Quiver, WindowError, standard_module
-from gradedquiver.presentations import projective_cover
 from gradedquiver.problem import parse_problem
 
 import standard_oracle
+from resolution_oracle import projective_cover
 from conftest import make_fix_c, rel
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
