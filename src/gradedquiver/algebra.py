@@ -152,7 +152,6 @@ class GradedAlgebra:
         self._columns = {}  # (source, degree) -> column dims, see column()
         self._column_maps = {}  # (source, degree) -> arrow actions, see column_maps()
         self._nfs = {}      # path name tuple -> normal form
-        self._right_mult = {}  # see right_mult_matrix
         self._opp = None
         self._standard_modules = {}  # (kind, vertex, shift, window) -> module, by gmodule
 
@@ -357,19 +356,14 @@ class GradedAlgebra:
         return Matrix._make_cols(self.field, tgt_dim, cols)
 
     def right_mult_matrix(self, u, degree, top_vertex):
-        """Matrix of w -> w*u on e_top A_degree e_{u.target} -> e_top A_{degree+deg u} e_{u.source};
-        memoized by u's piece and coefficients, the degree and the top vertex."""
-        key = (u.degree, u.source, u.target, u.coeffs, degree, top_vertex)
-        got = self._right_mult.get(key)
-        if got is not None:
-            return got
+        """Matrix of w -> w*u on e_top A_degree e_{u.target} -> e_top A_{degree+deg u} e_{u.source}."""
         src_piece = self.piece(degree, u.target, top_vertex)
         tgt_dim = self.dim_piece(degree + u.degree, u.source, top_vertex)
         cols = []
         for p in src_piece.rep_paths:
             w = self.element_from_path(p)
             cols.append(self.multiply(w, u).coeffs)
-        return self._right_mult.setdefault(key, Matrix._make_cols(self.field, tgt_dim, cols))
+        return Matrix._make_cols(self.field, tgt_dim, cols)
 
     # -- opposite algebra ------------------------------------------------
 

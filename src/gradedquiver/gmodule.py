@@ -379,6 +379,7 @@ class GradedMorphism:
                 raise InputError(f"block ({i},{x}) has shape {mat.rows}x{mat.cols}, "
                                  f"expected {rows}x{cols}")
             self.blocks[(i, x)] = mat
+        self._kernel_bases = None
         if check:
             self._check_naturality()
 
@@ -452,15 +453,30 @@ class GradedMorphism:
     def rank(self, i, x):
         return self.block(i, x).rank()
 
+    def kernel_bases(self):
+        """The kernel piece by piece: {(i, x): (basis, free)} over its nonzero
+        pieces, in support order; computed once.
+
+        `basis` is the rref kernel basis of the block at (i, x), which depends
+        only on the kernel, and `free` its free coordinates: the basis is the
+        identity there, so a kernel vector's coordinates over the basis are
+        its entries at `free`.
+        """
+        if self._kernel_bases is None:
+            out = {}
+            for (i, x) in self.source.support():
+                blk = self.block(i, x)
+                basis = blk.kernel_basis()
+                if basis.cols:
+                    pivots = set(blk.rref()[1])
+                    out[(i, x)] = (basis, [r for r in range(blk.cols) if r not in pivots])
+            self._kernel_bases = out
+        return self._kernel_bases
+
     def kernel(self):
-        """(K, inclusion K -> source)."""
-        blocks = {}
-        dims = {}
-        for (i, x) in self.source.support():
-            basis = self.block(i, x).kernel_basis()
-            if basis.cols:
-                dims[(i, x)] = basis.cols
-                blocks[(i, x)] = basis
+        """(K, inclusion K -> source), on the bases of `kernel_bases`."""
+        blocks = {ix: basis for ix, (basis, _free) in self.kernel_bases().items()}
+        dims = {ix: basis.cols for ix, basis in blocks.items()}
         K = GradedModule(self.source.algebra, self.source.lo, self.source.hi, dims,
                          _induced_sub_maps(self.source, dims, blocks),
                          exact_below=self.source.exact_below,
@@ -491,7 +507,7 @@ class GradedMorphism:
         dims = {}
         for (i, x), n in self.target.dims.items():
             img = self.block(i, x).image_basis()
-            reps = _complement_columns(f, img, n)
+            reps = Matrix.identity(f, n).select_cols(_complement_indices(f, img, n))
             if reps.cols == 0:
                 continue
             dims[(i, x)] = reps.cols
@@ -650,12 +666,6 @@ def _complement_indices(field, basis, ambient_dim):
     """
     _, pivots = basis.hstack(Matrix.identity(field, ambient_dim)).rref()
     return [c - basis.cols for c in pivots if c >= basis.cols]
-
-
-def _complement_columns(field, basis, ambient_dim):
-    """The unit vectors of `_complement_indices`, as columns."""
-    return Matrix.identity(field, ambient_dim).select_cols(
-        _complement_indices(field, basis, ambient_dim))
 
 
 def standard_module(algebra, kind, vertex, shift=0, window=None):

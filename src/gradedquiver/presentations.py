@@ -9,16 +9,14 @@ of a module is computed once and kept on the module.
 
 A resolution is seeded from that presentation; each later syzygy ker d_n is
 kept as the per-piece kernel bases of the realized differential d_n, never
-as a module (see `resolution`).  The right multiplication matrices of the
-realizations are memoized on the algebra with a shift-free key, so the
-recurring shifted differentials reuse them.  Everything injective-side is obtained by dualizing the projective-side
-machinery over the opposite algebra.
+as a module (see `resolution`).  Everything injective-side is obtained by
+dualizing the projective-side machinery over the opposite algebra.
 """
 
 from .errors import InputError, WindowError, MathRefusal
 from .algebra import AlgElement
 from .gmodule import (GradedMorphism, ModuleElement, zero_module,
-                      _complement_columns, _complement_indices, _memo, _sum_with_offsets)
+                      _complement_indices, _memo, _sum_with_offsets)
 from .linalg import Matrix
 
 
@@ -103,9 +101,8 @@ class PMap:
 
     def kernel_bases(self, window):
         """The kernel of the realization on the window, piece by piece (see
-        `_kernel_bases`); memoized."""
-        return _memo(self._realized, ("kernel", tuple(window)),
-                     lambda: _kernel_bases(self.realize(window)))
+        `GradedMorphism.kernel_bases`); memoized with the realization."""
+        return self.realize(window).kernel_bases()
 
     @classmethod
     def zero(cls, src, dst):
@@ -268,22 +265,18 @@ def top_basis(M):
     """Pure elements lifting a basis of top M, lowest degrees first.
 
     Needs M exact on both sides, so that no generator can hide beyond the
-    window.
+    window.  M is read as the submodule of itself with the identity basis in
+    every piece, so the generators are those of `_kernel_generators`.
     """
     if not M.exact_below:
         raise WindowError("top-basis needs the module exact below")
     if not M.exact_above:
         raise WindowError("top-basis needs the module exact above")
-    if M.is_zero():
-        return []
-    _rad, incl = M.radical()
-    out = []
-    for (i, x) in M.support():
-        radbasis = incl.block(i, x)
-        comp = _complement_columns(M.algebra.field, radbasis, M.dims[(i, x)])
-        for c in range(comp.cols):
-            out.append(ModuleElement(M, i, x, comp.col(c)))
-    return out
+    f = M.algebra.field
+    whole = {(i, x): (Matrix.identity(f, M.dims[(i, x)]), range(M.dims[(i, x)]))
+             for (i, x) in M.support()}
+    return [ModuleElement(M, i, x, vec)
+            for i, x, _k, vec in _kernel_generators(M, whole, M.hi)]
 
 
 def soc_basis(M):
@@ -404,7 +397,7 @@ def _minimal_presentation(M):
     cover0 = projective_cover(M)
     aug = cover0.realize(M, window)
     K, K_incl = aug.kernel()
-    found = _kernel_generators(aug.source, _kernel_bases(aug), M.hi + 1)
+    found = _kernel_generators(aug.source, aug.kernel_bases(), M.hi + 1)
     p0 = cover0.psum
     d1 = _pmap_from_generators(p0, window, found)
     f = M.algebra.field
@@ -414,28 +407,9 @@ def _minimal_presentation(M):
     return ProjPresentation(M, p0, cover0, d1.src, d1, cover1, K, K_incl, window)
 
 
-def _kernel_bases(R):
-    """ker R piece by piece: {(i, x): (basis, free)} over the nonzero pieces,
-    in support order.
-
-    `basis` is the rref kernel basis of R's block at (i, x), which depends
-    only on the kernel, and `free` its free coordinates: the basis is the
-    identity there, so a kernel vector's coordinates over the basis are its
-    entries at `free`.
-    """
-    out = {}
-    for (i, x) in R.source.support():
-        blk = R.block(i, x)
-        basis = blk.kernel_basis()
-        if basis.cols:
-            pivots = set(blk.rref()[1])
-            out[(i, x)] = (basis, [r for r in range(blk.cols) if r not in pivots])
-    return out
-
-
 def _kernel_generators(P, kers, bound):
     """Generators in degrees <= bound of the submodule K of P given piece by
-    piece by `kers` (see `_kernel_bases`), in support order.
+    piece by `kers` (see `GradedMorphism.kernel_bases`), in support order.
 
     At (i, x) they are the basis vectors of K_i(x) completing the radical
     sum over arrows a: y -> x of a*K_{i-1}(y), whose coordinates are read at
@@ -638,7 +612,8 @@ def _resolution_attempt(M, cap, window, final):
     pmaps = []
     step = 0
     # whether every syzygy so far had all its generators inside the window;
-    # the first one is generated in degrees <= M.hi + 1 < hi
+    # the first one is generated in degrees <= M.hi + 1 <= hi, which
+    # `resolution` checks
     complete = True
     while True:
         if step == 0:

@@ -11,7 +11,7 @@ same summands, differentials, statuses, lengths, windows and refusals.
 """
 
 from gradedquiver.errors import MathRefusal, WindowError
-from gradedquiver.gmodule import ModuleElement, _complement_columns
+from gradedquiver.gmodule import ModuleElement, _complement_indices
 from gradedquiver.algebra import AlgElement
 from gradedquiver.linalg import Matrix
 from gradedquiver.presentations import (Cover, PMap, ProjSum, Resolution,
@@ -40,7 +40,9 @@ def top_basis(M, gen_degree_bound=None):
     for (i, x) in M.support():
         if i > bound:
             continue
-        comp = _complement_columns(M.algebra.field, incl.block(i, x), M.dims[(i, x)])
+        n = M.dims[(i, x)]
+        comp = Matrix.identity(M.algebra.field, n).select_cols(
+            _complement_indices(M.algebra.field, incl.block(i, x), n))
         for c in range(comp.cols):
             out.append(ModuleElement(M, i, x, comp.col(c)))
     return out
