@@ -12,7 +12,8 @@ import random
 from .errors import InputError, WindowError, MathRefusal
 from .linalg import Matrix
 from .gmodule import GradedMorphism, direct_sum, zero_module, _memo
-from .presentations import ProjSum, PMap, InjSum, IMap, minimal_presentation
+from .presentations import (ProjSum, PMap, InjSum, IMap, minimal_presentation,
+                            _pmap_generator_image)
 from .homs import (ghom, ghom_dim, end_algebra, is_strongly_indecomposable,
                    ext1, ExtSpace, EndActionOnExt, underline_hom_dim,
                    overline_hom_dim, hom_psum_dim, psum_hom_to_morphism)
@@ -272,28 +273,21 @@ def _ass_ending(C, pad, budget, seed):
 
 
 def _pushout_sequence(C, A, pres, ext, xi_tuple):
-    """Realize 0 -> A -> E -> C -> 0 from a cocycle tuple on P1."""
+    """Realize 0 -> A -> E -> C -> 0 from a cocycle tuple on P1.
+
+    E = coker((h, -d1): P1 -> A (+) P0), with h the cocycle realized as a
+    morphism P1 -> A; h vanishes on ker d1, so this is the pushout of
+    0 -> im d1 -> P0 -> C -> 0 along the map im d1 -> A that h induces.
+    """
     W = (A.lo, max(C.hi + 1, A.hi))
     lo, hi = W
     aug = pres.cover0.realize(C, W)
-    P0 = aug.source
-    K, K_incl = aug.kernel()
-    # the cocycle as a concrete morphism P1 -> A, then factored through K
-    htilde = psum_hom_to_morphism(pres.p1, A, xi_tuple, W)
-    aug1 = pres.cover1.realize(K, W)
-    h_blocks = {}
-    for (d, x), kdim in K.dims.items():
-        pre = aug1.block(d, x).solve(Matrix.identity(A.algebra.field, kdim))
-        if pre is None:
-            raise MathRefusal("syzygy cover stopped being surjective")
-        h_blocks[(d, x)] = htilde.block(d, x) @ pre
-    h = GradedMorphism(K, A.with_window(lo, hi), h_blocks, check=False)
+    d1 = pres.d1.realize(W)
+    h = psum_hom_to_morphism(pres.p1, A, xi_tuple, W)
     A_W = h.target
     C_W = C.with_window(lo, hi)
-    # E = coker of (h, -incl): K -> A (+) P0
-    total, injs, prjs = direct_sum([A_W, P0])
-    minus_incl = K_incl.scale(A.algebra.field.of(-1))
-    into = injs[0].compose(h) + injs[1].compose(minus_incl)
+    _total, injs, prjs = direct_sum([A_W, d1.target])
+    into = injs[0].compose(h) + injs[1].compose(d1.scale(A.algebra.field.of(-1)))
     E, proj = into.cokernel()
     f = proj.compose(injs[0])
     # g factors the augmentation through the quotient: on representatives,
@@ -336,7 +330,7 @@ def _ass_starting(N, pad, budget, seed):
 
 def find_isomorphism(M, N, budget=16, seed=0):
     """An explicit graded isomorphism, or None when none is found."""
-    if M.dims != N.dims and sorted(M.dims.items()) != sorted(N.dims.items()):
+    if M.dims != N.dims:
         return None
     H = ghom(M, N)
     for k in range(H.dim):
@@ -418,9 +412,6 @@ def _class_of_sequence(seq):
     supp = C.support_degrees()
     need_hi = (supp[-1] + 1) if supp else C.hi
     W = (E.lo, max(E.hi, need_hi))
-    aug = pres.cover0.realize(pres.module, W)
-    P0 = aug.source
-    K, K_incl = aug.kernel()
     fld = A.algebra.field
     E_W = E.with_window(*W)
     g_W = GradedMorphism(E_W, C.with_window(*W),
@@ -438,16 +429,15 @@ def _class_of_sequence(seq):
             raise MathRefusal("cover does not lift through the right-hand map")
         lifted.append(ModuleElement(E_W, gen.degree, gen.vertex, sol.col(0)))
     lam = Cover(pres.p0, lifted).realize(E_W, W)
-    # restrict to the syzygy, land in im(f) = ker(g), pull back through f;
-    # kernel bases are window independent, so the presentation's syzygy
-    # generators evaluate directly
+    # restrict to the syzygy, land in im(f) = ker(g), pull back through f:
+    # the syzygy is generated by the images in P0 of P1's generators, the
+    # columns of the realized d1 at them, read off d1's entries
+    if A.algebra is not C.algebra:
+        raise MathRefusal("mixed algebras in the sequence")
     tuple_vec = []
-    for gen in pres.cover1.generators:
-        d, b = gen.degree, gen.vertex
-        if A.algebra is not C.algebra:
-            raise MathRefusal("mixed algebras in the sequence")
-        gcol = Matrix.from_cols(fld, len(gen.coords), [list(gen.coords)])
-        in_E = lam.block(d, b) @ (K_incl.block(d, b) @ gcol)
+    for j, (b, t) in enumerate(pres.p1.summands):
+        d = -t
+        in_E = lam.block(d, b) @ _pmap_generator_image(pres.d1, j, d, b, W)
         back = f_W.block(d, b).solve(in_E)
         if back is None:
             raise MathRefusal("syzygy image is not inside the left-hand term")

@@ -13,7 +13,8 @@ import random
 from .errors import InputError, WindowError, UnsupportedRadical, MathRefusal
 from .linalg import Matrix, charpoly, roots_in_field
 from .gmodule import GradedMorphism, _memo
-from .presentations import projective_cover, Cover
+from .presentations import (projective_cover, Cover, _pmap_from_generators,
+                            _pmap_generator_image)
 
 
 def _align_for_hom(M, N):
@@ -64,15 +65,7 @@ class HomSpace:
     def slots(self):
         """Flattening order: (i, x, rows, cols, offset) over shared support."""
         if self._slots is None:
-            slots = []
-            off = 0
-            for (i, x) in self.source.support():
-                rows = self.target.dims.get((i, x), 0)
-                cols = self.source.dims[(i, x)]
-                if rows:
-                    slots.append((i, x, rows, cols, off))
-                    off += rows * cols
-            self._slots = (slots, off)
+            self._slots = _hom_slots(self.source, self.target)
         return self._slots
 
     def flatten(self, blocks):
@@ -115,19 +108,25 @@ class HomSpace:
         return GradedMorphism(self.source, self.target, blocks, check=False)
 
 
+def _hom_slots(M, N):
+    """(slots, size): the blocks of a morphism M -> N flattened row-major,
+    one (i, x, rows, cols, offset) per piece of M's support that N shares."""
+    slots = []
+    off = 0
+    for (i, x) in M.support():
+        rows = N.dims.get((i, x), 0)
+        cols = M.dims[(i, x)]
+        if rows:
+            slots.append((i, x, rows, cols, off))
+            off += rows * cols
+    return slots, off
+
+
 def ghom(M, N):
     """All graded morphisms M -> N via the naturality linear system."""
     M2, N2 = _align_for_hom(M, N)
     f = M2.algebra.field
-    slots = []
-    off = 0
-    for (i, x) in M2.support():
-        rows = N2.dims.get((i, x), 0)
-        cols = M2.dims[(i, x)]
-        if rows:
-            slots.append((i, x, rows, cols, off))
-            off += rows * cols
-    size = off
+    slots, size = _hom_slots(M2, N2)
     if size == 0:
         return HomSpace(M2, N2, [])
     index = {(i, x): (rows, cols, off) for (i, x, rows, cols, off) in slots}
@@ -588,9 +587,6 @@ class ExtSpace:
     def tuple_of_class(self, k):
         return list(self.reps[k])
 
-    def is_zero_class(self, tuple_vec):
-        return all(not c for c in self.class_coordinates(tuple_vec))
-
 
 def _kernel_constraints(d1, N, window):
     """Rows cutting out the tuples that vanish on ker(d1) inside P1.
@@ -678,9 +674,6 @@ class EndActionOnExt:
         self.p1 = pres.p1
         self.gens0 = pres.cover0.generators
         self.aug0 = pres.cover0.realize(pres.module, window)
-        self.K = pres.syzygy
-        self.K_incl = pres.syzygy_incl
-        self.aug1 = pres.cover1.realize(self.K, window) if not self.p1.is_zero() else None
 
     def action_matrix(self, f_coords):
         """Matrix of xi -> xi . f on Ext-class coordinates."""
@@ -713,11 +706,15 @@ class EndActionOnExt:
         return current
 
     def _lift(self, fmor):
-        """Lift f: M -> M to f1: P1 -> P1 over the fixed presentation."""
-        from .gmodule import ModuleElement
+        """Lift f: M -> M to f1: P1 -> P1 over the fixed presentation.
+
+        f0 sends each generator of P0 to a preimage under the cover of its
+        image under f; f1 sends each generator of P1 to a preimage under the
+        realized d1 of its image under f0 d1.  Lifts differ only by maps into
+        ker d1, on which every cocycle vanishes.
+        """
         alg = self.pres.module.algebra
         window = self.pres.window
-        # f0: P0 -> P0 via images of the generators
         lifted0 = []
         for g in self.gens0:
             img = fmor.block(g.degree, g.vertex) @ Matrix.from_cols(
@@ -725,57 +722,15 @@ class EndActionOnExt:
             pre = self.aug0.block(g.degree, g.vertex).solve(img)
             if pre is None:
                 raise MathRefusal("endomorphism failed to lift through the cover")
-            lifted0.append(ModuleElement(self.aug0.source, g.degree, g.vertex,
-                                         pre.col(0)))
-        f0 = _elements_to_pmap(self.p0, self.p0, lifted0, window)
-        # f1: P1 -> P1 with d1 f1 = f0 d1
+            lifted0.append((g.degree, g.vertex, pre.col(0)))
+        f0 = _pmap_from_generators(self.p0, window, lifted0)
         g_map = f0.compose(self.pres.d1)  # P1 -> P0
+        d1 = self.pres.d1.realize(window)
         lifted1 = []
         for j, (b, t) in enumerate(self.p1.summands):
             d = -t
-            # image of the j-th generator inside realized P0
-            col = _pmap_generator_image(g_map, j, d, b, window)
-            into_K = self.K_incl.block(d, b).solve(col)
-            if into_K is None:
-                raise MathRefusal("lift left the syzygy")
-            pre = self.aug1.block(d, b).solve(into_K)
+            pre = d1.block(d, b).solve(_pmap_generator_image(g_map, j, d, b, window))
             if pre is None:
-                raise MathRefusal("endomorphism failed to lift through the syzygy cover")
-            lifted1.append(ModuleElement(self.aug1.source, d, b, pre.col(0)))
-        return _elements_to_pmap(self.p1, self.p1, lifted1, window)
-
-
-def _elements_to_pmap(src_psum, dst_psum, elements, window):
-    """Formal map sending the j-th generator of src to the given element of
-    the realized dst sum."""
-    from .presentations import PMap
-    from .algebra import AlgElement
-    alg = src_psum.algebra
-    _total, offsets = dst_psum.realize(window)
-    entries = [[None] * len(src_psum) for _ in range(len(dst_psum))]
-    for j, el in enumerate(elements):
-        for i, (a, s) in enumerate(dst_psum.summands):
-            piece = alg.piece(el.degree + s, a, el.vertex)
-            if piece.dim == 0:
-                continue
-            c0 = offsets[i][(el.degree, el.vertex)]
-            coeffs = [el.coords[c0 + k] for k in range(piece.dim)]
-            if any(coeffs):
-                entries[i][j] = AlgElement(alg, el.degree + s, a, el.vertex, coeffs)
-    return PMap(src_psum, dst_psum, entries)
-
-
-def _pmap_generator_image(pmap, j, degree, vertex, window):
-    """The image of the j-th source generator inside the realized target."""
-    alg = pmap.algebra
-    total, offsets = pmap.dst.realize(window)
-    f = alg.field
-    vec = [f.zero()] * total.dims.get((degree, vertex), 0)
-    for i, (a, s) in enumerate(pmap.dst.summands):
-        e = pmap.entries[i][j]
-        if e is None:
-            continue
-        c0 = offsets[i][(degree, vertex)]
-        for k, c in enumerate(e.coeffs):
-            vec[c0 + k] = f.add(vec[c0 + k], c)
-    return Matrix.from_cols(f, len(vec), [vec])
+                raise MathRefusal("lift left the syzygy")
+            lifted1.append((d, b, pre.col(0)))
+        return _pmap_from_generators(self.p1, window, lifted1)

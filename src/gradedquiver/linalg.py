@@ -103,9 +103,6 @@ class Field:
             raise ZeroDivisionError("inverse of zero")
         return 1 / a if self.p is None else pow(a, self.p - 2, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def parse(self, s):
         s = s.strip().replace("−", "-")
         if self.p is None:

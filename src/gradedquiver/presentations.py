@@ -5,7 +5,9 @@ Finitely generated projectives are handled formally: a ProjSum is a list of
 right multiplication.  Formal data is exact in every degree; realizations on
 a window are produced on demand and memoized per object and window, and so
 is the kernel of a realized PMap, piece by piece.  The minimal presentation
-of a module is computed once and kept on the module.
+of a module is computed once and kept on the module.  It is formal too: the
+first syzygy im d1 is never built as a module, and whoever needs it reads it
+off the realized d1, whose columns at the generators of P1 generate it.
 
 A resolution is seeded from that presentation; each later syzygy ker d_n is
 kept as the per-piece kernel bases of the realized differential d_n, never
@@ -275,8 +277,7 @@ def top_basis(M):
     f = M.algebra.field
     whole = {(i, x): (Matrix.identity(f, M.dims[(i, x)]), range(M.dims[(i, x)]))
              for (i, x) in M.support()}
-    return [ModuleElement(M, i, x, vec)
-            for i, x, _k, vec in _kernel_generators(M, whole, M.hi)]
+    return [ModuleElement(M, i, x, vec) for i, x, vec in _kernel_generators(M, whole, M.hi)]
 
 
 def soc_basis(M):
@@ -351,20 +352,20 @@ def projective_cover(M):
 class ProjPresentation:
     """A minimal projective presentation P1 --d1--> P0 --aug--> M -> 0.
 
-    Immutable, like the module it presents; `_derived` keeps data computed
-    from it once (the transpose, filled by artheory).
+    Formal: the cover P0 -> M, the PMap d1 and the window [lo(M), hi(M)+1]
+    that holds the generators of P1.  The first syzygy is im d1; it is read
+    off the realized d1, whose column at the j-th generator of P1 is that
+    generator's image in P0.  Immutable, like the module it presents;
+    `_derived` keeps data computed from it once (the transpose, filled by
+    artheory).
     """
 
-    def __init__(self, module, p0, cover0, p1, d1, cover1, syzygy, syzygy_incl,
-                 window):
+    def __init__(self, module, cover0, d1, window):
         self.module = module
-        self.p0 = p0
+        self.p0 = cover0.psum
         self.cover0 = cover0
-        self.p1 = p1
+        self.p1 = d1.src
         self.d1 = d1
-        self.cover1 = cover1            # cover of the syzygy, or None when p1 = 0
-        self.syzygy = syzygy            # realized kernel inside p0
-        self.syzygy_incl = syzygy_incl  # syzygy -> realized p0
         self.window = window
         self._derived = {}
 
@@ -396,15 +397,9 @@ def _minimal_presentation(M):
     window = (M.lo, M.hi + 1)
     cover0 = projective_cover(M)
     aug = cover0.realize(M, window)
-    K, K_incl = aug.kernel()
     found = _kernel_generators(aug.source, aug.kernel_bases(), M.hi + 1)
-    p0 = cover0.psum
-    d1 = _pmap_from_generators(p0, window, found)
-    f = M.algebra.field
-    gens1 = [ModuleElement(K, i, x, Matrix.identity(f, K.dims[(i, x)]).col(k))
-             for i, x, k, _vec in found]
-    cover1 = Cover(d1.src, gens1)
-    return ProjPresentation(M, p0, cover0, d1.src, d1, cover1, K, K_incl, window)
+    return ProjPresentation(M, cover0, _pmap_from_generators(cover0.psum, window, found),
+                            window)
 
 
 def _kernel_generators(P, kers, bound):
@@ -413,7 +408,7 @@ def _kernel_generators(P, kers, bound):
 
     At (i, x) they are the basis vectors of K_i(x) completing the radical
     sum over arrows a: y -> x of a*K_{i-1}(y), whose coordinates are read at
-    the free rows: a list of (degree, vertex, basis column, vector in P).
+    the free rows: a list of (degree, vertex, vector in P).
     """
     if not P.exact_below:
         raise WindowError("top-basis needs the module exact below")
@@ -428,19 +423,19 @@ def _kernel_generators(P, kers, bound):
         coords = Matrix._make(f, len(free), sum(m.cols for m in rad),
                               tuple(sum((m.data[r] for m in rad), ()) for r in free))
         for k in _complement_indices(f, coords, basis.cols):
-            out.append((i, x, k, basis.col(k)))
+            out.append((i, x, basis.col(k)))
     return out
 
 
 def _pmap_from_generators(dst, window, gens):
-    """The map onto the generators: one summand P_x<-i> per (i, x, k, vec) in
+    """The map onto the generators: one summand P_x<-i> per (i, x, vec) in
     `gens`, its generator sent to the vector `vec` of the realized `dst`,
     split into per-summand algebra-element entries."""
     alg = dst.algebra
     _total, offsets = dst.realize(window)
-    src = ProjSum(alg, [(x, -i) for i, x, _k, _vec in gens])
+    src = ProjSum(alg, [(x, -i) for i, x, _vec in gens])
     entries = [[None] * len(gens) for _ in range(len(dst))]
-    for j, (deg, vertex, _k, vec) in enumerate(gens):
+    for j, (deg, vertex, vec) in enumerate(gens):
         for i, (a, s) in enumerate(dst.summands):
             piece = alg.piece(deg + s, a, vertex)
             if piece.dim == 0:
@@ -452,16 +447,31 @@ def _pmap_from_generators(dst, window, gens):
     return PMap(src, dst, entries)
 
 
+def _pmap_generator_image(pmap, j, degree, vertex, window):
+    """The image of the j-th source generator inside the realized target."""
+    alg = pmap.algebra
+    total, offsets = pmap.dst.realize(window)
+    f = alg.field
+    vec = [f.zero()] * total.dims.get((degree, vertex), 0)
+    for i, (a, s) in enumerate(pmap.dst.summands):
+        e = pmap.entries[i][j]
+        if e is None:
+            continue
+        c0 = offsets[i][(degree, vertex)]
+        for k, c in enumerate(e.coeffs):
+            vec[c0 + k] = f.add(vec[c0 + k], c)
+    return Matrix.from_cols(f, len(vec), [vec])
+
+
 class InjCopresentation:
     """A minimal injective copresentation 0 -> M --d0--> I0 --d1--> I1."""
 
-    def __init__(self, module, i0, d0, i1, d1, cosyzygy, window):
+    def __init__(self, module, i0, d0, i1, d1, window):
         self.module = module
         self.i0 = i0
         self.d0 = d0              # realized monomorphism M -> I0
         self.i1 = i1
         self.d1 = d1              # formal IMap I0 -> I1
-        self.cosyzygy = cosyzygy  # realized cokernel of d0
         self.window = window
 
     def to_json_dict(self):
@@ -488,23 +498,14 @@ def minimal_copresentation(M):
         raise WindowError("minimal copresentation needs an exact window")
     D = M.dual()
     pres = minimal_presentation(D)
-    i0 = InjSum(M.algebra, [(a, -s) for a, s in pres.p0.summands])
-    i1 = InjSum(M.algebra, [(a, -s) for a, s in pres.p1.summands])
-    opp = M.algebra.opposite()
-    entries = [[None if e is None else opp.element_opposite(e) for e in row]
-               for row in _transposed(pres.d1.entries)]
-    d1 = IMap(i0, i1, entries)
-    aug = pres.cover0.realize(D, pres.window)
-    d0 = aug.dual()
-    cosyzygy = pres.syzygy.dual_windowed()
+    # over the opposite of D's algebra, which is M's: P0° -> P1°, read as
+    # I0 -> I1
+    op = pres.d1.transpose_to_opposite()
+    i0 = InjSum(M.algebra, op.src.summands)
+    i1 = InjSum(M.algebra, op.dst.summands)
+    d0 = pres.cover0.realize(D, pres.window).dual()
     lo, hi = pres.window
-    return InjCopresentation(M, i0, d0, i1, d1, cosyzygy, (-hi, -lo))
-
-
-def _transposed(rows):
-    if not rows:
-        return []
-    return [[rows[i][j] for i in range(len(rows))] for j in range(len(rows[0]))]
+    return InjCopresentation(M, i0, d0, i1, IMap(i0, i1, op.entries), (-hi, -lo))
 
 
 class Resolution:

@@ -1,6 +1,5 @@
 """Finite quivers, paths, the opposite quiver, and path-structure analysis."""
 
-import json
 from collections import namedtuple
 
 from .errors import InputError
@@ -54,9 +53,6 @@ class Path:
         if not self.arrows and not other.arrows:
             return Path.trivial(self.vertex)
         return Path(self.arrows + other.arrows)
-
-    def sort_key(self):
-        return (self.length, self.names(), self.source)
 
     def __eq__(self, other):
         return (isinstance(other, Path) and self.arrows == other.arrows
@@ -202,10 +198,6 @@ class Quiver:
                     raise InputError(f"{where}.arrows[{i}]: missing {key!r}")
             arrows.append((a["name"], a["from"], a["to"]))
         return cls(d["vertices"], arrows)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_json_dict(json.loads(text))
 
     def __repr__(self):
         return f"Quiver({len(self.vertices)} vertices, {len(self.arrows)} arrows)"

@@ -121,6 +121,12 @@ def top_outcome(top, M):
         return ("raised", type(e).__name__)
 
 
+def first_syzygy(M):
+    """The kernel of M's minimal cover on the presentation window, as a module."""
+    pres = minimal_presentation(M)
+    return pres.cover0.realize(M, pres.window).kernel()[0]
+
+
 def modules_for_tops(alg):
     """Simples, their duals, windowed standard modules (exact or truncated),
     radicals, first syzygies and a direct sum, over one algebra."""
@@ -131,10 +137,10 @@ def modules_for_tops(alg):
         for kind in ("P", "I"):
             for window in ((-3, 3), (0, 2), (-1, 5)):
                 out.append(standard_module(alg, kind, v, 0, window=window))
-        pres = minimal_presentation(S)
-        out.append(pres.syzygy)
-        if pres.syzygy.is_exact:
-            out.append(minimal_presentation(pres.syzygy).syzygy)
+        K = first_syzygy(S)
+        out.append(K)
+        if K.is_exact:
+            out.append(first_syzygy(K))
     out += [M.radical()[0] for M in out if M.exact_below and M.hi > M.lo]
     out.append(_sum_with_offsets(
         [standard_module(alg, "S", v, s).with_window(-3, 3)
