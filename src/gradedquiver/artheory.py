@@ -1,7 +1,9 @@
 """Transpose, Nakayama functor, translates, and almost split sequences.
 
 The transpose of a presented module is the cokernel of the entrywise-opposite
-transposed presentation matrix; the translates are its windowed duals.  An
+transposed presentation matrix; the translates are its windowed duals.  The
+Nakayama functor sends a projective map to its transpose over the opposite
+algebra, which stands for a map of injectives through duality.  An
 almost split sequence ending at C is assembled from a nonzero extension class
 annihilated by the radical of End(C), realized as an explicit pushout, and
 every constructed sequence carries a verification certificate.
@@ -12,11 +14,10 @@ import random
 from .errors import InputError, WindowError, MathRefusal
 from .linalg import Matrix
 from .gmodule import GradedMorphism, direct_sum, zero_module, _memo
-from .presentations import (ProjSum, PMap, InjSum, IMap, minimal_presentation,
-                            _pmap_generator_image)
-from .homs import (ghom, ghom_dim, end_algebra, is_strongly_indecomposable,
+from .presentations import ProjSum, minimal_presentation, _pmap_generator_image
+from .homs import (ghom, end_algebra, is_strongly_indecomposable,
                    ext1, ExtSpace, EndActionOnExt, underline_hom_dim,
-                   overline_hom_dim, hom_psum_dim, psum_hom_to_morphism)
+                   overline_hom_dim, psum_hom_to_morphism)
 
 
 class TransposeData:
@@ -126,30 +127,16 @@ def tau_inverse(N, window=None, pad=4, check_verdict=True, budget=64, seed=0):
 
 
 def nakayama(pmap):
-    """Reinterpret a projective map as the injective map with the same data."""
-    return IMap(InjSum(pmap.algebra, pmap.src.summands),
-                InjSum(pmap.algebra, pmap.dst.summands),
-                [row[:] for row in pmap.entries])
+    """The Nakayama image nu(pmap): nu src -> nu dst, as a PMap over the
+    opposite algebra.
 
-
-def nakayama_inverse(imap):
-    """The quasi-inverse: identical data read back over projectives."""
-    return PMap(ProjSum(imap.algebra, imap.src.summands),
-                ProjSum(imap.algebra, imap.dst.summands),
-                [row[:] for row in imap.entries])
-
-
-def nakayama_pairing_dims(psum, M):
-    """(dim Hom(P, M), dim Hom(M, nu P)) computed by two unrelated routes."""
-    lhs = hom_psum_dim(psum, M)
-    if not M.is_exact:
-        raise WindowError("pairing check needs a finite-dimensional module")
-    isum = InjSum(psum.algebra, psum.summands)
-    tops = [-s for _a, s in psum.summands] or [M.hi]
-    window = (min(M.lo, min(tops) - 1), max(M.hi + 1, max(tops)))
-    I_real = isum.realize(window)
-    rhs = ghom_dim(M, I_real)
-    return lhs, rhs
+    nu P_a<s> = I_a<s> = D(P°_a<-s>), so nu(pmap) is the dual of pmap's
+    transpose over the opposite algebra: it realizes on (lo, hi) as
+    `nakayama(pmap).realize((-hi, -lo)).dual()`.  The transpose is an
+    involution, so applying `nakayama` twice gives pmap's entries and
+    summands back.
+    """
+    return pmap.transpose_to_opposite()
 
 
 # -- AR formula ----------------------------------------------------------------

@@ -14,13 +14,11 @@ import tempfile
 from .errors import MathRefusal, InputError, GradedQuiverError
 from .problem import parse_problem, canonical_dumps
 from .gmodule import standard_module
-from .presentations import (minimal_presentation, minimal_copresentation,
-                            projective_cover, injective_envelope,
-                            graded_dimension)
+from .presentations import (minimal_presentation, projective_cover,
+                            injective_envelope, graded_dimension)
 from .homs import ghom, ext1
-from .artheory import (transpose, tau, tau_inverse, nakayama, nakayama_inverse,
-                       ar_formula_check, almost_split_sequence,
-                       verify_almost_split)
+from .artheory import (transpose, tau, tau_inverse, nakayama, ar_formula_check,
+                       almost_split_sequence, verify_almost_split)
 from .criteria import existence_report, human_table
 
 
@@ -123,6 +121,13 @@ def _emit(args, payload, table_text=None):
         sys.stdout.write(text)
 
 
+def _injectives(psum):
+    """An opposite projective sum (+) P°_a<s> read as the injective sum
+    (+) I_a<-s> = D((+) P°_a<s>): (JSON summands, label)."""
+    summands = [[a, -s] for a, s in psum.summands]
+    return summands, "(+)".join(f"I_{a}<{s}>" for a, s in summands) or "0"
+
+
 def _dims_table(module):
     lines = [f"window [{module.lo}, {module.hi}]  "
              f"below={'exact' if module.exact_below else 'truncated'} "
@@ -223,9 +228,8 @@ def run(args):
 
     if args.command == "envelope":
         M = module(args.module)
-        isum, env = injective_envelope(M)
-        payload = {"summands": isum.to_json()}
-        _emit(args, payload, repr(isum))
+        summands, label = _injectives(injective_envelope(M)[0])
+        _emit(args, {"summands": summands}, label)
         return 0
 
     if args.command == "present":
@@ -234,8 +238,15 @@ def run(args):
         return 0
 
     if args.command == "copresent":
-        co = minimal_copresentation(module(args.module))
-        _emit(args, co.to_json_dict(), repr(co.i0) + " -> " + repr(co.i1))
+        # the minimal presentation P1 -> P0 of D M over the opposite algebra
+        # is, through D, the copresentation M -> I0 -> I1; d1 is shown as the
+        # data of the projective map whose Nakayama image it is
+        pres = minimal_presentation(module(args.module).dual())
+        (i0, label0), (i1, label1) = _injectives(pres.p0), _injectives(pres.p1)
+        lo, hi = pres.window
+        payload = {"i0": i0, "i1": i1, "d1": nakayama(pres.d1).to_json(),
+                   "window": [-hi, -lo]}
+        _emit(args, payload, label0 + " -> " + label1)
         return 0
 
     if args.command == "transpose":
@@ -251,10 +262,11 @@ def run(args):
 
     if args.command == "nakayama":
         pres = minimal_presentation(module(args.module))
-        imap = nakayama(pres.d1)
-        back = nakayama_inverse(imap)
-        payload = {"p_map": pres.d1.to_json(), "i_map": imap.to_json(),
-                   "round_trip_identical": back.to_json() == pres.d1.to_json()}
+        # nu d1 is a map over the opposite algebra; as a map of injectives it
+        # carries d1's own data, which its transpose gives back
+        back = nakayama(nakayama(pres.d1)).to_json()
+        payload = {"p_map": pres.d1.to_json(), "i_map": back,
+                   "round_trip_identical": back == pres.d1.to_json()}
         _emit(args, payload, f"round trip identical: "
                              f"{payload['round_trip_identical']}")
         return 0
@@ -372,28 +384,33 @@ def _sequence_from_file(alg, path):
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise InputError(f"cannot read sequence file: {e}") from None
+    if not isinstance(data, dict):
+        raise InputError("sequence file must hold a JSON object")
     try:
         A = GradedModule.from_json_dict(alg, data["left"], "left")
         E = GradedModule.from_json_dict(alg, data["middle"], "middle")
         C = GradedModule.from_json_dict(alg, data["right"], "right")
-        f = _morphism_from_json(A, E, data["left_map"])
-        g = _morphism_from_json(E, C, data["right_map"])
+        f = _morphism_from_json(A, E, data["left_map"], "left_map")
+        g = _morphism_from_json(E, C, data["right_map"], "right_map")
     except KeyError as e:
         raise InputError(f"sequence file missing block {e}") from None
     return AlmostSplitSequence(A, E, C, f, g, data.get("certificate", {}),
                                data.get("direction", "ending"))
 
 
-def _morphism_from_json(source, target, data):
+def _morphism_from_json(source, target, data, where):
     from .gmodule import GradedMorphism
     from .linalg import Matrix
     blocks = {}
-    for key, rows in data.get("blocks", {}).items():
-        i, x = key.strip("()").split(",", 1)
-        i, x = int(i), x.strip()
-        blocks[(i, x)] = Matrix(source.algebra.field,
-                                target.dims.get((i, x), 0),
-                                source.dims.get((i, x), 0), rows)
+    try:
+        for key, rows in data.get("blocks", {}).items():
+            i, x = key.strip("()").split(",", 1)
+            i, x = int(i), x.strip()
+            blocks[(i, x)] = Matrix(source.algebra.field,
+                                    target.dims.get((i, x), 0),
+                                    source.dims.get((i, x), 0), rows)
+    except (ValueError, TypeError, AttributeError) as e:
+        raise InputError(f"{where}: malformed map block ({e})") from None
     return GradedMorphism(source, target, blocks)
 
 

@@ -314,7 +314,11 @@ class GradedModule:
     def from_json_dict(cls, algebra, d, where="module"):
         try:
             lo, hi = d["window"]
+            if not (isinstance(lo, int) and isinstance(hi, int)):
+                raise ValueError(f"window bounds {lo!r}, {hi!r} are not integers")
             flags = d.get("flags", {"below": EXACT, "above": EXACT})
+            exact_below = flags.get("below", EXACT) == EXACT
+            exact_above = flags.get("above", EXACT) == EXACT
             dims = {}
             for key, n in d.get("dims", {}).items():
                 i, x = key.strip("()").split(",", 1)
@@ -329,11 +333,10 @@ class GradedModule:
                 rcount = dims.get((i + 1, a.target), 0)
                 ccount = dims.get((i, a.source), 0)
                 maps[(name, i)] = Matrix(algebra.field, rcount, ccount, rows)
-        except (KeyError, ValueError) as e:
+        except (KeyError, ValueError, TypeError, AttributeError) as e:
             raise InputError(f"{where}: malformed module block ({e})") from e
         return cls(algebra, lo, hi, dims, maps,
-                   exact_below=flags.get("below", EXACT) == EXACT,
-                   exact_above=flags.get("above", EXACT) == EXACT)
+                   exact_below=exact_below, exact_above=exact_above)
 
     def __repr__(self):
         flags = ("" if self.exact_below else "<trunc") + ("" if self.exact_above else ">trunc")

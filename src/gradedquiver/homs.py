@@ -2,18 +2,19 @@
 
 Hom spaces between concrete windowed modules come from the naturality linear
 system.  Homs out of formal projective sums are piece lookups; homs into
-injectives are obtained by dualizing.  Ext^1 against a presented module is
-the space of Hom(P1, N) tuples vanishing on the kernel of the presentation
-differential, modulo pullbacks from P0; the right End-action is realized by
-lifting endomorphisms along the presentation.
+injectives are obtained by dualizing them: GHom(M, I_a<s>) is the dual of
+GHom(P°_a<-s>, D M) over the opposite algebra.  Ext^1 against a presented
+module is the space of Hom(P1, N) tuples vanishing on the kernel of the
+presentation differential, modulo pullbacks from P0; the right End-action is
+realized by lifting endomorphisms along the presentation.
 """
 
 import random
 
 from .errors import InputError, WindowError, UnsupportedRadical, MathRefusal
 from .linalg import Matrix, charpoly, roots_in_field
-from .gmodule import GradedMorphism, _memo
-from .presentations import (projective_cover, Cover, _pmap_from_generators,
+from .gmodule import GradedMorphism, standard_module, _memo
+from .presentations import (ProjSum, projective_cover, Cover, _pmap_from_generators,
                             _pmap_generator_image)
 
 
@@ -254,34 +255,24 @@ def psum_hom_to_morphism(psum, N, coords, window):
 def ghom_to_injective(M, vertex, s):
     """Basis of GHom(M, I_vertex<s>) realized on M's window; dim = dim M_{-s}(vertex).
 
-    The k-th basis morphism corresponds to the k-th dual-basis functional on
-    M_{-s}(vertex); the one sending a chosen element m to the socle generator
-    is a scaled basis combination (see `extend_to_injective`).
+    I_vertex<s> = D(P°_vertex<-s>), so the k-th basis morphism is the dual of
+    the map P°_vertex<-s> -> D M over the opposite algebra that sends the
+    generator to the k-th basis vector of (D M)_s(vertex): the k-th
+    dual-basis functional on M_{-s}(vertex).  The one sending a chosen
+    element m to the socle generator is a scaled basis combination (see
+    `extend_to_injective`).
     """
-    from .gmodule import standard_module
     alg = M.algebra
-    opp = alg.opposite()
-    target = standard_module(alg, "I", vertex, s, window=(M.lo, M.hi))
-    n = M.dim(-s, vertex)  # raises when -s falls on a truncated side
+    f = alg.field
+    psum = ProjSum(alg.opposite(), [(vertex, -s)])
+    DM = M.dual_windowed()
+    n = hom_psum_dim(psum, DM)  # raises when -s falls on a truncated side
     basis = []
-    for t in range(n):
-        blocks = {}
-        for (i, x), m_dim in M.dims.items():
-            piece = opp.piece(-i - s, vertex, x)
-            if piece.dim == 0:
-                continue
-            rows = []
-            for rep in piece.rep_paths:
-                back = alg.quiver.path_from_names(tuple(reversed(rep.names())),
-                                                  vertex=rep.vertex)
-                u = alg.element_from_path(back)
-                act = M.element_action(u, i)  # M_i(x) -> M_{-s}(vertex)
-                rows.append(list(act.data[t]))
-            blk = Matrix(alg.field, piece.dim, m_dim, rows)
-            if not blk.is_zero():
-                blocks[(i, x)] = blk
-        basis.append(blocks)
-    return HomSpace(M, target, basis)
+    for k in range(n):
+        coords = [f.one() if t == k else f.zero() for t in range(n)]
+        mor = psum_hom_to_morphism(psum, DM, coords, (DM.lo, DM.hi)).dual()
+        basis.append({key: m for key, m in mor.blocks.items() if not m.is_zero()})
+    return HomSpace(M, standard_module(alg, "I", vertex, s, window=(M.lo, M.hi)), basis)
 
 
 def extend_to_injective(m, s=None):

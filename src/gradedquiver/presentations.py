@@ -11,8 +11,14 @@ off the realized d1, whose columns at the generators of P1 generate it.
 
 A resolution is seeded from that presentation; each later syzygy ker d_n is
 kept as the per-piece kernel bases of the realized differential d_n, never
-as a module (see `resolution`).  Everything injective-side is obtained by
-dualizing the projective-side machinery over the opposite algebra.
+as a module (see `resolution`).
+
+There is no separate injective layer.  I_a<s> = D(P°_a<-s>), so a sum of
+injectives (+) I_a<s> is the ProjSum (+) P°_a<-s> over the opposite algebra,
+and a map of such sums is a PMap over the opposite, realized on (lo, hi) as
+`.realize((-hi, -lo)).dual()`.  The injective envelope of M is the dualized
+cover of D M, and the minimal copresentation of M is the minimal
+presentation of D M, read through D.
 """
 
 from .errors import InputError, WindowError, MathRefusal
@@ -37,9 +43,6 @@ class ProjSum:
 
     def is_zero(self):
         return not self.summands
-
-    def dim_at(self, i, x):
-        return sum(self.algebra.dim_piece(i + s, a, x) for a, s in self.summands)
 
     def shift(self, s):
         return ProjSum(self.algebra, [(a, t + s) for a, t in self.summands])
@@ -190,74 +193,6 @@ class PMap:
 
     def __repr__(self):
         return f"PMap({self.src!r} -> {self.dst!r})"
-
-
-class InjSum:
-    """A formal finite direct sum of shifted injectives + I_{a}<s>."""
-
-    def __init__(self, algebra, summands):
-        self.algebra = algebra
-        self.summands = tuple((str(a), int(s)) for a, s in summands)
-
-    def __len__(self):
-        return len(self.summands)
-
-    def is_zero(self):
-        return not self.summands
-
-    def dim_at(self, i, x):
-        opp = self.algebra.opposite()
-        return sum(opp.dim_piece(-i - s, a, x) for a, s in self.summands)
-
-    def realize(self, window):
-        from .gmodule import standard_module
-        if not self.summands:
-            return zero_module(self.algebra, *window)
-        total, _ = _sum_with_offsets([standard_module(self.algebra, "I", a, s, window=window)
-                                      for a, s in self.summands])
-        return total
-
-    def to_json(self):
-        return [[a, s] for a, s in self.summands]
-
-    def __repr__(self):
-        return "(+)".join(f"I_{a}<{s}>" for a, s in self.summands) or "0"
-
-
-class IMap:
-    """A morphism of formal injective sums, induced by right multiplications.
-
-    Data-identical to the PMap it is the Nakayama image of: the entry from
-    source summand I_{b}<t> into target summand I_{a}<s> is the element of
-    e_b A_{s-t} e_a whose dual right multiplication realizes the block.
-    """
-
-    def __init__(self, src, dst, entries):
-        self.algebra = src.algebra
-        self.src = src
-        self.dst = dst
-        # reuse PMap validation on the underlying projective data
-        self._pdata = PMap(ProjSum(self.algebra, src.summands),
-                           ProjSum(self.algebra, dst.summands), entries)
-        self.entries = self._pdata.entries
-        self._derived = {}
-
-    def is_zero(self):
-        return self._pdata.is_zero()
-
-    def realize(self, window):
-        """Realized as the dual of the opposite projective map."""
-        lo, hi = window
-        # dst° -> src° over the opposite, built once so its realizations memoize
-        op = _memo(self._derived, "opposite", self._pdata.transpose_to_opposite)
-        real = op.realize((-hi, -lo))
-        return real.dual()
-
-    def to_json(self):
-        return self._pdata.to_json()
-
-    def __repr__(self):
-        return f"IMap({self.src!r} -> {self.dst!r})"
 
 
 # -- generators --------------------------------------------------------------
@@ -463,49 +398,18 @@ def _pmap_generator_image(pmap, j, degree, vertex, window):
     return Matrix.from_cols(f, len(vec), [vec])
 
 
-class InjCopresentation:
-    """A minimal injective copresentation 0 -> M --d0--> I0 --d1--> I1."""
-
-    def __init__(self, module, i0, d0, i1, d1, window):
-        self.module = module
-        self.i0 = i0
-        self.d0 = d0              # realized monomorphism M -> I0
-        self.i1 = i1
-        self.d1 = d1              # formal IMap I0 -> I1
-        self.window = window
-
-    def to_json_dict(self):
-        return {"i0": self.i0.to_json(), "i1": self.i1.to_json(),
-                "d1": self.d1.to_json(), "window": list(self.window)}
-
-
 def injective_envelope(M):
-    """(InjSum, realized essential monomorphism M -> I) via the dual cover."""
+    """The injective envelope of M, read off the cover of D M: (P, env).
+
+    P = (+) P°_a<s> is the projective cover's sum of D M over the opposite
+    algebra and stands for the envelope (+) I_a<-s> = D P; env: M -> D P is
+    the dualized cover, a realized essential monomorphism.
+    """
     if not M.is_exact:
         raise WindowError("injective envelope needs an exact window")
     D = M.dual()
     cover = projective_cover(D)
-    window = (D.lo, D.hi + 1)
-    aug = cover.realize(D, window)
-    env = aug.dual()  # M re-windowed -> dual of the opposite projective sum
-    isum = InjSum(M.algebra, [(a, -s) for a, s in cover.psum.summands])
-    return isum, env
-
-
-def minimal_copresentation(M):
-    """Dualized minimal presentation of the dual module."""
-    if not M.is_exact:
-        raise WindowError("minimal copresentation needs an exact window")
-    D = M.dual()
-    pres = minimal_presentation(D)
-    # over the opposite of D's algebra, which is M's: P0° -> P1°, read as
-    # I0 -> I1
-    op = pres.d1.transpose_to_opposite()
-    i0 = InjSum(M.algebra, op.src.summands)
-    i1 = InjSum(M.algebra, op.dst.summands)
-    d0 = pres.cover0.realize(D, pres.window).dual()
-    lo, hi = pres.window
-    return InjCopresentation(M, i0, d0, i1, IMap(i0, i1, op.entries), (-hi, -lo))
+    return cover.psum, cover.realize(D, (D.lo, D.hi + 1)).dual()
 
 
 class Resolution:

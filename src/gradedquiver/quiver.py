@@ -110,42 +110,6 @@ class Quiver:
     def _missing_arrow(self, n):
         raise InputError(f"unknown arrow {n!r}")
 
-    def paths(self, length, source, target):
-        """All paths of the given length, lexicographic in their name tuples."""
-        if length < 0:
-            raise InputError("path length must be >= 0")
-        self.check_vertex(source)
-        self.check_vertex(target)
-        if length == 0:
-            return [Path.trivial(source)] if source == target else []
-        out = []
-
-        def extend(partial, at):
-            # partial holds arrows applied so far, most recent first
-            if len(partial) == length:
-                if at == target:
-                    out.append(Path(tuple(partial)))
-                return
-            for a in self.arrows_from[at]:
-                extend([a] + partial, a.target)
-
-        extend([], source)
-        out.sort(key=lambda p: p.names())
-        return out
-
-    def adjacency_power_count(self, n, source, target):
-        """Number of length-n paths source -> target, via adjacency powers."""
-        idx = {v: i for i, v in enumerate(self.vertices)}
-        size = len(self.vertices)
-        adj = [[0] * size for _ in range(size)]
-        for a in self.arrows:
-            adj[idx[a.target]][idx[a.source]] += 1
-        acc = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-        for _ in range(n):
-            acc = [[sum(adj[i][k] * acc[k][j] for k in range(size)) for j in range(size)]
-                   for i in range(size)]
-        return acc[idx[target]][idx[source]]
-
     def has_cycle(self):
         """Depth-first search in declaration order."""
         WHITE, GRAY, BLACK = 0, 1, 2

@@ -11,6 +11,8 @@ representatives and the same normal forms.
 
 from gradedquiver.linalg import Matrix
 
+from quiver_paths import list_paths
+
 
 class PaddingPieces:
     """Padding-method pieces and path normal forms of one GradedAlgebra."""
@@ -30,7 +32,7 @@ class PaddingPieces:
 
     def _compute(self, degree, source, target):
         f = self.field
-        paths = self.quiver.paths(degree, source, target)
+        paths = list_paths(self.quiver, degree, source, target)
         index = {p.names(): i for i, p in enumerate(paths)}
         rows = []
         for rel in self.relations:
@@ -38,8 +40,8 @@ class PaddingPieces:
             if pad < 0:
                 continue
             for a in range(pad + 1):
-                for v in self.quiver.paths(a, source, rel.source):
-                    for u in self.quiver.paths(pad - a, rel.target, target):
+                for v in list_paths(self.quiver, a, source, rel.source):
+                    for u in list_paths(self.quiver, pad - a, rel.target, target):
                         row = [f.zero()] * len(paths)
                         for coeff, p in rel.terms:
                             i = index[u.compose(p).compose(v).names()]

@@ -66,7 +66,8 @@ def test_cli_validate(capsys):
 
 
 def test_cli_run_tasks(tmp_path, capsys, monkeypatch):
-    problem = json.loads(open(fix("fix_b")).read())
+    with open(fix("fix_b"), encoding="utf-8") as fh:
+        problem = json.load(fh)
     problem["tasks"] = [
         {"name": "dims_p1", "command": "dims", "module": "P1", "window": [0, 3]},
         {"name": "seq", "command": "ars", "module": "S1", "direction": "ending"},
@@ -86,7 +87,8 @@ def test_cli_run_tasks(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_tasks_validate_references(tmp_path):
-    problem = json.loads(open(fix("fix_b")).read())
+    with open(fix("fix_b"), encoding="utf-8") as fh:
+        problem = json.load(fh)
     problem["tasks"] = [{"command": "dims", "module": "missing"}]
     pfile = tmp_path / "bad.json"
     pfile.write_text(json.dumps(problem))
@@ -110,7 +112,8 @@ def test_run_tasks_with_shared_parser_matches_sequential_main(tmp_path, capsys,
     # run-tasks parses its tasks on 4 threads through the one parser the
     # process keeps; the same commands run one by one must give the same
     # exit codes and byte-identical output files
-    problem = json.loads(open(fix("fix_b")).read())
+    with open(fix("fix_b"), encoding="utf-8") as fh:
+        problem = json.load(fh)
     problem["tasks"] = [
         {"name": "dims_p1", "command": "dims", "module": "P1", "window": [0, 3]},
         {"name": "cover_s1", "command": "cover", "module": "S1"},
@@ -157,3 +160,23 @@ def test_run_tasks_with_shared_parser_matches_sequential_main(tmp_path, capsys,
     capsys.readouterr()
     assert main([str(pfile), "pd", "--simple", "1", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["1"]["proj"]["kind"] == "exact"
+
+
+def test_verify_ars_rejects_malformed_sequence_files(tmp_path, capsys):
+    # a malformed sequence file is an input error (exit 2), never a crash
+    out = tmp_path / "seq.json"
+    assert main([fix("fix_b"), "ars", "--module", "S1", "--json", "--out", str(out)]) == 0
+    good = json.loads(out.read_text())
+    bad_key, bad_window, bad_rows, bad_flags = (json.loads(out.read_text()) for _ in range(4))
+    bad_key["left_map"]["blocks"] = {"(0": [["1"]]}
+    bad_window["left"]["window"] = 5
+    bad_rows["right_map"]["blocks"] = {"(0,1)": 5}
+    bad_flags["middle"]["flags"] = "exact"
+    for k, data in enumerate([[1, 2], bad_key, bad_window, bad_rows, bad_flags,
+                              dict(good, left=5), dict(good, right_map=[])]):
+        path = tmp_path / f"bad{k}.json"
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main([fix("fix_b"), "verify-ars", "--sequence", str(path)]) == 2, data
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, err

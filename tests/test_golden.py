@@ -18,7 +18,8 @@ def test_fix_b_sequence_matches_golden(tmp_path):
     code = main([fix("fix_b"), "ars", "--module", "S1", "--direction", "ending",
                  "--seed", "0", "--json", "--out", str(out)])
     assert code == 0
-    golden = open(os.path.join(HERE, "golden", "fix_b_ars.json")).read()
+    with open(os.path.join(HERE, "golden", "fix_b_ars.json"), encoding="utf-8") as fh:
+        golden = fh.read()
     assert out.read_text() == golden
 
 

@@ -16,6 +16,7 @@ from gradedquiver.problem import parse_problem
 
 from conftest import make_polynomial, rel
 from piece_oracle import PaddingPieces
+from quiver_paths import count_paths, list_paths
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -31,7 +32,7 @@ def assert_matches_oracle(alg, max_degree):
                 assert ([p.names() for p in basis]
                         == [p.names() for p in oracle.basis(d, x, y)]), (d, x, y)
                 reps += basis
-                for p in q.paths(d, x, y):
+                for p in list_paths(q, d, x, y):
                     assert list(alg.element_from_path(p).coeffs) == oracle.normal_form(p), p
     for pu in reps:
         for pv in reps:
@@ -72,7 +73,7 @@ def random_cyclic_algebra(seed, field):
     relations = []
     for _ in range(rng.randint(1, 3)):
         degree = rng.randint(2, 4)
-        paths = q.paths(degree, rng.choice(vertices), rng.choice(vertices))
+        paths = list_paths(q, degree, rng.choice(vertices), rng.choice(vertices))
         if len(paths) < 2:
             continue
         chosen = rng.sample(paths, min(len(paths), rng.randint(2, 3)))
@@ -83,7 +84,7 @@ def random_cyclic_algebra(seed, field):
 def comparison_degree(q, limit=100):
     """Largest degree <= 5 at which every path set stays small for the oracle."""
     d = 1
-    while d < 5 and all(q.adjacency_power_count(d + 1, x, y) <= limit
+    while d < 5 and all(count_paths(q, d + 1, x, y) <= limit
                         for x in q.vertices for y in q.vertices):
         d += 1
     return d

@@ -4,8 +4,8 @@ from gradedquiver import standard_module
 from gradedquiver.errors import WindowError
 from gradedquiver.presentations import (ProjSum, PMap, top_basis, soc_basis,
                                         projective_cover, minimal_presentation,
-                                        injective_envelope, minimal_copresentation,
-                                        resolution, graded_dimension)
+                                        injective_envelope, resolution,
+                                        graded_dimension)
 
 
 def S(alg, v, s=0, window=None):
@@ -107,8 +107,10 @@ def test_soc_basis_fix_a(fix_a):
 
 
 def test_injective_envelope_of_simple(fix_b):
-    isum, env = injective_envelope(S(fix_b, "2"))
-    assert isum.summands == (("2", 0),)
+    # I_2 = D(P°_2): the envelope is read off the cover of the dual
+    psum, env = injective_envelope(S(fix_b, "2"))
+    assert psum.algebra is fix_b.opposite()
+    assert psum.summands == (("2", 0),)
     assert env.is_injective()
     # socle of the target is contained in the image
     soc, soc_incl = env.target.socle()
@@ -120,24 +122,28 @@ def test_injective_envelope_of_simple(fix_b):
 
 def test_injective_envelope_of_injective_is_identity_shape(fix_b):
     I2 = standard_module(fix_b, "I", "2", 0, window=(-1, 0))
-    isum, env = injective_envelope(I2)
-    assert isum.summands == (("2", 0),)
+    psum, env = injective_envelope(I2)
+    assert psum.summands == (("2", 0),)
     assert env.is_injective() and env.is_surjective()
 
 
 def test_minimal_copresentation_of_simple(fix_d):
-    co = minimal_copresentation(S(fix_d, "3"))
-    assert co.i0.summands == (("3", 0),)
-    # the cosyzygy of S_3 is S_4<1>, enveloped by I_4<1>
-    assert co.i1.summands == (("4", 1),)
-    assert co.d0.is_injective()
+    # the copresentation M -> I0 -> I1 is the presentation of D M, read
+    # through D: P°_a<s> stands for I_a<-s>
+    D = S(fix_d, "3").dual()
+    co = minimal_presentation(D)
+    assert co.p0.summands == (("3", 0),)
+    # the cosyzygy of S_3 is S_4<1>, enveloped by I_4<1> = D(P°_4<-1>)
+    assert co.p1.summands == (("4", -1),)
+    assert co.cover0.realize(D, co.window).dual().is_injective()
 
 
 def test_copresentation_dualizes_presentation(fix_d):
-    co = minimal_copresentation(S(fix_d, "2"))
+    co = minimal_presentation(S(fix_d, "2").dual())
     pres = minimal_presentation(S(fix_d.opposite(), "2"))
-    assert tuple((a, -s) for a, s in pres.p0.summands) == co.i0.summands
-    assert tuple((a, -s) for a, s in pres.p1.summands) == co.i1.summands
+    assert co.p0.summands == pres.p0.summands
+    assert co.p1.summands == pres.p1.summands
+    assert co.d1.to_json() == pres.d1.to_json()
 
 
 def test_resolution_pd_fix_d(fix_d):

@@ -23,6 +23,7 @@ from gradedquiver.presentations import minimal_presentation, resolution, top_bas
 
 import resolution_oracle
 from conftest import make_fix_a, make_fix_b, make_fix_c, make_fix_d, rel
+from quiver_paths import list_paths
 from test_resolution_windows import seeded_algebras_with_long_relations
 from test_standard_columns import seeded_algebras
 
@@ -85,10 +86,10 @@ def many_arrow_algebra(seed):
         q = Quiver(["0", "1"], [("x", "0", "1"), ("y", "0", "1"), ("z", "1", "1")])
     field = rng.choice([QQ, GF(2), GF(3)])
     degree = rng.choice([2, 2, 3])
-    ends = [(a, b) for a in q.vertices for b in q.vertices if q.paths(degree, a, b)]
+    ends = [(a, b) for a in q.vertices for b in q.vertices if list_paths(q, degree, a, b)]
     relations = []
     for _ in range(rng.randint(1, 3)):
-        paths = q.paths(degree, *rng.choice(ends))
+        paths = list_paths(q, degree, *rng.choice(ends))
         chosen = rng.sample(paths, min(len(paths), rng.randint(1, 2)))
         relations.append(rel(q, [(rng.choice([1, 2, -1]), p.names()) for p in chosen]))
     try:

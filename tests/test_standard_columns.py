@@ -20,6 +20,7 @@ from gradedquiver.problem import parse_problem
 import standard_oracle
 from resolution_oracle import projective_cover
 from conftest import make_fix_c, rel
+from quiver_paths import list_paths
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 FIELDS = {"Q": QQ, "F2": GF(2), "F3": GF(3)}
@@ -55,10 +56,10 @@ def random_algebra(seed, field, cyclic, binomial, degree):
     relations = []
     for _ in range(rng.randint(1, 2)):
         ends = [(x, y) for x in vertices for y in vertices
-                if len(q.paths(degree, x, y)) >= (2 if binomial else 1)]
+                if len(list_paths(q, degree, x, y)) >= (2 if binomial else 1)]
         if not ends:
             return None
-        paths = q.paths(degree, *rng.choice(ends))
+        paths = list_paths(q, degree, *rng.choice(ends))
         chosen = rng.sample(paths, 2 if binomial else 1)
         relations.append(rel(q, [(rng.choice(units), p.names()) for p in chosen]))
     return GradedAlgebra(q, field, relations)
