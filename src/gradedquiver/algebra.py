@@ -15,13 +15,15 @@ the representatives that reducing every length-d path modulo all paddings
 u*r*v would give.  Lex order on name tuples of equal length is compatible
 with multiplication on both sides, so these standard paths are closed under
 subwords and each one is some a*rep; every row is an element of the slice, so
-no standard path is a pivot; and the non-pivot count is dim A_d.
+no standard path is a pivot; and the non-pivot count is dim A_d.  The rows
+are reduced sparsely (`sparse_rref`); the RREF is unique, so the
+representatives are those a dense reduction gives.
 """
 
 import math
 
 from .errors import InputError
-from .linalg import Matrix
+from .linalg import Matrix, sparse_rref
 from .quiver import Path
 
 
@@ -223,20 +225,15 @@ class GradedAlgebra:
                     for j, x in enumerate(self._normal_form(tail + v.names())):
                         if x:
                             row[off + j] = f.add(row.get(off + j, f.zero()), f.mul(c, x))
-                row = {j: x for j, x in row.items() if x}
-                if row:
-                    rows.append(row)
-        # only the columns some row touches take part in the elimination
-        cols = sorted({j for row in rows for j in row})
-        rref, pivots = (Matrix(f, len(rows), len(cols),
-                               [[row.get(j, f.zero()) for j in cols] for row in rows]).rref()
-                        if rows else (None, ()))
-        pivset = {cols[k] for k in pivots}
+                rows.append(row)
+        # reduced as sparse rows; the RREF is unique, so the representatives
+        # do not depend on how the rows are reduced
+        pivots = sparse_rref(f, rows)
         reps, col_rep = [], {}
         for a, prev in blocks:
             for i, rep in enumerate(prev.rep_paths):
                 j = offsets[a.name] + i
-                if j not in pivset:
+                if j not in pivots:
                     col_rep[j] = len(reps)
                     reps.append(Path((a,) + rep.arrows))
         if not reps:
@@ -244,11 +241,9 @@ class GradedAlgebra:
         col_nf = [None] * ncols
         for j, r in col_rep.items():
             col_nf[j] = ((r, f.one()),)
-        for i, k in enumerate(pivots):
-            # a row of the rref is zero at every other pivot column
-            row = rref.data[i]
-            col_nf[cols[k]] = tuple((col_rep[cols[m]], f.neg(row[m]))
-                                    for m in range(k + 1, len(cols)) if row[m])
+        for k, row in pivots.items():
+            # a reduced row is zero at every other pivot column
+            col_nf[k] = tuple((col_rep[m], f.neg(row[m])) for m in sorted(row) if m != k)
         return _Piece(reps, offsets, col_nf)
 
     def _normal_form(self, names):

@@ -316,7 +316,11 @@ class GradedModule:
             lo, hi = d["window"]
             if not (isinstance(lo, int) and isinstance(hi, int)):
                 raise ValueError(f"window bounds {lo!r}, {hi!r} are not integers")
-            flags = d.get("flags", {"below": EXACT, "above": EXACT})
+            flags = d.get("flags", {})
+            for side in ("below", "above"):
+                if flags.get(side, EXACT) not in (EXACT, TRUNCATED):
+                    raise InputError(f"{where}.flags.{side}: expected 'exact' or "
+                                     f"'truncated', got {flags[side]!r}")
             exact_below = flags.get("below", EXACT) == EXACT
             exact_above = flags.get("above", EXACT) == EXACT
             dims = {}

@@ -1,7 +1,8 @@
-"""Exact dense linear algebra over the rationals and prime fields.
+"""Exact linear algebra over the rationals and prime fields.
 
-Everything downstream (piece bases, hom spaces, syzygies, translates) reduces
-to kernel/image/solve calls on small dense matrices, so this module is kept
+Everything downstream (hom spaces, syzygies, translates) reduces to
+kernel/image/solve calls on small dense matrices; piece bases row-reduce
+sparse relation rows with `sparse_rref`.  The module is kept
 dependency-free and fully deterministic: same input, same output basis.
 
 Invariant: a Matrix holds canonical scalars of its field, `Fraction` over Q
@@ -349,6 +350,46 @@ def linear_combination(field, rows, cols, terms):
     else:
         data = tuple(tuple(v % field.p for v in row) for row in acc)
     return Matrix._make(field, rows, cols, data)
+
+
+def sparse_rref(field, rows):
+    """Reduced row echelon form of sparse rows {column: canonical scalar}, as
+    {pivot column: reduced row}, with work that follows the nonzeros.  The
+    rows are not changed.  Rows are kept unscaled, over Q as primitive integer
+    rows, and scaled to 1 at their pivot at the end.  The RREF is unique, so
+    this is `Matrix.rref` of the same rows.
+    """
+    p = field.p
+    pivots = {}
+    for row in rows:
+        # over Q clear denominators; over F_p every denominator is 1
+        mult = lcm(*(x.denominator for x in row.values()))
+        row = {j: x.numerator * (mult // x.denominator) for j, x in row.items() if x}
+        # a pivot row is zero at every other pivot column
+        for c in [c for c in row if c in pivots]:
+            row = _eliminate(p, row, pivots[c], c)
+        if row:
+            lead = min(row)
+            for k, prow in pivots.items():
+                if lead in prow:
+                    pivots[k] = _eliminate(p, prow, row, lead)
+            pivots[lead] = row
+    if p is None:
+        return {c: {j: Fraction(x, row[c]) for j, x in row.items()} for c, row in pivots.items()}
+    return {c: {j: x * pow(row[c], -1, p) % p for j, x in row.items()} for c, row in pivots.items()}
+
+
+def _eliminate(p, row, prow, c):
+    """prow[c]*row - row[c]*prow without its zeros, over Q divided by its content."""
+    g = gcd(row[c], prow[c])
+    x, lead = row[c] // g, prow[c] // g
+    row = {j: lead * v for j, v in row.items()}
+    for j, y in prow.items():
+        row[j] = row.get(j, 0) - x * y
+    if p is not None:
+        return {j: v % p for j, v in row.items() if v % p}
+    g = gcd(*row.values())
+    return {j: v // g for j, v in row.items() if v}
 
 
 def kernel_image(A):

@@ -178,3 +178,13 @@ def test_polynomial_ring_piece_dims_to_degree_8(field, skew):
     # padding u*r*v instead takes tens of seconds from degree 6 on
     alg = make_polynomial(field, skew)
     assert [alg.dim_piece(d, "v", "v") for d in range(9)] == [comb(d + 2, 2) for d in range(9)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "F3"])
+@pytest.mark.parametrize("skew", [None, {(0, 1): -1, (0, 2): 2, (1, 2): 5}],
+                         ids=["commutative", "skew"])
+def test_polynomial_ring_piece_dims_to_degree_14(field, skew):
+    # scale guard, no timing assert: with the relation rows reduced as sparse
+    # rows this takes about 0.1 s per case
+    alg = make_polynomial(field, skew)
+    assert [alg.dim_piece(d, "v", "v") for d in range(15)] == [comb(d + 2, 2) for d in range(15)]

@@ -4,7 +4,7 @@ import pytest
 
 from gradedquiver.cli import main
 
-from test_cli import fix
+from test_cli import base_problem, fix
 
 
 def test_cli_hom_from_truncated_projective(capsys):
@@ -180,3 +180,30 @@ def test_verify_ars_rejects_malformed_sequence_files(tmp_path, capsys):
         assert main([fix("fix_b"), "verify-ars", "--sequence", str(path)]) == 2, data
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, err
+
+
+def test_module_flags_other_than_exact_or_truncated_are_input_errors(tmp_path, capsys):
+    # a misspelt flag is named (exit 2), never read as "truncated"
+    problem = base_problem()
+    problem["modules"]["M"] = {"window": [0, 0], "dims": {"(0,1)": 1},
+                               "flags": {"below": "exakt"}}
+    pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps(problem))
+    capsys.readouterr()
+    assert main([str(pfile), "dims", "--module", "M", "--json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: modules.M.flags.below") and "'exakt'" in err, err
+    problem["modules"]["M"]["flags"] = {"below": "truncated", "above": "exact"}
+    pfile.write_text(json.dumps(problem))
+    assert main([str(pfile), "dims", "--module", "M", "--json"]) == 0
+
+    out = tmp_path / "seq.json"
+    assert main([fix("fix_b"), "ars", "--module", "S1", "--json", "--out", str(out)]) == 0
+    seq = json.loads(out.read_text())
+    seq["right"]["flags"]["above"] = "truncatd"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(seq))
+    capsys.readouterr()
+    assert main([fix("fix_b"), "verify-ars", "--sequence", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: right.flags.above") and "'truncatd'" in err, err

@@ -4,14 +4,17 @@ The library reduces rational matrices in integers and builds its results
 without re-coercing entries; the oracle is the earlier Fraction-based code.
 Both must give the same reduced row echelon form, pivots, kernel, image and
 solutions, and every matrix a public operation returns must hold canonical
-scalars: `Fraction` over Q, ints in [0, p) over F_p.
+scalars: `Fraction` over Q, ints in [0, p) over F_p.  The sparse elimination
+of piece bases, `sparse_rref`, must give the pivots and reduced rows that the
+dense `Matrix.rref` gives on the same rows.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradedquiver.linalg import QQ, GF, Matrix, linear_combination
+from gradedquiver.linalg import QQ, GF, Matrix, linear_combination, sparse_rref
 
 import linalg_oracle as oracle
 
@@ -142,3 +145,67 @@ def test_degenerate_shapes():
             X = A.solve(Matrix.zeros(field, rows, 1))
             assert X == Matrix.zeros(field, cols, 1)
             assert A.transpose().rows == cols and A.transpose().cols == rows
+
+
+@st.composite
+def sparse_systems(draw):
+    """(field, columns, rows): rows are dicts {column: canonical scalar}, with
+    zero entries, empty and repeated rows, and rows whose leftmost entry
+    cancels against an earlier row."""
+    field = draw(st.sampled_from(FIELDS))
+    cols = draw(st.integers(1, 8))
+    entry = st.one_of(st.just(0), raw_scalar(field)).map(field.of)
+    row = st.dictionaries(st.integers(0, cols - 1), entry, max_size=4)
+    rows = draw(st.lists(row, max_size=8))
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), dict(rows[0]))
+    base = [r for r in rows if any(r.values())]
+    if base and draw(st.booleans()):
+        # the same leftmost entry plus a tail right of it
+        r = base[-1]
+        lead = min(j for j, x in r.items() if x)
+        tail = draw(st.dictionaries(st.integers(lead + 1, cols), entry, max_size=3))
+        r = dict(r)
+        for j, x in tail.items():
+            if j < cols:
+                r[j] = field.add(r.get(j, field.zero()), x)
+        rows.append(r)
+    return field, cols, rows
+
+
+def assert_sparse_matches_dense(field, cols, rows):
+    before = [dict(r) for r in rows]
+    got = sparse_rref(field, rows)
+    R, pivots = Matrix(field, len(rows), cols,
+                       [[r.get(j, 0) for j in range(cols)] for r in rows]).rref()
+    assert rows == before
+    assert sorted(got) == list(pivots)
+    assert ([[got[c].get(j, field.zero()) for j in range(cols)] for c in pivots]
+            == [list(R.data[i]) for i in range(len(pivots))])
+    for c, row in got.items():
+        assert row[c] == 1 and all(x for x in row.values())
+        if field.p is None:
+            assert all(type(x) is Fraction for x in row.values())
+        else:
+            assert all(type(x) is int and 0 <= x < field.p for x in row.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_systems())
+def test_sparse_rref_matches_dense_rref(system):
+    assert_sparse_matches_dense(*system)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.tag)
+def test_sparse_rref_degenerate_rows(field):
+    z, o = field.zero(), field.one()
+    two, half = field.of(2), field.of(Fraction(1, 2)) if field.p is None else field.of(3)
+    for cols, rows in (
+        (3, []),                                      # no rows
+        (3, [{}, {1: z}]),                            # zero rows
+        (1, [{0: two}, {0: o}, {0: z}]),              # one column
+        (4, [{1: two, 3: o}, {1: two, 3: o}]),        # repeated rows
+        (4, [{0: o, 2: two}, {0: o, 1: half}]),       # leftmost entry cancels
+        (4, [{2: o}, {0: o, 2: half}, {0: two, 3: o}]),
+    ):
+        assert_sparse_matches_dense(field, cols, rows)

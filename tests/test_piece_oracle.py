@@ -2,8 +2,9 @@
 
 Both methods must give the same coset-representative paths, the same normal
 form for every path and the same products of representatives, on the
-fixtures, on commutative and skew k[x,y,z], and on seeded random
-non-monomial algebras over cyclic quivers.
+fixtures, on commutative and skew k[x,y,z], on seeded random non-monomial
+algebras over cyclic quivers, and on k<x,y,z> modulo dense generic quadratic
+relations, whose rows fill in and, over Q, grow fractions.
 """
 
 import os
@@ -102,3 +103,22 @@ def test_random_cyclic_algebras_match_oracle(field):
         if checked == 16:
             break
     assert checked == 16
+
+
+def dense_quadratic_algebra(seed, field):
+    """k<x,y,z> modulo two or three relations, each a combination of all nine
+    quadratic words with seeded nonzero coefficients."""
+    rng = random.Random(seed)
+    names = ("x", "y", "z")
+    q = Quiver(["v"], [(n, "v", "v") for n in names])
+    words = [(a, b) for a in names for b in names]
+    units = [c for c in range(-9, 10) if c % (field.characteristic or 11)]
+    relations = [rel(q, [(rng.choice(units), w) for w in words])
+                 for _ in range(rng.randint(2, 3))]
+    return GradedAlgebra(q, field, relations)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+def test_dense_generic_relations_match_oracle(field):
+    for seed in range(8100, 8104):
+        assert_matches_oracle(dense_quadratic_algebra(seed, field), 4)
