@@ -228,7 +228,7 @@ class GradedAlgebra:
                 rows.append(row)
         # reduced as sparse rows; the RREF is unique, so the representatives
         # do not depend on how the rows are reduced
-        pivots = sparse_rref(f, rows)
+        pivots = sparse_rref(f, map(dict.items, rows))
         reps, col_rep = [], {}
         for a, prev in blocks:
             for i, rep in enumerate(prev.rep_paths):

@@ -33,8 +33,7 @@ def _window(text):
 @functools.lru_cache(maxsize=None)
 def build_parser():
     """The command-line parser, built once per process: parsing does not
-    change it, so every `main` call shares it, the concurrent ones of
-    run-tasks included."""
+    change it, so every `main` call shares it, those of run-tasks included."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--window", type=_window, default=None,
                         help="degree window lo:hi for realizations")
@@ -340,7 +339,6 @@ def run(args):
         return 0
 
     if args.command == "run-tasks":
-        from concurrent.futures import ThreadPoolExecutor
         if not problem.tasks:
             _emit(args, {"tasks": {}}, "no tasks")
             return 0
@@ -363,10 +361,7 @@ def run(args):
             argv += ["--json", "--out", out_file]
             return name, {"exit": main(argv), "out": out_file}
 
-        results = {}
-        with ThreadPoolExecutor(max_workers=4) as ex:
-            for name, res in ex.map(one, enumerate(problem.tasks)):
-                results[name] = res
+        results = dict(map(one, enumerate(problem.tasks)))
         payload = {"tasks": results}
         text = "\n".join(f"{n}  exit {r['exit']}  -> {r['out']}"
                          for n, r in results.items())

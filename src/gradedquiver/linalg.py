@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals and prime fields.
 
 Everything downstream (hom spaces, syzygies, translates) reduces to
-kernel/image/solve calls on small dense matrices; piece bases row-reduce
-sparse relation rows with `sparse_rref`.  The module is kept
+kernel/image/solve calls on small dense matrices.  There is one row
+reduction, `sparse_rref`: `Matrix.rref` hands it the rows of a matrix, and
+piece bases hand it their sparse relation rows.  The module is kept
 dependency-free and fully deterministic: same input, same output basis.
 
 Invariant: a Matrix holds canonical scalars of its field, `Fraction` over Q
@@ -272,18 +273,21 @@ class Matrix:
     def rref(self):
         """Reduced row echelon form and pivot columns.
 
-        Over the rationals the elimination runs on a denominator-cleared
-        integer copy: a fraction-free (Bareiss) forward pass, which bounds
-        intermediate entry growth, and an integer back substitution that
-        divides each row by its content; the pivot inside a column is the
-        candidate of smallest numerator bit-size.  Over a prime field, plain
-        Gauss-Jordan with first-nonzero pivoting.
+        The rows go to `sparse_rref`; its pivot rows are laid out densely in
+        pivot order, followed by the zero rows.  Memoized in `_rref`.
         """
         if self._rref is None:
-            if self.field.is_rationals:
-                self._rref = _rref_bareiss(self)
-            else:
-                self._rref = _rref_modp(self)
+            reduced = sparse_rref(self.field, map(enumerate, self.data))
+            pivots = tuple(sorted(reduced))
+            zeros = [self.field.zero()] * self.cols
+            data = []
+            for c in pivots:
+                out = zeros.copy()
+                for j, x in reduced[c].items():
+                    out[j] = x
+                data.append(tuple(out))
+            data.extend([tuple(zeros)] * (self.rows - len(pivots)))
+            self._rref = Matrix._make(self.field, self.rows, self.cols, tuple(data)), pivots
         return self._rref
 
     def rank(self):
@@ -353,41 +357,61 @@ def linear_combination(field, rows, cols, terms):
 
 
 def sparse_rref(field, rows):
-    """Reduced row echelon form of sparse rows {column: canonical scalar}, as
-    {pivot column: reduced row}, with work that follows the nonzeros.  The
-    rows are not changed.  Rows are kept unscaled, over Q as primitive integer
-    rows, and scaled to 1 at their pivot at the end.  The RREF is unique, so
-    this is `Matrix.rref` of the same rows.
+    """Reduced row echelon form of rows given as (column, canonical scalar)
+    pairs with distinct columns, such as a dict's items or a dense row's
+    `enumerate`, as {pivot column: reduced row}, each reduced row a dict
+    {column: scalar} without zeros; the work follows the nonzeros.  The rows
+    are taken in order: each is reduced by the pivot rows it touches, and a
+    nonzero remainder becomes the pivot row of its leftmost column, which is
+    cleared from the earlier pivot rows.  Over F_p a pivot row is scaled to 1
+    when it is made.  Over Q rows are kept as primitive integer rows and
+    scaled to 1 at the end, with one `Fraction` per entry.  The RREF is
+    unique, so this is the RREF of any order of the rows.
     """
     p = field.p
     pivots = {}
     for row in rows:
-        # over Q clear denominators; over F_p every denominator is 1
-        mult = lcm(*(x.denominator for x in row.values()))
-        row = {j: x.numerator * (mult // x.denominator) for j, x in row.items() if x}
+        row = {j: x for j, x in row if x}
+        if p is None:
+            mult = lcm(*[x.denominator for x in row.values()])
+            row = {j: x.numerator * (mult // x.denominator) for j, x in row.items()}
         # a pivot row is zero at every other pivot column
-        for c in [c for c in row if c in pivots]:
+        for c in row.keys() & pivots.keys():
             row = _eliminate(p, row, pivots[c], c)
         if row:
             lead = min(row)
+            if p is not None and row[lead] != 1:
+                inv = pow(row[lead], -1, p)
+                row = {j: x * inv % p for j, x in row.items()}
             for k, prow in pivots.items():
                 if lead in prow:
                     pivots[k] = _eliminate(p, prow, row, lead)
             pivots[lead] = row
-    if p is None:
-        return {c: {j: Fraction(x, row[c]) for j, x in row.items()} for c, row in pivots.items()}
-    return {c: {j: x * pow(row[c], -1, p) % p for j, x in row.items()} for c, row in pivots.items()}
+    if p is not None:
+        return pivots
+    return {c: {j: _ONE if j == c else Fraction(x, row[c]) for j, x in row.items()}
+            for c, row in pivots.items()}
 
 
 def _eliminate(p, row, prow, c):
-    """prow[c]*row - row[c]*prow without its zeros, over Q divided by its content."""
+    """row with its entry at c cleared by prow, without zeros: over F_p, where
+    prow[c] is 1, row - row[c]*prow; over Q prow[c]*row - row[c]*prow divided
+    by its content."""
+    if p is not None:
+        x = row[c]
+        row = row.copy()
+        for j, y in prow.items():
+            v = (row.get(j, 0) - x * y) % p
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+        return row
     g = gcd(row[c], prow[c])
     x, lead = row[c] // g, prow[c] // g
     row = {j: lead * v for j, v in row.items()}
     for j, y in prow.items():
         row[j] = row.get(j, 0) - x * y
-    if p is not None:
-        return {j: v % p for j, v in row.items() if v % p}
     g = gcd(*row.values())
     return {j: v // g for j, v in row.items() if v}
 
@@ -397,91 +421,6 @@ def kernel_image(A):
     ker = A.kernel_basis()
     im = A.image_basis()
     return ker, im, A.rank()
-
-
-def _rref_modp(A):
-    p = A.field.p
-    m = [list(row) for row in A.data]
-    rows, cols = A.rows, A.cols
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = None
-        for i in range(r, rows):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        top = m[r]
-        inv = pow(top[c], p - 2, p)
-        if inv != 1:
-            top = m[r] = [inv * v % p for v in top]
-        for i in range(rows):
-            q = m[i][c]
-            if q and i != r:
-                m[i] = [(a - q * b) % p for a, b in zip(m[i], top)]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return Matrix._make(A.field, rows, cols, tuple(map(tuple, m))), tuple(pivots)
-
-
-def _rref_bareiss(A):
-    # Forward pass: integer fraction-free elimination on denominator-cleared
-    # rows; entries stay bounded by minors of the cleared matrix.
-    rows, cols = A.rows, A.cols
-    m = []
-    for row in A.data:
-        mult = lcm(*(v.denominator for v in row)) if row else 1
-        if mult == 1:
-            m.append([v.numerator for v in row])
-        else:
-            m.append([v.numerator * (mult // v.denominator) for v in row])
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(cols):
-        cand = [i for i in range(r, rows) if m[i][c]]
-        if not cand:
-            continue
-        pr = min(cand, key=lambda i: (abs(m[i][c]).bit_length(), i))
-        m[r], m[pr] = m[pr], m[r]
-        for i in range(r + 1, rows):
-            if any(m[i][c:]):
-                piv = m[r][c]
-                vic = m[i][c]
-                mi, mr = m[i], m[r]
-                for j in range(c, cols):
-                    mi[j] = (piv * mi[j] - vic * mr[j]) // prev
-        prev = m[r][c]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    # Integer back substitution, last pivot first: clear the pivot column in
-    # the rows above, then divide each changed row by its content.
-    for r in range(len(pivots) - 1, 0, -1):
-        c = pivots[r]
-        mr = m[r]
-        piv = mr[c]
-        for i in range(r):
-            mi = m[i]
-            factor = mi[c]
-            if factor:
-                row = [piv * a - factor * b for a, b in zip(mi, mr)]
-                g = gcd(*row)
-                m[i] = [v // g for v in row] if g > 1 else row
-    # one Fraction per nonzero entry of the reduced rows
-    out = []
-    for r, c in enumerate(pivots):
-        piv = m[r][c]
-        out.append(tuple(_ONE if j == c else (Fraction(v, piv) if v else _ZERO)
-                         for j, v in enumerate(m[r])))
-    out.extend([(_ZERO,) * cols] * (rows - len(pivots)))
-    return Matrix._make(QQ, rows, cols, tuple(out)), tuple(pivots)
 
 
 def charpoly(A):
@@ -532,18 +471,6 @@ def charpoly(A):
                         new[idx] = f.add(new[idx], f.mul(c, t))
         poly = new
     return poly
-
-
-def poly_eval_matrix(poly, A):
-    """Evaluate a polynomial (low-first coefficients) at a square matrix."""
-    f = A.field
-    acc = Matrix.zeros(f, A.rows, A.rows)
-    power = Matrix.identity(f, A.rows)
-    for c in poly:
-        if c:
-            acc = acc + power.scale(c)
-        power = power @ A
-    return acc
 
 
 def poly_eval(poly, x, field):

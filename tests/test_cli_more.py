@@ -109,9 +109,9 @@ def test_cli_rad_top(capsys):
 
 def test_run_tasks_with_shared_parser_matches_sequential_main(tmp_path, capsys,
                                                              monkeypatch):
-    # run-tasks parses its tasks on 4 threads through the one parser the
-    # process keeps; the same commands run one by one must give the same
-    # exit codes and byte-identical output files
+    # run-tasks runs its tasks in order through the one parser the process
+    # keeps; the same commands run one by one through `main` must give the
+    # same exit codes and byte-identical output files
     with open(fix("fix_b"), encoding="utf-8") as fh:
         problem = json.load(fh)
     problem["tasks"] = [
@@ -130,10 +130,10 @@ def test_run_tasks_with_shared_parser_matches_sequential_main(tmp_path, capsys,
     ]
     pfile = tmp_path / "prob.json"
     pfile.write_text(json.dumps(problem))
-    threaded, sequential = tmp_path / "threaded", tmp_path / "sequential"
-    threaded.mkdir()
+    batch, sequential = tmp_path / "batch", tmp_path / "sequential"
+    batch.mkdir()
     sequential.mkdir()
-    monkeypatch.setenv("GRADEDQUIVER_OUT_DIR", str(threaded))
+    monkeypatch.setenv("GRADEDQUIVER_OUT_DIR", str(batch))
     assert main([str(pfile), "run-tasks", "--json"]) == 1  # one task is refused
     summary = json.loads(capsys.readouterr().out)["tasks"]
     monkeypatch.setenv("GRADEDQUIVER_OUT_DIR", str(sequential))
@@ -147,11 +147,11 @@ def test_run_tasks_with_shared_parser_matches_sequential_main(tmp_path, capsys,
             argv += ["--window", "{}:{}".format(*task["window"])]
         out = f"{task['name']}.json"
         assert main(argv + ["--json", "--out", out]) == summary[task["name"]]["exit"]
-        files = [sequential / out, threaded / summary[task["name"]]["out"]]
+        files = [sequential / out, batch / summary[task["name"]]["out"]]
         if files[0].exists() or files[1].exists():
             assert files[0].read_bytes() == files[1].read_bytes(), task
     assert [r["exit"] for r in summary.values()].count(1) == 1
-    assert not (threaded / "refused.json").exists()
+    assert not (batch / "refused.json").exists()
     # a bad argument still exits 2, and the parser still works afterwards
     for bad in (["pd", "--simple", "1", "--kind", "both-ways"], ["pd"], ["no-such-command"]):
         with pytest.raises(SystemExit) as e:

@@ -12,6 +12,18 @@ def M(field, rows):
     return Matrix(field, len(rows), len(rows[0]) if rows else 0, rows)
 
 
+def poly_eval_matrix(poly, A):
+    """Evaluate a polynomial (low-first coefficients) at a square matrix."""
+    f = A.field
+    acc = Matrix.zeros(f, A.rows, A.rows)
+    power = Matrix.identity(f, A.rows)
+    for c in poly:
+        if c:
+            acc = acc + power.scale(c)
+        power = power @ A
+    return acc
+
+
 def test_identity_kernel_empty():
     A = Matrix.identity(QQ, 2)
     ker, im, rank = kernel_image(A)
@@ -128,7 +140,6 @@ def test_charpoly_small_cases():
 def test_charpoly_cayley_hamilton(A):
     if A.rows != A.cols:
         A = Matrix.zeros(A.field, min(A.rows, A.cols), min(A.rows, A.cols))
-    from gradedquiver.linalg import poly_eval_matrix
     assert poly_eval_matrix(charpoly(A), A).is_zero()
 
 

@@ -1,12 +1,13 @@
 """Differential tests of the exact linear algebra against `linalg_oracle`.
 
-The library reduces rational matrices in integers and builds its results
-without re-coercing entries; the oracle is the earlier Fraction-based code.
-Both must give the same reduced row echelon form, pivots, kernel, image and
-solutions, and every matrix a public operation returns must hold canonical
-scalars: `Fraction` over Q, ints in [0, p) over F_p.  The sparse elimination
-of piece bases, `sparse_rref`, must give the pivots and reduced rows that the
-dense `Matrix.rref` gives on the same rows.
+Every row reduction of the library runs in `sparse_rref`, over Q on integer
+rows; the oracle is the earlier dense code (Bareiss with a back substitution
+in `Fraction`s over Q, Gauss-Jordan over F_p).  Both must give the same
+reduced row echelon form, pivots, kernel, image and solutions, and every
+matrix a public operation returns must hold canonical scalars: `Fraction`
+over Q, ints in [0, p) over F_p.  `sparse_rref` is also checked on sparse
+rows directly, and on dense rational matrices larger than the Hypothesis ones
+(a Hilbert matrix, a rank-deficient wide matrix), where entries grow most.
 """
 
 from fractions import Fraction
@@ -175,13 +176,13 @@ def sparse_systems(draw):
 
 def assert_sparse_matches_dense(field, cols, rows):
     before = [dict(r) for r in rows]
-    got = sparse_rref(field, rows)
-    R, pivots = Matrix(field, len(rows), cols,
-                       [[r.get(j, 0) for j in range(cols)] for r in rows]).rref()
+    got = sparse_rref(field, map(dict.items, rows))
+    R, pivots = oracle.rref(field, len(rows), cols,
+                            [[r.get(j, field.zero()) for j in range(cols)] for r in rows])
     assert rows == before
     assert sorted(got) == list(pivots)
     assert ([[got[c].get(j, field.zero()) for j in range(cols)] for c in pivots]
-            == [list(R.data[i]) for i in range(len(pivots))])
+            == R[:len(pivots)])
     for c, row in got.items():
         assert row[c] == 1 and all(x for x in row.values())
         if field.p is None:
@@ -209,3 +210,43 @@ def test_sparse_rref_degenerate_rows(field):
         (4, [{2: o}, {0: o, 2: half}, {0: two, 3: o}]),
     ):
         assert_sparse_matches_dense(field, cols, rows)
+
+
+def assert_rref_matches_oracle(A):
+    R, pivots = A.rref()
+    R0, pivots0 = oracle.rref(A.field, A.rows, A.cols, A.data)
+    assert pivots == pivots0 and [list(row) for row in R.data] == R0
+    assert canonical(R)
+    return R, pivots
+
+
+def test_rref_hilbert_10():
+    """The 10x10 Hilbert matrix: invertible, so its RREF is the identity, and
+    solving against the identity gives its inverse, with entries above 10^12."""
+    n = 10
+    A = Matrix(QQ, n, n, [[Fraction(1, i + j + 1) for j in range(n)] for i in range(n)])
+    R, pivots = assert_rref_matches_oracle(A)
+    assert pivots == tuple(range(n)) and R == Matrix.identity(QQ, n)
+    X = A.solve(Matrix.identity(QQ, n))
+    assert A @ X == Matrix.identity(QQ, n)
+    # a known entry of the inverse Hilbert matrix
+    assert X[n - 1, n - 1] == 44914183600
+
+
+def test_rref_rank_deficient_8x12():
+    """Rank 5 of 8 rows in 12 columns: three rows are rational combinations of
+    the others, and the entries have large numerators and denominators."""
+    base = [[Fraction((7 * i + 3 * j * j + 1) % 23 - 11, (i * j) % 9 + 1) for j in range(12)]
+            for i in range(5)]
+    mixes = ((Fraction(3, 7), Fraction(-5, 2), 0, 1, Fraction(11, 13)),
+             (Fraction(-1, 3), 0, Fraction(17, 4), Fraction(2, 9), 0),
+             (1, 1, 1, 1, Fraction(-1, 5)))
+    extra = [[sum(c * row[j] for c, row in zip(mix, base)) for j in range(12)]
+             for mix in mixes]
+    data = base[:2] + [extra[0]] + base[2:4] + [extra[1], base[4], extra[2]]
+    A = Matrix(QQ, 8, 12, data)
+    R, pivots = assert_rref_matches_oracle(A)
+    assert len(pivots) == 5 and R.data[5:] == ((Fraction(0),) * 12,) * 3
+    K = A.kernel_basis()
+    assert K.cols == 7 and (A @ K).is_zero()
+    assert columns(K) == oracle.kernel_columns(QQ, 8, 12, A.data)
