@@ -50,13 +50,6 @@ class TransposeData:
             return zm, GradedMorphism.zero(zm, zm)
         return _memo(self._realized, tuple(window), lambda: self.d.realize(window).cokernel())
 
-    def transpose_back(self):
-        """The double-transpose differential (equals the original for
-        minimal presentations of indecomposable non-projectives)."""
-        if self.is_zero():
-            return None
-        return self.d.transpose_to_opposite()
-
 
 def transpose(M, pres=None):
     """The graded transpose as presented data over the opposite algebra,
@@ -273,6 +266,10 @@ def _pushout_sequence(C, A, pres, ext, xi_tuple):
     h = psum_hom_to_morphism(pres.p1, A, xi_tuple, W)
     A_W = h.target
     C_W = C.with_window(lo, hi)
+    if C_W is not C:
+        # the same pieces on a wider window: C_W shares C's derived data but
+        # the dual; users read C through pres.module and end.hom.source
+        C_W._derived.update((k, v) for k, v in C._derived.items() if k != "dual")
     _total, injs, prjs = direct_sum([A_W, d1.target])
     into = injs[0].compose(h) + injs[1].compose(d1.scale(A.algebra.field.of(-1)))
     E, proj = into.cokernel()
@@ -280,21 +277,18 @@ def _pushout_sequence(C, A, pres, ext, xi_tuple):
     # g factors the augmentation through the quotient: on representatives,
     # kill the A part and apply aug on the P0 part
     g_blocks = {}
-    for (d, x), edim in E.dims.items():
-        sect = _section_of_projection(proj, (d, x))
-        g_blocks[(d, x)] = aug.block(d, x) @ prjs[1].block(d, x) @ sect
+    for (d, x) in E.dims:
+        g_blocks[(d, x)] = (aug.block(d, x) @ prjs[1].block(d, x)).select_cols(
+            _pivot_columns(proj.block(d, x)))
     g = GradedMorphism(E, C_W, g_blocks, check=False)
     return A_W, E, C_W, f, g
 
 
-def _section_of_projection(proj, key):
-    """A right inverse of one cokernel-projection block."""
-    blk = proj.block(*key)
-    f = proj.source.algebra.field
-    sol = blk.solve(Matrix.identity(f, blk.rows))
-    if sol is None:
-        raise MathRefusal("projection block is not surjective")
-    return sol
+def _pivot_columns(blk):
+    """The pivot columns of a matrix in rref without zero rows, such as a
+    cokernel-projection block (see `GradedMorphism.cokernel`): the unit
+    vectors there are a right inverse of it."""
+    return [next(c for c, v in enumerate(row) if v) for row in blk.data]
 
 
 def _ass_starting(N, pad, budget, seed):

@@ -9,10 +9,11 @@ flag intersects them, rather than silently approximating.
 Modules are immutable: their dims and maps are fixed in `__init__` and never
 written afterwards.  Data derived from a module is therefore computed once
 and kept on it (see `_memo`): its dual, which links back so that
-`M.dual().dual() is M`, its minimal presentation and its endomorphism
-algebra.  Standard modules are kept once per algebra, by kind, vertex, shift
-and window.  Callers must not mutate a module, a morphism or a matrix they
-are handed, since the same object may be handed to every later caller.
+`M.dual().dual() is M`, its projective cover, its minimal presentation and
+its endomorphism algebra.  Standard modules are kept once per algebra, by
+kind, vertex, shift and window.  Callers must not mutate a module, a
+morphism or a matrix they are handed, since the same object may be handed
+to every later caller.
 
 A standard projective P_a<s> is a re-indexed view of the column A e_a, whose
 per-degree dims and arrow actions the algebra computes once (`column`,
@@ -58,7 +59,9 @@ class GradedModule:
                 raise InputError(f"map {name}@{i} has shape {mat.rows}x{mat.cols}, "
                                  f"expected {rows}x{cols}")
             self.maps[(name, i)] = mat
-        self._derived = {}  # dual, presentation, End: computed once, see _memo
+        # dual, cover, presentation, End: computed once, see _memo; a copy on
+        # a wider window may share all but the dual (_pushout_sequence)
+        self._derived = {}
         if check:
             bad = self.validate()
             if bad is not None:
@@ -284,20 +287,6 @@ class GradedModule:
         rad, incl = self.radical()
         return incl.cokernel()
 
-    def classify(self):
-        """Semisimplicity report: semisimple iff every arrow acts by zero."""
-        if not self.is_exact:
-            raise WindowError("classification needs an exact window")
-        semisimple = all(m.is_zero() for m in self.maps.values()) and not self.is_zero()
-        which = []
-        if semisimple:
-            which = [(x, -i, n) for (i, x), n in sorted(self.dims.items())]
-        return {
-            "simple": semisimple and self.total_dim() == 1,
-            "semisimple": semisimple,
-            "which": which,
-        }
-
     # -- serialization --------------------------------------------------------
 
     def to_json_dict(self):
@@ -507,28 +496,36 @@ class GradedMorphism:
         return I, GradedMorphism(I, self.target, blocks, check=False)
 
     def cokernel(self):
-        """(C = target/Im f, projection target -> C)."""
+        """(C = target/Im f, projection target -> C), one reduction a piece.
+
+        The rref of [B | I_n], for f's n x m block B at a piece, holds it all:
+        its pivots from column m on, less m, are the k whose unit vectors e_k
+        extend the image (see `_complement_indices`), and its rows below the
+        rank of B, in the I_n part, are the projection block, which kills the
+        image and has unit columns at those k.  So the e_k are a section, and
+        C's maps are the target's at those columns, projected.
+        """
         f = self.source.algebra.field
         proj_blocks = {}
-        sect_blocks = {}
-        dims = {}
+        complements = {}
         for (i, x), n in self.target.dims.items():
-            img = self.block(i, x).image_basis()
-            reps = Matrix.identity(f, n).select_cols(_complement_indices(f, img, n))
-            if reps.cols == 0:
+            blk = self.block(i, x)
+            m = blk.cols
+            R, pivots = blk.hstack(Matrix.identity(f, n)).rref()
+            rank = sum(1 for c in pivots if c < m)
+            if rank == n:
                 continue
-            dims[(i, x)] = reps.cols
-            full = img.hstack(reps) if img.cols else reps
-            inv = full.solve(Matrix.identity(f, n))
-            proj_blocks[(i, x)] = Matrix._make(f, reps.cols, n, inv.data[img.cols:])
-            sect_blocks[(i, x)] = reps
+            proj_blocks[(i, x)] = Matrix._make(f, n - rank, n,
+                                               tuple(row[m:] for row in R.data[rank:]))
+            complements[(i, x)] = [c - m for c in pivots[rank:]]
+        dims = {ix: proj.rows for ix, proj in proj_blocks.items()}
         maps = {}
         for (i, x) in sorted(dims):
             for a in self.target.algebra.quiver.arrows_from[x]:
                 if dims.get((i + 1, a.target), 0) == 0 or i + 1 > self.target.hi:
                     continue
                 maps[(a.name, i)] = (proj_blocks[(i + 1, a.target)]
-                                     @ self.target.map(a.name, i) @ sect_blocks[(i, x)])
+                                     @ self.target.map(a.name, i).select_cols(complements[(i, x)]))
         C = GradedModule(self.target.algebra, self.target.lo, self.target.hi, dims, maps,
                          exact_below=self.target.exact_below,
                          exact_above=self.target.exact_above, check=False)

@@ -181,10 +181,6 @@ def ghom(M, N):
     return HomSpace(M2, N2, basis)
 
 
-def ghom_dim(M, N):
-    return ghom(M, N).dim
-
-
 # -- homs out of formal projectives ------------------------------------------
 
 

@@ -215,17 +215,6 @@ def top_basis(M):
     return [ModuleElement(M, i, x, vec) for i, x, vec in _kernel_generators(M, whole, M.hi)]
 
 
-def soc_basis(M):
-    """A basis of soc M as pure elements of M."""
-    soc, incl = M.socle()
-    out = []
-    for (i, x) in soc.support():
-        blk = incl.block(i, x)
-        for c in range(blk.cols):
-            out.append(ModuleElement(M, i, x, blk.col(c)))
-    return out
-
-
 class Cover:
     """A projective cover: formal sum, generator images, realized epimorphism."""
 
@@ -278,7 +267,13 @@ class Cover:
 
 
 def projective_cover(M):
-    """Cover built on one shifted projective per top-basis element."""
+    """Cover built on one shifted projective per top-basis element; computed
+    once per module, so M's presentation, the stable homs into M and M's
+    translates share one top basis and the cover's realizations."""
+    return _memo(M._derived, "cover", lambda: _projective_cover(M))
+
+
+def _projective_cover(M):
     gens = top_basis(M)
     psum = ProjSum(M.algebra, [(g.vertex, -g.degree) for g in gens])
     return Cover(psum, gens)
@@ -290,9 +285,11 @@ class ProjPresentation:
     Formal: the cover P0 -> M, the PMap d1 and the window [lo(M), hi(M)+1]
     that holds the generators of P1.  The first syzygy is im d1; it is read
     off the realized d1, whose column at the j-th generator of P1 is that
-    generator's image in P0.  Immutable, like the module it presents;
+    generator's image in P0.  The cover is the module's own
+    (`projective_cover`).  Immutable, like the module it presents;
     `_derived` keeps data computed from it once (the transpose, filled by
-    artheory).
+    artheory).  A copy of the module on a wider window may share it (see
+    `artheory._pushout_sequence`), so users read the module as `module`.
     """
 
     def __init__(self, module, cover0, d1, window):

@@ -1,6 +1,8 @@
 import pytest
 
-from gradedquiver import Quiver, GradedAlgebra, Relation, QQ
+from gradedquiver import Quiver, GradedAlgebra, Relation, QQ, WindowError
+from gradedquiver.gmodule import ModuleElement
+from gradedquiver.homs import ghom
 
 
 def rel(quiver, terms):
@@ -52,6 +54,42 @@ def make_polynomial(field=QQ, skew=None):
             c = 1 if skew is None else skew[(i, j)]
             relations.append(rel(q, [(1, (names[j], names[i])), (-c, (names[i], names[j]))]))
     return GradedAlgebra(q, field, relations)
+
+
+# -- readings of library data that only the tests use ---------------------------
+
+
+def ghom_dim(M, N):
+    return ghom(M, N).dim
+
+
+def classify(M):
+    """Semisimplicity report: semisimple iff every arrow acts by zero."""
+    if not M.is_exact:
+        raise WindowError("classification needs an exact window")
+    semisimple = all(m.is_zero() for m in M.maps.values()) and not M.is_zero()
+    which = [(x, -i, n) for (i, x), n in sorted(M.dims.items())] if semisimple else []
+    return {"simple": semisimple and M.total_dim() == 1,
+            "semisimple": semisimple,
+            "which": which}
+
+
+def soc_basis(M):
+    """A basis of soc M as pure elements of M."""
+    soc, incl = M.socle()
+    out = []
+    for (i, x) in soc.support():
+        blk = incl.block(i, x)
+        out.extend(ModuleElement(M, i, x, blk.col(c)) for c in range(blk.cols))
+    return out
+
+
+def transpose_back(trdata):
+    """The double-transpose differential of transpose data (equal to the
+    original for minimal presentations of indecomposable non-projectives)."""
+    if trdata.is_zero():
+        return None
+    return trdata.d.transpose_to_opposite()
 
 
 @pytest.fixture(scope="session")

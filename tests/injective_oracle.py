@@ -11,7 +11,9 @@ checks that both routes agree.
 
 from gradedquiver import Matrix, WindowError, standard_module
 from gradedquiver.gmodule import _sum_with_offsets, zero_module
-from gradedquiver.homs import HomSpace, ghom_dim, hom_psum_dim
+from gradedquiver.homs import HomSpace, hom_psum_dim
+
+from conftest import ghom_dim
 
 
 def ghom_to_injective(M, vertex, s):

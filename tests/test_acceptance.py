@@ -24,7 +24,7 @@ from gradedquiver.artheory import (TransposeData, transpose, tau, tau_inverse,
                                    nakayama, almost_split_sequence,
                                    verify_almost_split, find_isomorphism)
 
-from conftest import make_fix_a, make_fix_b, make_fix_c, make_fix_d, rel
+from conftest import make_fix_a, make_fix_b, make_fix_c, make_fix_d, rel, transpose_back
 from ext_oracle import ext1_dim_oracle, ext1_dim_oracle_exhaustive
 from injective_oracle import nakayama_pairing_dims
 from quiver_paths import count_paths
@@ -319,7 +319,7 @@ def test_criterion_5_round_trips():
         if is_strongly_indecomposable(M).status != "yes":
             continue
         tr = transpose(M, pres)
-        back = tr.transpose_back()
+        back = transpose_back(tr)
         lo, hi = M.lo - 1, M.hi + 1
         cok, _proj = back.realize((lo, hi)).cokernel()
         assert not any(d < M.lo or d > M.hi for (d, _x) in cok.dims), \

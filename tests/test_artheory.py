@@ -7,6 +7,7 @@ from gradedquiver.artheory import (transpose, tau, tau_inverse, nakayama,
                                    ar_formula_check, almost_split_sequence,
                                    verify_almost_split, find_isomorphism)
 
+from conftest import transpose_back
 from injective_oracle import nakayama_pairing_dims
 
 
@@ -36,7 +37,7 @@ def test_double_transpose_differential(fix_c):
     rad, _ = standard_module(fix_c, "P", "1", 0, window=(0, 12)).radical()
     pres = minimal_presentation(rad)
     tr = transpose(rad, pres)
-    back = tr.transpose_back()
+    back = transpose_back(tr)
     assert back.src.summands == pres.d1.src.summands
     assert back.dst.summands == pres.d1.dst.summands
     for r1, r2 in zip(back.entries, pres.d1.entries):

@@ -17,14 +17,17 @@ import threading
 
 import pytest
 
-from gradedquiver import GradedQuiverError, standard_module
-from gradedquiver.artheory import (almost_split_sequence, ar_formula_check, tau,
-                                   tau_inverse, transpose, verify_almost_split)
+from gradedquiver import GradedQuiverError, direct_sum, standard_module
+from gradedquiver import homs, presentations
+from gradedquiver.artheory import (AlmostSplitSequence, almost_split_sequence,
+                                   ar_formula_check, tau, tau_inverse, transpose,
+                                   verify_almost_split)
+from gradedquiver.gmodule import GradedMorphism
 from gradedquiver.homs import end_algebra
-from gradedquiver.presentations import minimal_presentation
+from gradedquiver.presentations import minimal_presentation, projective_cover
 from gradedquiver.problem import canonical_dumps, parse_problem_dict
 
-from conftest import make_fix_d
+from conftest import make_fix_b, make_fix_c, make_fix_d
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -44,6 +47,8 @@ def test_presentation_dual_end_and_transpose_are_computed_once():
     trdata = transpose(S)
     assert trdata.realize((-5, 3)) is trdata.realize((-5, 3))
     assert tau_inverse(S).presentation is minimal_presentation(S.dual())
+    assert projective_cover(S) is projective_cover(S)
+    assert minimal_presentation(S).cover0 is projective_cover(S)
 
 
 def test_standard_modules_are_kept_per_algebra_and_key():
@@ -68,6 +73,88 @@ def test_copies_of_a_module_do_not_share_memos():
     assert minimal_presentation(T) is not minimal_presentation(S)
     assert (canonical_dumps(minimal_presentation(T).to_json_dict())
             != canonical_dumps(minimal_presentation(S).to_json_dict()))
+
+
+# -- the right term of an almost split sequence ------------------------------
+
+# simples with an almost split sequence ending there, on fixtures where the
+# sequence's window is wider than the simple's
+ENDING_SIMPLES = [(make_fix_b, "1"), (make_fix_c, "1"), (make_fix_d, "2")]
+
+
+@pytest.mark.parametrize("make, vertex", ENDING_SIMPLES)
+def test_right_term_shares_the_data_of_the_ending_module(make, vertex):
+    S = standard_module(make(), "S", vertex, 0)
+    S.dual()
+    seq = almost_split_sequence(S, "ending")
+    assert seq.C is not S and (seq.C.lo, seq.C.hi) != (S.lo, S.hi)
+    assert seq.C.dims == S.dims
+    assert minimal_presentation(seq.C) is minimal_presentation(S)
+    assert end_algebra(seq.C) is end_algebra(S)
+    assert transpose(seq.C) is transpose(S)
+    # the window-dependent dual is not shared
+    assert (seq.C.dual().lo, seq.C.dual().hi) == (-seq.C.hi, -seq.C.lo)
+
+
+@pytest.mark.parametrize("make, vertex", ENDING_SIMPLES)
+def test_split_sequence_on_warm_terms_is_refused(make, vertex):
+    # the terms of a real sequence carry its memos; the split sequence on the
+    # same objects must still be read off its own maps
+    S = standard_module(make(), "S", vertex, 0)
+    seq = almost_split_sequence(S, "ending")
+    assert verify_almost_split(seq) == (True, [])
+    total, injs, prjs = direct_sum([seq.A, seq.C])
+    split = AlmostSplitSequence(seq.A, total, seq.C, injs[0], prjs[1], {}, "ending")
+    ok, failures = verify_almost_split(split)
+    assert not ok
+    assert "nonsplit: extension class is zero" in failures, failures
+    assert verify_almost_split(seq) == (True, [])
+
+
+@pytest.mark.parametrize("make, vertex", ENDING_SIMPLES)
+def test_verifying_an_ending_sequence_builds_nothing_again_for_its_right_term(
+        make, vertex, monkeypatch):
+    S = standard_module(make(), "S", vertex, 0)
+    built = {"presentation": [], "end": [], "cokernel": []}
+    make_presentation = presentations._minimal_presentation
+    end_init = homs.EndAlgebra.__init__
+    cokernel = GradedMorphism.cokernel
+
+    def presentation_of(M):
+        built["presentation"].append(M)
+        return make_presentation(M)
+
+    def end_of(self, homspace):
+        built["end"].append(homspace.source)
+        end_init(self, homspace)
+
+    def cokernel_of(self):
+        built["cokernel"].append(self)
+        return cokernel(self)
+
+    monkeypatch.setattr(presentations, "_minimal_presentation", presentation_of)
+    monkeypatch.setattr(homs.EndAlgebra, "__init__", end_of)
+    monkeypatch.setattr(GradedMorphism, "cokernel", cokernel_of)
+
+    def for_C():
+        """The recorded builds for S or a re-windowed copy of it."""
+        realized = list(transpose(S).d._realized.values())
+        return {"presentation": [M for M in built["presentation"] if is_like_S(M)],
+                "end": [M for M in built["end"] if is_like_S(M)],
+                "cokernel": [m for m in built["cokernel"]
+                             if any(m is r for r in realized)]}
+
+    def is_like_S(M):
+        return M.algebra is S.algebra and M.dims == S.dims
+
+    seq = almost_split_sequence(S, "ending")
+    # the guard sees the builds: the construction makes each of them once
+    assert {k: len(v) for k, v in for_C().items()} == \
+        {"presentation": 1, "end": 1, "cokernel": 1}
+    for made in built.values():
+        made.clear()
+    assert verify_almost_split(seq) == (True, [])
+    assert for_C() == {"presentation": [], "end": [], "cokernel": []}
 
 
 def test_concurrent_first_use_hands_out_one_object():

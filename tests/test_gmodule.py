@@ -4,6 +4,8 @@ from gradedquiver import (QQ, Matrix, GradedModule, GradedMorphism,
                           standard_module, direct_sum)
 from gradedquiver.errors import InputError, WindowError
 
+from conftest import classify
+
 
 def test_standard_projective_fix_b(fix_b):
     P1 = standard_module(fix_b, "P", "1", 0, window=(0, 3))
@@ -135,7 +137,7 @@ def test_top_of_projective_is_simple(fix_c):
     assert P1.is_exact
     top, _ = P1.top()
     assert top.dims == {(0, "1"): 1}
-    assert top.classify()["semisimple"]
+    assert classify(top)["semisimple"]
 
 
 def test_socle_shrinks_truncated_window(fix_a):
@@ -163,15 +165,15 @@ def test_radical_shrinks_truncated_below(fix_a):
 
 def test_classify(fix_b):
     S2 = standard_module(fix_b, "S", "2", -1)
-    r = S2.classify()
+    r = classify(S2)
     assert r["simple"] and r["which"] == [("2", -1, 1)]
     S1 = standard_module(fix_b, "S", "1", 0)
     both, _inj, _prj = direct_sum([S1, S1])
-    r = both.classify()
+    r = classify(both)
     assert r["semisimple"] and not r["simple"]
     assert r["which"] == [("1", 0, 2)]
     P1 = standard_module(fix_b, "P", "1", 0, window=(0, 1))
-    assert not P1.classify()["semisimple"]
+    assert not classify(P1)["semisimple"]
 
 
 def test_direct_sum_round_trip(fix_b):

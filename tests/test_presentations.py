@@ -2,10 +2,12 @@ import pytest
 
 from gradedquiver import standard_module
 from gradedquiver.errors import WindowError
-from gradedquiver.presentations import (ProjSum, PMap, top_basis, soc_basis,
+from gradedquiver.presentations import (ProjSum, PMap, top_basis,
                                         projective_cover, minimal_presentation,
                                         injective_envelope, resolution,
                                         graded_dimension)
+
+from conftest import soc_basis
 
 
 def S(alg, v, s=0, window=None):
