@@ -409,6 +409,14 @@ class GradedAlgebra:
                     if pieces[(degree, gen_vertex, x)].dim)
         return self._columns.setdefault((gen_vertex, degree), col)
 
+    def height(self, vertex, cap):
+        """The last nonzero degree of the column A e_vertex; None unless it
+        vanishes up to degree max(cap, number of vertices), as acyclic ones do."""
+        bound = max(cap, len(self.quiver.vertices))
+        self.column(vertex, bound)
+        vanish = self._vanish.get(vertex, math.inf)
+        return vanish - 1 if vanish <= bound else None
+
     def column_maps(self, gen_vertex, degree):
         """{arrow name: left multiplication by the arrow from degree `degree` of
         A e_gen}, for the arrows, in quiver order, between nonzero pieces of the

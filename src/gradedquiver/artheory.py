@@ -1,20 +1,23 @@
 """Transpose, Nakayama functor, translates, and almost split sequences.
 
 The transpose of a presented module is the cokernel of the entrywise-opposite
-transposed presentation matrix; the translates are its windowed duals.  The
-Nakayama functor sends a projective map to its transpose over the opposite
-algebra, which stands for a map of injectives through duality.  An
-almost split sequence ending at C is assembled from a nonzero extension class
-annihilated by the radical of End(C), realized as an explicit pushout, and
-every constructed sequence carries a verification certificate.
+transposed presentation matrix, so a quotient of its cover; the translates are
+its windowed duals, realized on the hull of the requested window and the
+cover's formal support (`ProjSum.support`): exact where the column heights
+are known up to the cap, flagged truncated where not.  The Nakayama functor
+sends a projective map to its transpose over the opposite algebra, which
+stands for a map of injectives through duality.  An almost split sequence
+ending at C is assembled from a nonzero extension class annihilated by the
+radical of End(C), realized as an explicit pushout, and every constructed
+sequence carries a verification certificate.
 """
 
 import random
 
 from .errors import InputError, WindowError, MathRefusal
 from .linalg import Matrix
-from .gmodule import GradedMorphism, direct_sum, zero_module, _memo
-from .presentations import ProjSum, minimal_presentation, _pmap_generator_image
+from .gmodule import GradedMorphism, ModuleElement, direct_sum, zero_module, _memo
+from .presentations import Cover, ProjSum, minimal_presentation, _pmap_generator_image
 from .homs import (ghom, end_algebra, is_strongly_indecomposable,
                    ext1, ExtSpace, EndActionOnExt, underline_hom_dim,
                    overline_hom_dim, psum_hom_to_morphism)
@@ -34,17 +37,20 @@ class TransposeData:
         if pres.module_is_projective():
             self.d = None
             self.cover_psum = ProjSum(self.algebra, [])
-            self.p1 = ProjSum(self.algebra, [])
         else:
             self.d = pres.d1.transpose_to_opposite()  # p0^t -> p1^t
             self.cover_psum = self.d.dst
-            self.p1 = self.d.src
 
     def is_zero(self):
         return self.d is None
 
-    def realize(self, window):
-        """(Tr M on the window, projection from the realized cover)."""
+    def realize(self, window, cap=None):
+        """(Tr M, projection from the realized cover) on the window, or given a
+        cap on its hull with the cover's support (`ProjSum.support`): cut at the
+        window's top, and flagged truncated, only where a height is unknown."""
+        if cap is not None:
+            lo, hi = self.cover_psum.support(cap)
+            window = (min(window[0], lo), window[1] if hi is None else max(window[1], hi))
         if self.is_zero():
             zm = zero_module(self.algebra, *window)
             return zm, GradedMorphism.zero(zm, zm)
@@ -62,58 +68,47 @@ def transpose(M, pres=None):
 class TauResult:
     """A realized translate plus the transpose data behind it."""
 
-    def __init__(self, module, warning, trdata, pres):
+    def __init__(self, module, warning, trdata):
         self.module = module
         self.warning = warning
         self.transpose = trdata
-        self.presentation = pres
+        self.presentation = trdata.source_pres
 
     def is_zero(self):
         return self.module.is_zero()
 
 
-def tau(M, window=None, pad=4, check_verdict=True, budget=64, seed=0):
-    """The right translate: the windowed dual of the transpose.
+def tau(M, window=None, cap=10, check_verdict=True, budget=64, seed=0):
+    """The right translate D Tr M, on the hull of the window (by default M's)
+    and its support; Tr is realized by `TransposeData.realize` with the cap.
 
     Refuses unless the input is certified strongly indecomposable (pass
     check_verdict=False for bulk dimension checks, where the translate is
     defined for any finitely presented module).
     """
-    trdata = transpose(M)
-    pres = trdata.source_pres
-    if window is None:
-        window = (M.lo - pad, M.hi + 2 + pad)
+    return _translate(M, transpose(M), False, window, cap, check_verdict, budget, seed)
+
+
+def tau_inverse(N, window=None, cap=10, check_verdict=True, budget=64, seed=0):
+    """The left translate Tr D N, likewise."""
+    # the transpose of D N lives over the double opposite = base algebra
+    return _translate(N, transpose(N.dual()), True, window, cap, check_verdict, budget, seed)
+
+
+def _translate(M, trdata, inverse, window, cap, check_verdict, budget, seed):
+    lo, hi = window or (M.lo, M.hi)
     if trdata.is_zero():
-        return TauResult(zero_module(M.algebra, *window),
-                         "input is graded projective; the translate is zero",
-                         trdata, pres)
+        return TauResult(zero_module(M.algebra, lo, hi),
+                         f"input is graded {'injective' if inverse else 'projective'}; "
+                         f"the translate is zero", trdata)
     if check_verdict:
         verdict = is_strongly_indecomposable(M, budget=budget, seed=seed)
         if verdict.status != "yes":
             raise MathRefusal(f"translate needs a certified indecomposable "
                               f"input; verdict was {verdict.status!r}")
-    lo, hi = window
-    trmod, _proj = trdata.realize((-hi, -lo))
-    return TauResult(trmod.dual_windowed(), None, trdata, pres)
-
-
-def tau_inverse(N, window=None, pad=4, check_verdict=True, budget=64, seed=0):
-    """The left translate: the transpose of the dual."""
-    trdata = transpose(N.dual())  # over the double opposite = base algebra
-    pres = trdata.source_pres
-    if window is None:
-        window = (N.lo - 1, N.hi + 1 + pad)
-    if trdata.is_zero():
-        return TauResult(zero_module(N.algebra, *window),
-                         "input is graded injective; the translate is zero",
-                         trdata, pres)
-    if check_verdict:
-        verdict = is_strongly_indecomposable(N, budget=budget, seed=seed)
-        if verdict.status != "yes":
-            raise MathRefusal(f"translate needs a certified indecomposable "
-                              f"input; verdict was {verdict.status!r}")
-    trmod, _proj = trdata.realize(window)
-    return TauResult(trmod, None, trdata, pres)
+    if inverse:
+        return TauResult(trdata.realize((lo, hi), cap)[0], None, trdata)
+    return TauResult(trdata.realize((-hi, -lo), cap)[0].dual_windowed(), None, trdata)
 
 
 # -- Nakayama functor ---------------------------------------------------------
@@ -135,30 +130,22 @@ def nakayama(pmap):
 # -- AR formula ----------------------------------------------------------------
 
 
-def ar_formula_check(M, X, pad=4):
+def ar_formula_check(M, X, cap=10):
     """The two dimension identities relating stable homs and Ext against the
     translates; returns all four numbers and the two verdicts."""
-    report = {}
     lhs1 = underline_hom_dim(M, X)
-    t = tau(M, window=(min(M.lo, X.lo) - pad, max(M.hi, X.hi) + 2 + pad),
+    # Ext^1(X, tau M) reads tau M only at the generator degrees of X's presentation
+    pres = minimal_presentation(X)
+    degrees = [-s for _a, s in pres.p0.summands + pres.p1.summands]
+    t = tau(M, window=(min(degrees), max(degrees)) if degrees else None, cap=cap,
             check_verdict=False)
-    if t.is_zero():
-        rhs1 = 0
-    else:
-        rhs1 = ext1(X, t.module).dim
-    report["underline_hom"] = lhs1
-    report["ext_against_tau"] = rhs1
-    report["formula1_holds"] = lhs1 == rhs1
+    rhs1 = 0 if t.is_zero() else ext1(X, t.module, pres=pres).dim
     lhs2 = overline_hom_dim(X, M)
-    ti = tau_inverse(M, check_verdict=False)
-    if ti.is_zero():
-        rhs2 = 0
-    else:
-        rhs2 = ExtSpace(ti.transpose.d, X).dim
-    report["overline_hom"] = lhs2
-    report["ext_of_tau_inverse"] = rhs2
-    report["formula2_holds"] = lhs2 == rhs2
-    return report
+    # Ext^1(tau^- M, X) from the presentation of tau^- M = Tr D M, unrealized
+    trd = transpose(M.dual())
+    rhs2 = 0 if trd.is_zero() else ExtSpace(trd.d, X).dim
+    return {"underline_hom": lhs1, "ext_against_tau": rhs1, "formula1_holds": lhs1 == rhs1,
+            "overline_hom": lhs2, "ext_of_tau_inverse": rhs2, "formula2_holds": lhs2 == rhs2}
 
 
 # -- almost split sequences ------------------------------------------------------
@@ -188,15 +175,17 @@ class AlmostSplitSequence:
         }
 
 
-def almost_split_sequence(C, direction="ending", pad=4, budget=64, seed=0):
+def almost_split_sequence(C, direction="ending", window=None, cap=10, budget=64, seed=0):
+    """The almost split sequence ending or starting at C; `window` and `cap`
+    are those of the translate term, as for `tau` and `tau_inverse`."""
     if direction == "ending":
-        return _ass_ending(C, pad, budget, seed)
+        return _ass_ending(C, window, cap, budget, seed)
     if direction == "starting":
-        return _ass_starting(C, pad, budget, seed)
+        return _ass_starting(C, window, cap, budget, seed)
     raise InputError(f"unknown direction {direction!r}")
 
 
-def _ass_ending(C, pad, budget, seed):
+def _ass_ending(C, window, cap, budget, seed):
     if not C.is_exact:
         raise WindowError("almost split construction needs a finite-dimensional "
                           "exact-window ending term")
@@ -208,17 +197,14 @@ def _ass_ending(C, pad, budget, seed):
     if pres.module_is_projective():
         raise MathRefusal("ending term is graded projective (Ext-projective): "
                           "no almost split sequence ends there")
-    taures = tau(C, window=(C.lo - pad, C.hi + 2 + pad), check_verdict=False)
+    taures = tau(C, window=window, cap=cap, check_verdict=False)
     A = taures.module
     if not A.is_exact:
-        # grow once; an honestly infinite translate is out of scope
-        taures = tau(C, window=(C.lo - 4 * pad, C.hi + 2 + 4 * pad),
-                     check_verdict=False)
-        A = taures.module
-        if not A.is_exact:
-            raise MathRefusal("the translate is not finite dimensional on a "
-                              "grown window; sequences with infinite terms "
-                              "are out of scope")
+        cover = taures.transpose.cover_psum
+        a = next(a for a, _s in cover.summands if cover.algebra.height(a, cap) is None)
+        bound = max(cap, len(C.algebra.quiver.vertices))
+        raise MathRefusal(f"the translate is truncated: the column of vertex {a} does not "
+                          f"vanish up to degree {bound}; infinite terms are out of scope")
     ext = ext1(C, A, pres=pres)
     if ext.dim == 0:
         raise MathRefusal("Ext^1(C, tau C) vanished for a valid input: "
@@ -230,26 +216,24 @@ def _ass_ending(C, pad, budget, seed):
         raise MathRefusal("socle of Ext^1(C, tau C) vanished: internal bug")
     xi_class = soc.col(0)
     f_ = ext.field
-    xi_tuple = [f_.zero()] * ext.size
-    for k, c in enumerate(xi_class):
-        if c:
-            rep = ext.tuple_of_class(k)
-            xi_tuple = [f_.add(a, f_.mul(c, b)) for a, b in zip(xi_tuple, rep)]
+    xi_tuple = (Matrix.from_cols(f_, ext.size, ext.reps)
+                @ Matrix.from_cols(f_, ext.dim, [list(xi_class)])).col(0)
     seq = _pushout_sequence(C, A, pres, ext, xi_tuple)
-    rad_checks = []
-    for k in range(end.radical_basis().cols):
-        moved = action.action_matrix(end.radical_basis().col(k))
-        col = moved @ Matrix.from_cols(f_, len(xi_class), [list(xi_class)])
-        rad_checks.append(all(not v for v in col.col(0)))
     certificate = {
         "nonsplit_witness": [f_.fmt(c) for c in xi_class],
-        "socle_annihilation": rad_checks,
+        "socle_annihilation": _radical_kills(action, end, xi_class),
         "left_is_tau": "by construction",
         "indecomposable_ends": {"right": verdict.status, "left": "translate of "
                                 "a certified indecomposable"},
     }
-    return AlmostSplitSequence(seq[0], seq[1], seq[2], seq[3], seq[4],
-                               certificate, "ending")
+    return AlmostSplitSequence(*seq, certificate, "ending")
+
+
+def _radical_kills(action, end, cls):
+    """Whether each radical basis endomorphism of C kills the Ext^1 class."""
+    vec = Matrix.from_cols(action.ext.field, len(cls), [list(cls)])
+    rad = end.radical_basis()
+    return [not any((action.action_matrix(rad.col(k)) @ vec).col(0)) for k in range(rad.cols)]
 
 
 def _pushout_sequence(C, A, pres, ext, xi_tuple):
@@ -259,8 +243,7 @@ def _pushout_sequence(C, A, pres, ext, xi_tuple):
     morphism P1 -> A; h vanishes on ker d1, so this is the pushout of
     0 -> im d1 -> P0 -> C -> 0 along the map im d1 -> A that h induces.
     """
-    W = (A.lo, max(C.hi + 1, A.hi))
-    lo, hi = W
+    lo, hi = W = (min(A.lo, C.lo), max(A.hi, C.hi))
     aug = pres.cover0.realize(C, W)
     d1 = pres.d1.realize(W)
     h = psum_hom_to_morphism(pres.p1, A, xi_tuple, W)
@@ -273,6 +256,10 @@ def _pushout_sequence(C, A, pres, ext, xi_tuple):
     _total, injs, prjs = direct_sum([A_W, d1.target])
     into = injs[0].compose(h) + injs[1].compose(d1.scale(A.algebra.field.of(-1)))
     E, proj = into.cokernel()
+    # E's support lies in A's and C's, inside W: it is exact where both are,
+    # even where the realized P0 is cut (E is new; nothing is derived from it)
+    E.exact_below = A_W.exact_below and C_W.exact_below
+    E.exact_above = A_W.exact_above and C_W.exact_above
     f = proj.compose(injs[0])
     # g factors the augmentation through the quotient: on representatives,
     # kill the A part and apply aug on the P0 part
@@ -291,20 +278,17 @@ def _pivot_columns(blk):
     return [next(c for c, v in enumerate(row) if v) for row in blk.data]
 
 
-def _ass_starting(N, pad, budget, seed):
+def _ass_starting(N, window, cap, budget, seed):
     if not N.is_exact:
         raise WindowError("almost split construction needs a finite-dimensional "
                           "exact-window starting term")
-    Cop = N.dual()
-    seq = _ass_ending(Cop, pad, budget, seed)
+    seq = _ass_ending(N.dual(), window and (-window[1], -window[0]), cap, budget, seed)
     f_new = seq.g.dual()
     g_new = seq.f.dual()
-    certificate = dict(seq.certificate)
-    certificate["left_is_tau"] = "dualized from the opposite-side construction"
-    certificate["indecomposable_ends"] = {
-        "left": seq.certificate["indecomposable_ends"]["right"],
-        "right": seq.certificate["indecomposable_ends"]["left"],
-    }
+    ends = seq.certificate["indecomposable_ends"]
+    certificate = dict(seq.certificate,
+                       left_is_tau="dualized from the opposite-side construction",
+                       indecomposable_ends={"left": ends["right"], "right": ends["left"]})
     return AlmostSplitSequence(f_new.source, f_new.target, g_new.target,
                                f_new, g_new, certificate, "starting")
 
@@ -352,16 +336,8 @@ def verify_almost_split(seq, budget=64, seed=0):
         cls, ext, action, end = _class_of_sequence(seq)
         if all(not c for c in cls):
             failures.append("nonsplit: extension class is zero")
-        else:
-            rad = end.radical_basis()
-            fld = ext.field
-            for k in range(rad.cols):
-                moved = action.action_matrix(rad.col(k)) @ Matrix.from_cols(
-                    fld, len(cls), [list(cls)])
-                if any(moved.col(0)):
-                    failures.append("socle: class not annihilated by the "
-                                    "radical of End(C)")
-                    break
+        elif not all(_radical_kills(action, end, cls)):
+            failures.append("socle: class not annihilated by the radical of End(C)")
     except MathRefusal as e:
         failures.append(f"class check failed: {e}")
     # the left term is the translate of the right term
@@ -395,13 +371,9 @@ def _class_of_sequence(seq):
     W = (E.lo, max(E.hi, need_hi))
     fld = A.algebra.field
     E_W = E.with_window(*W)
-    g_W = GradedMorphism(E_W, C.with_window(*W),
-                         {k: m for k, m in g.blocks.items()}, check=False)
-    f_W = GradedMorphism(A.with_window(*W), E_W,
-                         {k: m for k, m in f.blocks.items()}, check=False)
+    g_W = GradedMorphism(E_W, C.with_window(*W), dict(g.blocks), check=False)
+    f_W = GradedMorphism(A.with_window(*W), E_W, dict(f.blocks), check=False)
     # lift the cover through g at the generators, then extend module-linearly
-    from .gmodule import ModuleElement
-    from .presentations import Cover
     lifted = []
     for gen in pres.cover0.generators:
         rhs = Matrix.from_cols(fld, len(gen.coords), [list(gen.coords)])

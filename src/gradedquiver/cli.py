@@ -13,12 +13,13 @@ import tempfile
 
 from .errors import MathRefusal, InputError, GradedQuiverError
 from .problem import parse_problem, canonical_dumps
-from .gmodule import standard_module
-from .presentations import (minimal_presentation, projective_cover,
+from .linalg import Matrix
+from .gmodule import GradedModule, GradedMorphism, standard_module
+from .presentations import (ProjSum, minimal_presentation, projective_cover,
                             injective_envelope, graded_dimension)
-from .homs import ghom, ext1
-from .artheory import (transpose, tau, tau_inverse, nakayama, ar_formula_check,
-                       almost_split_sequence, verify_almost_split)
+from .homs import ghom, ext1, ghom_to_injective, hom_psum_dim, psum_hom_to_morphism
+from .artheory import (AlmostSplitSequence, transpose, tau, tau_inverse, nakayama,
+                       ar_formula_check, almost_split_sequence, verify_almost_split)
 from .criteria import existence_report, human_table
 
 
@@ -28,6 +29,16 @@ def _window(text):
         return int(lo), int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError("window must look like lo:hi")
+
+
+# The requested windows of the translate views, from the module's window
+# (lo, hi) when --window is absent (ars always uses them).  Each result is
+# realized on the hull of the requested window and the translate's support.
+REQUESTED_WINDOWS = {"transpose": lambda lo, hi: (-8, 8),
+                     "tau": lambda lo, hi: (lo - 4, hi + 6),
+                     "tau-inv": lambda lo, hi: (lo - 1, hi + 5),
+                     "ending": lambda lo, hi: (lo - 4, hi + 6),
+                     "starting": lambda lo, hi: (lo - 6, hi + 4)}
 
 
 @functools.lru_cache(maxsize=None)
@@ -173,8 +184,6 @@ def run(args):
         if src_std is not None:
             # homs out of a projective are piece lookups, exact even when
             # the realized projective would be truncated
-            from .presentations import ProjSum
-            from .homs import hom_psum_dim, psum_hom_to_morphism
             psum = ProjSum(alg, [(src_std["vertex"], int(src_std.get("shift", 0)))])
             N = module(args.target)
             dim = hom_psum_dim(psum, N)
@@ -188,7 +197,6 @@ def run(args):
             _emit(args, {"dim": dim, "basis": basis}, f"dim {dim}")
             return 0
         if tgt_std is not None:
-            from .homs import ghom_to_injective
             H = ghom_to_injective(module(args.source), tgt_std["vertex"],
                                   int(tgt_std.get("shift", 0)))
         else:
@@ -249,9 +257,9 @@ def run(args):
         return 0
 
     if args.command == "transpose":
-        tr = transpose(module(args.module))
-        W = window or (-8, 8)
-        mod, _ = tr.realize(W)
+        M = module(args.module)
+        tr = transpose(M)
+        mod, _ = tr.realize(window or REQUESTED_WINDOWS["transpose"](M.lo, M.hi), args.cap)
         payload = {"zero": tr.is_zero(),
                    "cover": tr.cover_psum.to_json(),
                    "module": mod.to_json_dict()}
@@ -273,15 +281,18 @@ def run(args):
     if args.command in ("tau", "tau-inv"):
         M = module(args.module)
         fn = tau if args.command == "tau" else tau_inverse
-        t = fn(M, window=window, seed=args.seed)
+        t = fn(M, window=window or REQUESTED_WINDOWS[args.command](M.lo, M.hi),
+               cap=args.cap, seed=args.seed)
         payload = {"module": t.module.to_json_dict(), "warning": t.warning}
         text = _dims_table(t.module) + (f"\nwarning: {t.warning}" if t.warning else "")
         _emit(args, payload, text)
         return 0
 
     if args.command == "ars":
-        seq = almost_split_sequence(module(args.module), args.direction,
-                                    seed=args.seed)
+        M = module(args.module)
+        seq = almost_split_sequence(M, args.direction,
+                                    REQUESTED_WINDOWS[args.direction](M.lo, M.hi),
+                                    args.cap, seed=args.seed)
         ok, failures = verify_almost_split(seq, seed=args.seed)
         payload = seq.to_json_dict()
         payload["verified"] = ok
@@ -297,7 +308,7 @@ def run(args):
         return 0 if ok else 1
 
     if args.command == "ar-formula":
-        rep = ar_formula_check(module(args.module), module(args.other))
+        rep = ar_formula_check(module(args.module), module(args.other), args.cap)
         both = rep["formula1_holds"] and rep["formula2_holds"]
         _emit(args, rep, f"formula1 {rep['formula1_holds']}  "
                          f"formula2 {rep['formula2_holds']}")
@@ -372,8 +383,6 @@ def run(args):
 
 
 def _sequence_from_file(alg, path):
-    from .gmodule import GradedModule, GradedMorphism
-    from .artheory import AlmostSplitSequence
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -394,8 +403,6 @@ def _sequence_from_file(alg, path):
 
 
 def _morphism_from_json(source, target, data, where):
-    from .gmodule import GradedMorphism
-    from .linalg import Matrix
     blocks = {}
     try:
         for key, rows in data.get("blocks", {}).items():

@@ -21,6 +21,8 @@ cover of D M, and the minimal copresentation of M is the minimal
 presentation of D M, read through D.
 """
 
+import math
+
 from .errors import InputError, WindowError, MathRefusal
 from .algebra import AlgElement
 from .gmodule import (GradedMorphism, ModuleElement, zero_module,
@@ -61,6 +63,17 @@ class ProjSum:
                                         for a, s in self.summands])
         self._realized[window] = result
         return result
+
+    def support(self, cap):
+        """The degree hull (lo, hi) of the sum: P_a<s> lives in [-s, -s + h(a)],
+        h(a) = `GradedAlgebra.height(a, cap)`.  hi is None where a height is
+        unknown; the zero sum has the empty hull (inf, -inf)."""
+        heights = [self.algebra.height(a, cap) for a, _s in self.summands]
+        lo = min((-s for _a, s in self.summands), default=math.inf)
+        if None in heights:
+            return lo, None
+        return lo, max((h - s for h, (_a, s) in zip(heights, self.summands)),
+                       default=-math.inf)
 
     def opposite(self):
         """The transpose sum over the opposite algebra: P_a<s> -> P°_a<-s>."""

@@ -38,8 +38,7 @@ def syzygy_cover(pres):
 def pushout_sequence(C, A, pres, xi_tuple):
     """0 -> A -> E -> C -> 0 as coker((h, -incl): K -> A (+) P0), with h
     the cocycle factored through the syzygy cover."""
-    W = (A.lo, max(C.hi + 1, A.hi))
-    lo, hi = W
+    lo, hi = W = (min(A.lo, C.lo), max(A.hi, C.hi))
     aug = pres.cover0.realize(C, W)
     P0 = aug.source
     K, K_incl = aug.kernel()
@@ -58,6 +57,9 @@ def pushout_sequence(C, A, pres, xi_tuple):
     minus_incl = K_incl.scale(A.algebra.field.of(-1))
     into = injs[0].compose(h) + injs[1].compose(minus_incl)
     E, proj = into.cokernel()
+    # an extension of C_W by A_W, whatever the cut P0
+    E.exact_below = A_W.exact_below and C_W.exact_below
+    E.exact_above = A_W.exact_above and C_W.exact_above
     f = proj.compose(injs[0])
     g_blocks = {}
     for (d, x) in E.dims:

@@ -94,7 +94,7 @@ def battery(alg, C):
                 dims = {(e, x): n for (e, x), n in big.dims.items()
                         if d <= e <= d + thick - 1 and C.lo <= e <= C.hi}
                 maps = {(nm, e): m for (nm, e), m in big.maps.items()
-                        if d <= e and e + 1 <= min(d + thick - 1, C.hi)}
+                        if max(d, C.lo) <= e and e + 1 <= min(d + thick - 1, C.hi)}
                 if dims:
                     from gradedquiver import GradedModule
                     mods.append(GradedModule(alg, C.lo, C.hi, dims, maps))

@@ -27,7 +27,7 @@ def test_transpose_of_simple_fix_b(fix_b):
     tr = transpose(S(fix_b, "1"))
     # cover P_2^o<1> over the opposite, presented by P_1^o -> P_2^o<1>
     assert tr.cover_psum.summands == (("2", 1),)
-    assert tr.p1.summands == (("1", 0),)
+    assert tr.d.src.summands == (("1", 0),)
     mod, _ = tr.realize((-3, 3))
     # Tr S_1 = S_2^o<1>: one dimensional at degree -1, vertex 2
     assert mod.dims == {(-1, "2"): 1}
@@ -238,8 +238,9 @@ def test_almost_split_fix_c_glued_middle(fix_c):
 
 def test_almost_split_refuses_infinite_translate(fix_a):
     # over the loop fixture the translate of S_1 is infinite dimensional and
-    # the construction refuses rather than truncating silently
-    with pytest.raises(MathRefusal, match="not finite dimensional"):
+    # the construction refuses rather than truncating silently, naming the
+    # vertex whose column does not vanish and the degree it was followed to
+    with pytest.raises(MathRefusal, match=r"vertex 1 does not vanish up to degree 10\b"):
         almost_split_sequence(S(fix_a, "1"), "ending")
 
 

@@ -109,7 +109,8 @@ def test_cli_ars_exits_1_when_verification_fails(tmp_path, monkeypatch, capsys):
     assert main([fix("fix_b"), "verify-ars", "--sequence", str(bad)]) == 1
     # hand `ars` the tampered sequence in place of the one it constructs
     monkeypatch.setattr(cli, "almost_split_sequence",
-                        lambda M, direction, seed=None: cli._sequence_from_file(M.algebra, str(bad)))
+                        lambda M, direction, window, cap, seed=None:
+                        cli._sequence_from_file(M.algebra, str(bad)))
     capsys.readouterr()
     assert main([fix("fix_b"), "ars", "--module", "S1", "--json"]) == 1
     out = json.loads(capsys.readouterr().out)

@@ -30,8 +30,8 @@ def test_transpose_additive_on_sums(fix_d):
     tr_4 = transpose(S4)
     assert sorted(tr_both.cover_psum.summands) == sorted(
         tr_2.cover_psum.summands + tr_4.cover_psum.summands)
-    assert sorted(tr_both.p1.summands) == sorted(
-        tr_2.p1.summands + tr_4.p1.summands)
+    assert sorted(tr_both.d.src.summands) == sorted(
+        tr_2.d.src.summands + tr_4.d.src.summands)
     m_both, _ = tr_both.realize((-3, 3))
     m_2, _ = tr_2.realize((-3, 3))
     m_4, _ = tr_4.realize((-3, 3))
