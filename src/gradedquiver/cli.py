@@ -49,7 +49,7 @@ def build_parser():
     common.add_argument("--window", type=_window, default=None,
                         help="degree window lo:hi for realizations")
     common.add_argument("--cap", type=int, default=10,
-                        help="degree/dimension cap")
+                        help="degree/dimension cap; translates seek column heights up to it")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for randomized searches")
     common.add_argument("--assert-noetherian", choices=("left", "right", "both"),
