@@ -4,12 +4,13 @@ The transpose of a presented module is the cokernel of the entrywise-opposite
 transposed presentation matrix, so a quotient of its cover; the translates are
 its windowed duals, realized on the hull of the requested window and the
 cover's formal support (`ProjSum.support`): exact where the column heights
-are known up to the cap, flagged truncated where not.  The Nakayama functor
-sends a projective map to its transpose over the opposite algebra, which
-stands for a map of injectives through duality.  An almost split sequence
-ending at C is assembled from a nonzero extension class annihilated by the
-radical of End(C), realized as an explicit pushout, and every constructed
-sequence carries a verification certificate.
+are known up to the cap (the cokernel is then taken once, on that support),
+flagged truncated where not.  The Nakayama functor sends a projective map to
+its transpose over the opposite algebra, which stands for a map of injectives
+through duality.  An almost split sequence ending at C is assembled from a
+nonzero extension class annihilated by the radical of End(C), realized as an
+explicit pushout; one starting at N is the dual of the one ending at D N, and
+is verified on it.  Every constructed sequence carries a certificate.
 """
 
 import random
@@ -45,16 +46,17 @@ class TransposeData:
         return self.d is None
 
     def realize(self, window, cap=None):
-        """(Tr M, projection from the realized cover) on the window, or given a
-        cap on its hull with the cover's support (`ProjSum.support`): cut at the
-        window's top, and flagged truncated, only where a height is unknown."""
-        if cap is not None:
-            lo, hi = self.cover_psum.support(cap)
-            window = (min(window[0], lo), window[1] if hi is None else max(window[1], hi))
+        """Tr M on the window, or given a cap on its hull with the cover's
+        support (`ProjSum.support`): cut at the window's top, and flagged
+        truncated, only where a height is unknown.  On a known support Tr M is
+        exact, so its cokernel is taken once, there, and re-windowed."""
         if self.is_zero():
-            zm = zero_module(self.algebra, *window)
-            return zm, GradedMorphism.zero(zm, zm)
-        return _memo(self._realized, tuple(window), lambda: self.d.realize(window).cokernel())
+            return zero_module(self.algebra, *window)
+        lo, hi = (window[0], None) if cap is None else self.cover_psum.support(cap)
+        window = (min(window[0], lo), window[1] if hi is None else max(window[1], hi))
+        if hi is None or window == (lo, hi):
+            return _memo(self._realized, window, lambda: self.d.realize(window).cokernel()[0])
+        return _memo(self._realized, window, lambda: self.realize((lo, hi), cap).with_window(*window))
 
 
 def transpose(M, pres=None):
@@ -107,8 +109,8 @@ def _translate(M, trdata, inverse, window, cap, check_verdict, budget, seed):
             raise MathRefusal(f"translate needs a certified indecomposable "
                               f"input; verdict was {verdict.status!r}")
     if inverse:
-        return TauResult(trdata.realize((lo, hi), cap)[0], None, trdata)
-    return TauResult(trdata.realize((-hi, -lo), cap)[0].dual_windowed(), None, trdata)
+        return TauResult(trdata.realize((lo, hi), cap), None, trdata)
+    return TauResult(trdata.realize((-hi, -lo), cap).dual_windowed(), None, trdata)
 
 
 # -- Nakayama functor ---------------------------------------------------------
@@ -178,33 +180,37 @@ class AlmostSplitSequence:
 def almost_split_sequence(C, direction="ending", window=None, cap=10, budget=64, seed=0):
     """The almost split sequence ending or starting at C; `window` and `cap`
     are those of the translate term, as for `tau` and `tau_inverse`."""
-    if direction == "ending":
-        return _ass_ending(C, window, cap, budget, seed)
-    if direction == "starting":
-        return _ass_starting(C, window, cap, budget, seed)
-    raise InputError(f"unknown direction {direction!r}")
-
-
-def _ass_ending(C, window, cap, budget, seed):
+    if direction not in ("ending", "starting"):
+        raise InputError(f"unknown direction {direction!r}")
     if not C.is_exact:
         raise WindowError("almost split construction needs a finite-dimensional "
-                          "exact-window ending term")
+                          f"exact-window {direction} term")
+    if direction == "ending":
+        return _ass_ending(C, window, cap, budget, seed)
+    return _ass_starting(C, window, cap, budget, seed)
+
+
+def _ass_ending(C, window, cap, budget, seed, starting=False):
+    # refusals name the direction asked for; starting runs this on D N
+    term, kind, verb = ("starting", "injective", "starts") if starting else (
+        "ending", "projective", "ends")
     verdict = is_strongly_indecomposable(C, budget=budget, seed=seed)
     if verdict.status != "yes":
-        raise MathRefusal(f"ending term not certified indecomposable: "
+        raise MathRefusal(f"{term} term not certified indecomposable: "
                           f"verdict {verdict.status!r}")
     pres = minimal_presentation(C)
     if pres.module_is_projective():
-        raise MathRefusal("ending term is graded projective (Ext-projective): "
-                          "no almost split sequence ends there")
+        raise MathRefusal(f"{term} term is graded {kind} (Ext-{kind}): "
+                          f"no almost split sequence {verb} there")
     taures = tau(C, window=window, cap=cap, check_verdict=False)
     A = taures.module
     if not A.is_exact:
         cover = taures.transpose.cover_psum
         a = next(a for a, _s in cover.summands if cover.algebra.height(a, cap) is None)
         bound = max(cap, len(C.algebra.quiver.vertices))
-        raise MathRefusal(f"the translate is truncated: the column of vertex {a} does not "
-                          f"vanish up to degree {bound}; infinite terms are out of scope")
+        raise MathRefusal(f"the {'inverse translate' if starting else 'translate'} is "
+                          f"truncated: the column of vertex {a} does not vanish up to "
+                          f"degree {bound}; infinite terms are out of scope")
     ext = ext1(C, A, pres=pres)
     if ext.dim == 0:
         raise MathRefusal("Ext^1(C, tau C) vanished for a valid input: "
@@ -279,12 +285,8 @@ def _pivot_columns(blk):
 
 
 def _ass_starting(N, window, cap, budget, seed):
-    if not N.is_exact:
-        raise WindowError("almost split construction needs a finite-dimensional "
-                          "exact-window starting term")
-    seq = _ass_ending(N.dual(), window and (-window[1], -window[0]), cap, budget, seed)
-    f_new = seq.g.dual()
-    g_new = seq.f.dual()
+    seq = _ass_ending(N.dual(), window and (-window[1], -window[0]), cap, budget, seed, True)
+    f_new, g_new = seq.g.dual(), seq.f.dual()
     ends = seq.certificate["indecomposable_ends"]
     certificate = dict(seq.certificate,
                        left_is_tau="dualized from the opposite-side construction",
@@ -314,7 +316,11 @@ def find_isomorphism(M, N, budget=16, seed=0):
 
 
 def verify_almost_split(seq, budget=64, seed=0):
-    """Recheck every certificate item; returns (passed, failures)."""
+    """Recheck every certificate item; returns (passed, failures).
+
+    Maps, exactness and ranks are checked as given; the rest on an ending
+    sequence, for a starting one with exact left term A its dual, whose right
+    term D A keeps its derived data.  Failures name the given terms."""
     failures = []
     A, E, C, f, g = seq.A, seq.E, seq.C, seq.f, seq.g
     if not g.compose(f).is_zero():
@@ -331,35 +337,42 @@ def verify_almost_split(seq, budget=64, seed=0):
         if f.block(*key).rank() + g.block(*key).rank() != E.dims[key]:
             failures.append(f"exactness: rank defect at {key}")
             break
+    left, right, end_c, translate = "left", "right", "End(C)", "translate"
+    if seq.direction == "starting" and A.is_exact:
+        f, g = g.dual(), f.dual()
+        seq = AlmostSplitSequence(f.source, f.target, g.target, f, g, {}, "ending")
+        A, E, C = seq.A, seq.E, seq.C
+        left, right, end_c, translate = "right", "left", "End(A)", "inverse translate"
     # non-splitness and socle membership of the class of this very sequence
     try:
-        cls, ext, action, end = _class_of_sequence(seq)
+        cls, ext, action, end = _class_of_sequence(seq, left, right)
         if all(not c for c in cls):
             failures.append("nonsplit: extension class is zero")
         elif not all(_radical_kills(action, end, cls)):
-            failures.append("socle: class not annihilated by the radical of End(C)")
+            failures.append(f"socle: class not annihilated by the radical of {end_c}")
     except MathRefusal as e:
         failures.append(f"class check failed: {e}")
     # the left term is the translate of the right term
     taures = tau(C, window=(A.lo, A.hi), check_verdict=False)
     if taures.module.dims != A.dims:
-        failures.append("left term does not match the translate (dimensions)")
+        failures.append(f"{left} term does not match the {translate} (dimensions)")
     elif A.is_exact and taures.module.is_exact:
         if find_isomorphism(A, taures.module, seed=seed) is None:
-            failures.append("left term not isomorphic to the translate")
+            failures.append(f"{left} term not isomorphic to the {translate}")
     # end terms indecomposable
     vC = is_strongly_indecomposable(C, budget=budget, seed=seed)
     if vC.status == "no":
-        failures.append("right term decomposes")
+        failures.append(f"{right} term decomposes")
     if A.is_exact:
         vA = is_strongly_indecomposable(A, budget=budget, seed=seed)
         if vA.status == "no":
-            failures.append("left term decomposes")
+            failures.append(f"{left} term decomposes")
     return (not failures), failures
 
 
-def _class_of_sequence(seq):
-    """The Ext-class coordinates of the given short exact sequence."""
+def _class_of_sequence(seq, left="left", right="right"):
+    """The Ext-class coordinates of the sequence; refusals name its terms
+    `left` and `right`."""
     A, E, C, f, g = seq.A, seq.E, seq.C, seq.f, seq.g
     pres = minimal_presentation(C)
     ext = ext1(pres.module, A, pres=pres)
@@ -379,7 +392,7 @@ def _class_of_sequence(seq):
         rhs = Matrix.from_cols(fld, len(gen.coords), [list(gen.coords)])
         sol = g_W.block(gen.degree, gen.vertex).solve(rhs)
         if sol is None:
-            raise MathRefusal("cover does not lift through the right-hand map")
+            raise MathRefusal(f"cover does not lift through the {right}-hand map")
         lifted.append(ModuleElement(E_W, gen.degree, gen.vertex, sol.col(0)))
     lam = Cover(pres.p0, lifted).realize(E_W, W)
     # restrict to the syzygy, land in im(f) = ker(g), pull back through f:
@@ -393,6 +406,6 @@ def _class_of_sequence(seq):
         in_E = lam.block(d, b) @ _pmap_generator_image(pres.d1, j, d, b, W)
         back = f_W.block(d, b).solve(in_E)
         if back is None:
-            raise MathRefusal("syzygy image is not inside the left-hand term")
+            raise MathRefusal(f"syzygy image is not inside the {left}-hand term")
         tuple_vec.extend(back.col(0))
     return ext.class_coordinates(tuple_vec), ext, action, end

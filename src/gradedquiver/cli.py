@@ -259,7 +259,7 @@ def run(args):
     if args.command == "transpose":
         M = module(args.module)
         tr = transpose(M)
-        mod, _ = tr.realize(window or REQUESTED_WINDOWS["transpose"](M.lo, M.hi), args.cap)
+        mod = tr.realize(window or REQUESTED_WINDOWS["transpose"](M.lo, M.hi), args.cap)
         payload = {"zero": tr.is_zero(),
                    "cover": tr.cover_psum.to_json(),
                    "module": mod.to_json_dict()}

@@ -10,10 +10,12 @@ Modules are immutable: their dims and maps are fixed in `__init__` and never
 written afterwards.  Data derived from a module is therefore computed once
 and kept on it (see `_memo`): its dual, which links back so that
 `M.dual().dual() is M`, its projective cover, its minimal presentation and
-its endomorphism algebra.  Standard modules are kept once per algebra, by
-kind, vertex, shift and window.  Callers must not mutate a module, a
-morphism or a matrix they are handed, since the same object may be handed
-to every later caller.
+its endomorphism algebra; a shift M<s> records M, whose cover and
+presentation it shifts, and a morphism of exact modules dualizes between the
+linked duals.  Standard modules are kept once per algebra, by kind, vertex,
+shift and window (S_a<s> on its own window is S_a<0> shifted).  Callers must
+not mutate a module, a morphism or a matrix they are handed, since the same
+object may be handed to every later caller.
 
 A standard projective P_a<s> is a re-indexed view of the column A e_a, whose
 per-degree dims and arrow actions the algebra computes once (`column`,
@@ -33,7 +35,7 @@ TRUNCATED = "truncated"
 class GradedModule:
 
     def __init__(self, algebra, lo, hi, dims, maps, exact_below=True, exact_above=True,
-                 check=True):
+                 check=True, shifted_from=None):
         if lo > hi:
             raise InputError(f"bad window [{lo}, {hi}]")
         self.algebra = algebra
@@ -62,6 +64,7 @@ class GradedModule:
         # dual, cover, presentation, End: computed once, see _memo; a copy on
         # a wider window may share all but the dual (_pushout_sequence)
         self._derived = {}
+        self.shifted_from = shifted_from
         if check:
             bad = self.validate()
             if bad is not None:
@@ -173,12 +176,12 @@ class GradedModule:
                             exact_below=below, exact_above=above, check=False)
 
     def shift(self, s):
-        """Grading shift: shift(M, s)_i = M_{i+s}."""
+        """Grading shift: shift(M, s)_i = M_{i+s}, recording (M, s)."""
         dims = {(i - s, x): n for (i, x), n in self.dims.items()}
         maps = {(nm, i - s): m for (nm, i), m in self.maps.items()}
         return GradedModule(self.algebra, self.lo - s, self.hi - s, dims, maps,
                             exact_below=self.exact_below, exact_above=self.exact_above,
-                            check=False)
+                            check=False, shifted_from=(self, s))
 
     # -- duality ---------------------------------------------------------------
 
@@ -532,16 +535,12 @@ class GradedMorphism:
         return C, GradedMorphism(self.target, C, proj_blocks, check=False)
 
     def dual(self):
-        """The contravariant dual morphism between windowed duals."""
-        src = self.target.dual_windowed()
-        tgt = self.source.dual_windowed()
+        """The contravariant dual morphism, between the linked duals of exact
+        endpoints (`GradedModule.dual`), else between the windowed duals."""
+        src, tgt = (M.dual() if M.is_exact else M.dual_windowed()
+                    for M in (self.target, self.source))
         blocks = {(-i, x): mat.transpose() for (i, x), mat in self.blocks.items()}
         return GradedMorphism(src, tgt, blocks, check=False)
-
-    def shift(self, s):
-        return GradedMorphism(self.source.shift(s), self.target.shift(s),
-                              {(i - s, x): m for (i, x), m in self.blocks.items()},
-                              check=False)
 
     def to_json_dict(self):
         return {"blocks": {f"({i},{x})": mat.fmt()
@@ -688,6 +687,8 @@ def _standard_module(algebra, kind, vertex, shift, window):
     algebra.quiver.check_vertex(vertex)
     s = shift
     if kind == "S":
+        if window is None and s:
+            return standard_module(algebra, "S", vertex).shift(s)
         lo, hi = window if window else (-s, -s)
         if not lo <= -s <= hi:
             raise WindowError(f"window [{lo},{hi}] misses the simple at degree {-s}")

@@ -276,6 +276,8 @@ class Matrix:
         The rows go to `sparse_rref`; its pivot rows are laid out densely in
         pivot order, followed by the zero rows.  Memoized in `_rref`.
         """
+        if not self.rows:
+            return self, ()
         if self._rref is None:
             reduced = sparse_rref(self.field, map(enumerate, self.data))
             pivots = tuple(sorted(reduced))

@@ -5,9 +5,10 @@ Finitely generated projectives are handled formally: a ProjSum is a list of
 right multiplication.  Formal data is exact in every degree; realizations on
 a window are produced on demand and memoized per object and window, and so
 is the kernel of a realized PMap, piece by piece.  The minimal presentation
-of a module is computed once and kept on the module.  It is formal too: the
-first syzygy im d1 is never built as a module, and whoever needs it reads it
-off the realized d1, whose columns at the generators of P1 generate it.
+of a module is computed once and kept on the module (a shift N<s> shifts
+N's cover and presentation).  It is formal too: the first syzygy im d1 is
+never built as a module, and whoever needs it reads it off the realized d1,
+whose columns at the generators of P1 generate it.
 
 A resolution is seeded from that presentation; each later syzygy ker d_n is
 kept as the per-piece kernel bases of the realized differential d_n, never
@@ -287,6 +288,12 @@ def projective_cover(M):
 
 
 def _projective_cover(M):
+    if M.shifted_from is not None:
+        # the cover of N<s> is N's, shifted: summands P_a<t+s>, generators s lower
+        N, s = M.shifted_from
+        cover = projective_cover(N)
+        return Cover(cover.psum.shift(s), [ModuleElement(M, g.degree - s, g.vertex, g.coords)
+                                           for g in cover.generators])
     gens = top_basis(M)
     psum = ProjSum(M.algebra, [(g.vertex, -g.degree) for g in gens])
     return Cover(psum, gens)
@@ -331,7 +338,7 @@ def minimal_presentation(M):
     The first syzygy K agrees with P0 above the support of M, so all its
     generators live in degrees <= hi(M) + 1 and the fixed working window
     [lo, hi+1] is provably sufficient.  Computed once per module: equal
-    calls return the same presentation.
+    calls return the same presentation.  A shift's is derived from its source's.
     """
     if not M.is_exact:
         raise WindowError("minimal presentation needs an exact window")
@@ -339,6 +346,13 @@ def minimal_presentation(M):
 
 
 def _minimal_presentation(M):
+    if M.shifted_from is not None:
+        # the presentation of N<s> is N's, shifted: d1's entries between shifted sums
+        N, s = M.shifted_from
+        pres = minimal_presentation(N)
+        cover0 = projective_cover(M)
+        return ProjPresentation(M, cover0, PMap(pres.p1.shift(s), cover0.psum, pres.d1.entries),
+                                (pres.window[0] - s, pres.window[1] - s))
     window = (M.lo, M.hi + 1)
     cover0 = projective_cover(M)
     aug = cover0.realize(M, window)

@@ -243,7 +243,7 @@ def _formula_sweep(alg, shifts=range(-3, 4)):
         if trd.is_zero():
             tau_real[v] = None
         else:
-            trmod, _ = trd.realize((-WIDE, WIDE))
+            trmod = trd.realize((-WIDE, WIDE))
             tau_real[v] = trmod.dual_windowed()
         presD = minimal_presentation(S(alg, v).dual())
         trD = TransposeData(presD)

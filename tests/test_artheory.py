@@ -19,7 +19,7 @@ def test_transpose_of_projective_is_zero(fix_b):
     P1 = standard_module(fix_b, "P", "1", 0, window=(0, 1))
     tr = transpose(P1)
     assert tr.is_zero()
-    mod, _ = tr.realize((-2, 2))
+    mod = tr.realize((-2, 2))
     assert mod.is_zero()
 
 
@@ -28,7 +28,7 @@ def test_transpose_of_simple_fix_b(fix_b):
     # cover P_2^o<1> over the opposite, presented by P_1^o -> P_2^o<1>
     assert tr.cover_psum.summands == (("2", 1),)
     assert tr.d.src.summands == (("1", 0),)
-    mod, _ = tr.realize((-3, 3))
+    mod = tr.realize((-3, 3))
     # Tr S_1 = S_2^o<1>: one dimensional at degree -1, vertex 2
     assert mod.dims == {(-1, "2"): 1}
 
@@ -254,3 +254,87 @@ def test_verify_rejects_split_sequence(fix_b):
     ok, failures = verify_almost_split(seq)
     assert not ok
     assert any("nonsplit" in msg for msg in failures)
+
+
+# -- starting sequences: refusals and verification on the dual -------------------
+
+
+def test_starting_refusals_name_the_starting_term():
+    from gradedquiver import direct_sum
+    from test_translate_windows import linear_quiver
+    # vertex 1 is the source of 1 -> ... -> 5, so S_1 = I_1 is injective
+    alg = linear_quiver(5)
+    with pytest.raises(MathRefusal, match=r"^starting term is graded injective "
+                       r"\(Ext-injective\): no almost split sequence starts there$"):
+        almost_split_sequence(S(alg, "1"), "starting")
+    with pytest.raises(MathRefusal, match=r"^ending term is graded projective"):
+        almost_split_sequence(S(alg, "5"), "ending")
+    pair, _, _ = direct_sum([S(alg, "2"), S(alg, "2")])
+    for direction in ("starting", "ending"):
+        with pytest.raises(MathRefusal, match=rf"^{direction} term not certified indecomposable"):
+            almost_split_sequence(pair, direction)
+
+
+def starting_sequence(fix_d):
+    seq = almost_split_sequence(S(fix_d, "2"), "starting")
+    assert verify_almost_split(seq) == (True, [])
+    return seq
+
+
+def test_verify_rejects_split_starting_sequence(fix_d):
+    from gradedquiver import direct_sum
+    from gradedquiver.artheory import AlmostSplitSequence
+    seq = starting_sequence(fix_d)
+    E, injs, prjs = direct_sum([seq.A, seq.C])
+    ok, failures = verify_almost_split(
+        AlmostSplitSequence(seq.A, E, seq.C, injs[0], prjs[1], {}, "starting"))
+    assert not ok
+    # the ends are right, so only the class fails
+    assert failures == ["nonsplit: extension class is zero"]
+
+
+def test_verify_rejects_starting_sequence_with_zero_left_map(fix_d):
+    from gradedquiver.artheory import AlmostSplitSequence
+    from gradedquiver.gmodule import GradedMorphism
+    seq = starting_sequence(fix_d)
+    zero = GradedMorphism.zero(seq.A, seq.E)
+    ok, failures = verify_almost_split(
+        AlmostSplitSequence(seq.A, seq.E, seq.C, zero, seq.g, {}, "starting"))
+    assert not ok
+    # the given right map is still onto: only the left map is named
+    assert "exactness: left map not injective" in failures
+    assert not any("right map" in msg for msg in failures), failures
+    assert "class check failed: cover does not lift through the left-hand map" in failures
+
+
+def test_verify_rejects_starting_sequence_with_wrong_left_term(fix_d):
+    # 0 -> A (+) X -> E (+) X -> C -> 0 is exact, but its left term decomposes
+    # and C is not the inverse translate of A (+) X
+    from gradedquiver import direct_sum
+    from gradedquiver.artheory import AlmostSplitSequence
+    seq = starting_sequence(fix_d)
+    X = S(fix_d, "4").with_window(seq.A.lo, seq.A.hi)
+    left, left_in, left_out = direct_sum([seq.A, X])
+    mid, mid_in, mid_out = direct_sum([seq.E, X])
+    f = mid_in[0].compose(seq.f.compose(left_out[0])) + mid_in[1].compose(left_out[1])
+    g = seq.g.compose(mid_out[0])
+    ok, failures = verify_almost_split(
+        AlmostSplitSequence(left, mid, seq.C, f, g, {}, "starting"))
+    assert not ok
+    assert not any(msg.startswith("exactness") or "right term decomposes" in msg
+                   for msg in failures), failures
+    assert "right term does not match the inverse translate (dimensions)" in failures
+    assert "left term decomposes" in failures
+
+
+def test_verify_checks_a_starting_sequence_with_truncated_left_term_as_given(fix_d):
+    # its dual would need a presentation of the truncated D A: the checks run
+    # on the sequence itself, as for an ending one
+    from gradedquiver import GradedModule
+    from gradedquiver.artheory import AlmostSplitSequence
+    from gradedquiver.gmodule import GradedMorphism
+    seq = starting_sequence(fix_d)
+    A = GradedModule(fix_d, seq.A.lo, seq.A.hi, seq.A.dims, seq.A.maps, exact_below=False)
+    f = GradedMorphism(A, seq.E, seq.f.blocks, check=False)
+    assert verify_almost_split(
+        AlmostSplitSequence(A, seq.E, seq.C, f, seq.g, {}, "starting")) == (True, [])

@@ -17,7 +17,8 @@ import threading
 
 import pytest
 
-from gradedquiver import GradedQuiverError, direct_sum, standard_module
+from gradedquiver import (GF, QQ, GradedModule, GradedQuiverError, direct_sum,
+                          standard_module)
 from gradedquiver import homs, presentations
 from gradedquiver.artheory import (AlmostSplitSequence, almost_split_sequence,
                                    ar_formula_check, tau, tau_inverse, transpose,
@@ -27,7 +28,8 @@ from gradedquiver.homs import end_algebra
 from gradedquiver.presentations import minimal_presentation, projective_cover
 from gradedquiver.problem import canonical_dumps, parse_problem_dict
 
-from conftest import make_fix_b, make_fix_c, make_fix_d
+from conftest import make_fix_a, make_fix_b, make_fix_c, make_fix_d
+from test_acceptance import sample_fd_modules
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -49,6 +51,9 @@ def test_presentation_dual_end_and_transpose_are_computed_once():
     assert tau_inverse(S).presentation is minimal_presentation(S.dual())
     assert projective_cover(S) is projective_cover(S)
     assert minimal_presentation(S).cover0 is projective_cover(S)
+    # a morphism of exact modules dualizes between their linked duals
+    ident = GradedMorphism.identity(S)
+    assert ident.dual().source is S.dual() and ident.dual().dual().target is S
 
 
 def test_standard_modules_are_kept_per_algebra_and_key():
@@ -111,10 +116,9 @@ def test_split_sequence_on_warm_terms_is_refused(make, vertex):
     assert verify_almost_split(seq) == (True, [])
 
 
-@pytest.mark.parametrize("make, vertex", ENDING_SIMPLES)
-def test_verifying_an_ending_sequence_builds_nothing_again_for_its_right_term(
-        make, vertex, monkeypatch):
-    S = standard_module(make(), "S", vertex, 0)
+def record_builds(monkeypatch):
+    """{kind: [what it was built for]} for every presentation, End algebra and
+    cokernel built from now on."""
     built = {"presentation": [], "end": [], "cokernel": []}
     make_presentation = presentations._minimal_presentation
     end_init = homs.EndAlgebra.__init__
@@ -135,26 +139,62 @@ def test_verifying_an_ending_sequence_builds_nothing_again_for_its_right_term(
     monkeypatch.setattr(presentations, "_minimal_presentation", presentation_of)
     monkeypatch.setattr(homs.EndAlgebra, "__init__", end_of)
     monkeypatch.setattr(GradedMorphism, "cokernel", cokernel_of)
+    return built
 
-    def for_C():
-        """The recorded builds for S or a re-windowed copy of it."""
-        realized = list(transpose(S).d._realized.values())
-        return {"presentation": [M for M in built["presentation"] if is_like_S(M)],
-                "end": [M for M in built["end"] if is_like_S(M)],
-                "cokernel": [m for m in built["cokernel"]
-                             if any(m is r for r in realized)]}
 
+def builds_for(built, S):
+    """The recorded builds for S or a re-windowed copy of it, and the
+    cokernels of its transpose's realizations."""
     def is_like_S(M):
         return M.algebra is S.algebra and M.dims == S.dims
 
+    realized = list(transpose(S).d._realized.values())
+    return {"presentation": [M for M in built["presentation"] if is_like_S(M)],
+            "end": [M for M in built["end"] if is_like_S(M)],
+            "cokernel": [m for m in built["cokernel"] if any(m is r for r in realized)]}
+
+
+@pytest.mark.parametrize("make, vertex", ENDING_SIMPLES)
+def test_verifying_an_ending_sequence_builds_nothing_again_for_its_right_term(
+        make, vertex, monkeypatch):
+    S = standard_module(make(), "S", vertex, 0)
+    built = record_builds(monkeypatch)
     seq = almost_split_sequence(S, "ending")
     # the guard sees the builds: the construction makes each of them once
-    assert {k: len(v) for k, v in for_C().items()} == \
+    assert {k: len(v) for k, v in builds_for(built, S).items()} == \
         {"presentation": 1, "end": 1, "cokernel": 1}
     for made in built.values():
         made.clear()
     assert verify_almost_split(seq) == (True, [])
-    assert for_C() == {"presentation": [], "end": [], "cokernel": []}
+    assert builds_for(built, S) == {"presentation": [], "end": [], "cokernel": []}
+
+
+# simples with an almost split sequence starting there
+STARTING_SIMPLES = [(make_fix_b, "2"), (make_fix_c, "4"), (make_fix_d, "2")]
+
+
+@pytest.mark.parametrize("make, vertex", STARTING_SIMPLES)
+def test_verifying_a_starting_sequence_builds_only_the_end_algebra_of_its_translate(
+        make, vertex, monkeypatch):
+    # a starting sequence is verified on its dual, the ending sequence at D N
+    # over the opposite, whose terms are the ones the construction built
+    N = standard_module(make(), "S", vertex, 0)
+    built = record_builds(monkeypatch)
+    seq = almost_split_sequence(N, "starting")
+    # the left term's dual is the right term of the opposite-side sequence,
+    # which shares D N's presentation
+    assert minimal_presentation(seq.A.dual()) is minimal_presentation(N.dual())
+    assert {k: len(v) for k, v in builds_for(built, N.dual()).items()} == \
+        {"presentation": 1, "end": 1, "cokernel": 1}
+    for made in built.values():
+        made.clear()
+    assert verify_almost_split(seq) == (True, [])
+    assert builds_for(built, N.dual()) == {"presentation": [], "end": [], "cokernel": []}
+    # nothing else but End of the translate term D C, which the indecomposable
+    # ends check needs
+    assert built["presentation"] == []
+    translate = seq.C.dual()
+    assert [(M.algebra, M.dims) for M in built["end"]] == [(translate.algebra, translate.dims)]
 
 
 def test_concurrent_first_use_hands_out_one_object():
@@ -367,3 +407,62 @@ def test_random_algebras_cover_binomials_of_degree_two_and_three_over_each_field
         seen |= {(data["field"], len(r["paths"][0]))
                  for r in data["relations"] if len(r["paths"]) == 2}
     assert seen == {(f, d) for f in COEFFS for d in (2, 3)}
+
+
+# -- shifted modules ------------------------------------------------------------
+
+
+def unlinked(M):
+    """A copy of M with the same data, but no recorded source and no memos."""
+    return GradedModule(M.algebra, M.lo, M.hi, M.dims, M.maps, exact_below=M.exact_below,
+                        exact_above=M.exact_above, check=False)
+
+
+def shift_oracle_algebras():
+    """The fixtures over Q and F_3, and the seeded algebras of
+    `random_problem` over Q, F_2 and F_3 with binomial relations of degree 2
+    and 3."""
+    algs = [make(field) for make in (make_fix_a, make_fix_b, make_fix_c, make_fix_d)
+            for field in (QQ, GF(3))]
+    return algs + [parse_problem_dict(random_problem(seed)).algebra for seed in range(6)]
+
+
+@pytest.mark.parametrize("index", range(14))
+def test_shifted_cover_and_presentation_match_a_fresh_build(index):
+    alg = shift_oracle_algebras()[index]
+    rng = random.Random(index)
+    modules = [standard_module(alg, "S", v, 0) for v in alg.quiver.vertices]
+    modules += [M.dual() for M in modules] + sample_fd_modules(alg, rng, 6)
+    for M in modules:
+        if not M.is_exact:
+            continue
+        for s in (-2, 1, 3):
+            shifted = M.shift(s)
+            assert shifted.shifted_from[0] is M and shifted.shifted_from[1] == s
+            cover = projective_cover(shifted)
+            want = presentations._projective_cover(unlinked(shifted))
+            assert cover.psum.summands == want.psum.summands
+            assert ([(g.degree, g.vertex, g.coords) for g in cover.generators]
+                    == [(g.degree, g.vertex, g.coords) for g in want.generators])
+            pres = minimal_presentation(shifted)
+            want = presentations._minimal_presentation(unlinked(shifted))
+            assert canonical_dumps(pres.to_json_dict()) == canonical_dumps(want.to_json_dict())
+            assert pres.cover0 is cover
+            # derived from M's presentation, not built again
+            assert pres.d1.entries == minimal_presentation(M).d1.entries
+            assert all(e is f for row, frow in zip(pres.d1.entries,
+                                                   minimal_presentation(M).d1.entries)
+                       for e, f in zip(row, frow) if e is not None)
+
+
+def test_a_shifted_simple_is_the_unshifted_one_shifted():
+    alg = make_fix_d()
+    S0 = standard_module(alg, "S", "2", 0)
+    assert S0.shifted_from is None
+    for s in (-1, 2):
+        S = standard_module(alg, "S", "2", s)
+        assert S is standard_module(alg, "S", "2", s)
+        assert S.shifted_from[0] is S0 and S.shifted_from[1] == s
+        assert (S.lo, S.hi, S.dims) == (-s, -s, {(-s, "2"): 1})
+    # on an explicit window it is built directly
+    assert standard_module(alg, "S", "2", 1, window=(-2, 0)).shifted_from is None

@@ -32,9 +32,9 @@ def test_transpose_additive_on_sums(fix_d):
         tr_2.cover_psum.summands + tr_4.cover_psum.summands)
     assert sorted(tr_both.d.src.summands) == sorted(
         tr_2.d.src.summands + tr_4.d.src.summands)
-    m_both, _ = tr_both.realize((-3, 3))
-    m_2, _ = tr_2.realize((-3, 3))
-    m_4, _ = tr_4.realize((-3, 3))
+    m_both = tr_both.realize((-3, 3))
+    m_2 = tr_2.realize((-3, 3))
+    m_4 = tr_4.realize((-3, 3))
     expect = {}
     for part in (m_2, m_4):
         for k, n in part.dims.items():
@@ -46,7 +46,7 @@ def test_tau_is_mirrored_transpose(fix_d):
     M = standard_module(fix_d, "S", "3", 0)
     pres = minimal_presentation(M)
     trd = TransposeData(pres)
-    trmod, _ = trd.realize((-6, 6))
+    trmod = trd.realize((-6, 6))
     t = tau(M, window=(-6, 6), check_verdict=False)
     assert t.module.dims == {(-i, x): n for (i, x), n in trmod.dims.items()}
 

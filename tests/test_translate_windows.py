@@ -13,11 +13,14 @@ import pytest
 from gradedquiver import Quiver, GradedAlgebra, QQ, GF, standard_module
 from gradedquiver.cli import main
 from gradedquiver.artheory import (tau, tau_inverse, almost_split_sequence,
-                                   verify_almost_split, ar_formula_check)
+                                   verify_almost_split, ar_formula_check, transpose)
 from gradedquiver.errors import MathRefusal
+from gradedquiver.gmodule import GradedMorphism
 from gradedquiver.presentations import ProjSum
+from gradedquiver.problem import parse_problem_dict
 
-from conftest import rel
+from conftest import make_fix_a, make_fix_c, make_fix_d, rel
+from test_derived_memo import random_problem
 
 
 def truncated_polynomial(n, field=QQ):
@@ -122,3 +125,50 @@ def test_cli_ars_at_cap_n(tmp_path, capsys, n):
     assert main([str(path), "tau", "--module", "S", "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["module"]["flags"] == {"below": "truncated", "above": "exact"}
+
+
+# -- realized transposes against the cokernel on the hull ------------------------
+
+
+def transpose_oracle_algebras():
+    """Columns of known height at the larger cap only (k[x]/(x^7)), unknown
+    at every cap (the loop of fix_a), acyclic fixtures over Q and F_3, and the
+    seeded binomial algebras of degree 2 and 3 over Q, F_2 and F_3."""
+    return ([truncated_polynomial(7), make_fix_a(), linear_quiver(6, GF(3)),
+             make_fix_c(ray_end=6), make_fix_d(GF(3))]
+            + [parse_problem_dict(random_problem(seed)).algebra for seed in range(6)])
+
+
+@pytest.mark.parametrize("index", range(11))
+def test_realized_transpose_is_the_cokernel_on_its_hull(index, monkeypatch):
+    # the old path, one cokernel per requested hull, is the oracle; the new one
+    # takes at most one cokernel per transpose and cap where the heights are known
+    alg = transpose_oracle_algebras()[index]
+    made = []
+    cokernel = GradedMorphism.cokernel
+
+    def counted(self):
+        made.append(self)
+        return cokernel(self)
+
+    simples = [standard_module(alg, "S", v, 0) for v in alg.quiver.vertices]
+    for M in simples + [S.dual() for S in simples]:
+        trdata = transpose(M)
+        if trdata.is_zero():
+            continue
+        for cap in (5, 10):
+            lo, hi = trdata.cover_psum.support(cap)
+            windows = [(0, 0), (-3, 2), (-9, 9), (2, 5)]
+            with monkeypatch.context() as m:
+                m.setattr(GradedMorphism, "cokernel", counted)
+                made.clear()
+                got = [trdata.realize(w, cap) for w in windows]
+                assert [trdata.realize(w, cap) for w in windows] == got
+            if hi is not None:
+                assert len(made) <= 1, (M.dims, cap)
+            for w, mod in zip(windows, got):
+                hull = (min(w[0], lo), w[1] if hi is None else max(w[1], hi))
+                want, _proj = trdata.d.realize(hull).cokernel()
+                assert ((mod.lo, mod.hi, mod.exact_below, mod.exact_above)
+                        == (want.lo, want.hi, want.exact_below, want.exact_above)), (w, cap)
+                assert (mod.algebra, mod.dims, mod.maps) == (want.algebra, want.dims, want.maps)
