@@ -2,7 +2,7 @@
 
 from .errors import (GradedQuiverError, MathRefusal, InputError, FieldMismatch,
                      DimensionMismatch, WindowError, UnsupportedRadical)
-from .linalg import Field, QQ, GF, Matrix, kernel_image
+from .linalg import Field, QQ, GF, Matrix
 from .quiver import Quiver, Arrow, Path
 from .algebra import GradedAlgebra, Relation, AlgElement
 from .gmodule import (GradedModule, GradedMorphism, ModuleElement,
@@ -11,7 +11,7 @@ from .gmodule import (GradedModule, GradedMorphism, ModuleElement,
 __all__ = [
     "GradedQuiverError", "MathRefusal", "InputError", "FieldMismatch",
     "DimensionMismatch", "WindowError", "UnsupportedRadical",
-    "Field", "QQ", "GF", "Matrix", "kernel_image",
+    "Field", "QQ", "GF", "Matrix",
     "Quiver", "Arrow", "Path",
     "GradedAlgebra", "Relation", "AlgElement",
     "GradedModule", "GradedMorphism", "ModuleElement",

@@ -436,18 +436,14 @@ class GradedAlgebra:
         """dim of (A e_gen)_degree: all pieces with source gen_vertex."""
         return sum(n for _x, n in self.column(gen_vertex, degree))
 
-    def row_dim(self, degree, top_vertex):
-        """dim of (e_top A)_degree: all pieces with target top_vertex."""
-        return sum(self.dim_piece(degree, x, top_vertex) for x in self.quiver.vertices)
-
-    def _side_boundedness(self, cap, dim_at):
+    def _side_boundedness(self, cap):
         per_vertex = {}
         all_finite = True
         for v in self.quiver.vertices:
             profile = []
             vanish = None
             for d in range(1, cap + 1):
-                n = dim_at(d, v)
+                n = self.column_dim(d, v)
                 profile.append(n)
                 if n == 0:
                     # A_{i+1} = A_1 * A_i for a quiver algebra, so one empty
@@ -470,15 +466,16 @@ class GradedAlgebra:
     def boundedness(self, degree_cap):
         """Left/right boundedness certified up to a degree cap.
 
-        Finiteness of A e_x (resp. e_x A) is certified exactly when some
-        degree piece vanishes at degree <= cap; otherwise the side is
-        reported unbounded-at-cap with the witness dimension profile.
+        Finiteness of A e_x (resp. e_x A, the column A° e_x of the opposite)
+        is certified exactly when some degree piece vanishes at degree <= cap;
+        otherwise the side is reported unbounded-at-cap with the witness
+        dimension profile.
         """
         if degree_cap < 1:
             raise InputError("degree cap must be >= 1")
         return {
-            "left": self._side_boundedness(degree_cap, self.column_dim),
-            "right": self._side_boundedness(degree_cap, self.row_dim),
+            "left": self._side_boundedness(degree_cap),
+            "right": self.opposite()._side_boundedness(degree_cap),
         }
 
     def __repr__(self):

@@ -308,7 +308,7 @@ def run(args):
         return 0 if ok else 1
 
     if args.command == "ar-formula":
-        rep = ar_formula_check(module(args.module), module(args.other), args.cap)
+        rep = ar_formula_check(module(args.module), module(args.other))
         both = rep["formula1_holds"] and rep["formula2_holds"]
         _emit(args, rep, f"formula1 {rep['formula1_holds']}  "
                          f"formula2 {rep['formula2_holds']}")

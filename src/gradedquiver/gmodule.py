@@ -482,22 +482,6 @@ class GradedMorphism:
                          exact_above=self.source.exact_above, check=False)
         return K, GradedMorphism(K, self.source, blocks, check=False)
 
-    def image(self):
-        """(Im f, inclusion Im f -> target)."""
-        blocks = {}
-        dims = {}
-        for (i, x) in self.source.support():
-            basis = self.block(i, x).image_basis()
-            if basis.cols:
-                dims[(i, x)] = basis.cols
-                blocks[(i, x)] = basis
-        flags_below = self.target.exact_below and self.source.exact_below
-        flags_above = self.target.exact_above and self.source.exact_above
-        I = GradedModule(self.target.algebra, self.target.lo, self.target.hi, dims,
-                         _induced_sub_maps(self.target, dims, blocks),
-                         exact_below=flags_below, exact_above=flags_above, check=False)
-        return I, GradedMorphism(I, self.target, blocks, check=False)
-
     def cokernel(self):
         """(C = target/Im f, projection target -> C), one reduction a piece.
 

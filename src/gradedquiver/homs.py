@@ -3,15 +3,17 @@
 Hom spaces between concrete windowed modules come from the naturality linear
 system.  Homs out of formal projective sums are piece lookups; homs into
 injectives are obtained by dualizing them: GHom(M, I_a<s>) is the dual of
-GHom(P°_a<-s>, D M) over the opposite algebra.  Ext^1 against a presented
-module is the space of Hom(P1, N) tuples vanishing on the kernel of the
-presentation differential, modulo pullbacks from P0; the right End-action is
+GHom(P°_a<-s>, D M) over the opposite algebra; stable homs modulo
+injectives are stable homs modulo projectives between the duals.  Ext^1
+against a presented module is the space of Hom(P1, N) tuples vanishing on the
+kernel of the presentation differential, modulo pullbacks from P0, on one
+window: the hull of N's and the generator degrees.  The right End-action is
 realized by lifting endomorphisms along the presentation.
 """
 
 import random
 
-from .errors import InputError, WindowError, UnsupportedRadical, MathRefusal
+from .errors import WindowError, UnsupportedRadical, MathRefusal
 from .linalg import Matrix, charpoly, roots_in_field
 from .gmodule import GradedMorphism, standard_module, _memo
 from .presentations import (ProjSum, projective_cover, Cover, _pmap_from_generators,
@@ -255,8 +257,7 @@ def ghom_to_injective(M, vertex, s):
     the map P°_vertex<-s> -> D M over the opposite algebra that sends the
     generator to the k-th basis vector of (D M)_s(vertex): the k-th
     dual-basis functional on M_{-s}(vertex).  The one sending a chosen
-    element m to the socle generator is a scaled basis combination (see
-    `extend_to_injective`).
+    element m to the socle generator is a scaled basis combination.
     """
     alg = M.algebra
     f = alg.field
@@ -269,19 +270,6 @@ def ghom_to_injective(M, vertex, s):
         mor = psum_hom_to_morphism(psum, DM, coords, (DM.lo, DM.hi)).dual()
         basis.append({key: m for key, m in mor.blocks.items() if not m.is_zero()})
     return HomSpace(M, standard_module(alg, "I", vertex, s, window=(M.lo, M.hi)), basis)
-
-
-def extend_to_injective(m, s=None):
-    """A morphism f: M -> I_a<s> with f(m) the socle generator of I_a<s>."""
-    M = m.module
-    if s is None:
-        s = -m.degree
-    H = ghom_to_injective(M, m.vertex, s)
-    f = M.algebra.field
-    for t, c in enumerate(m.coords):
-        if c:
-            return H.morphism(t).scale(f.inv(c))
-    raise InputError("cannot extend the zero element")
 
 
 # -- endomorphism algebras -------------------------------------------------------
@@ -443,25 +431,21 @@ def _fitting_split(M, phi):
         power = psi
         for _ in range(max(total.bit_length(), 1)):
             power = power.compose(power)
-        K, _ = power.kernel()
-        I, _ = power.image()
-        kd = sum(K.dims.values())
-        idd = sum(I.dims.values())
-        if kd and idd:
-            idem = _projection_onto_image(M, power)
-            return idem, (kd, idd)
+        kd = sum(basis.cols for basis, _free in power.kernel_bases().values())
+        if kd and total - kd:
+            return _projection_onto_image(M, power), (kd, total - kd)
     return None
 
 
 def _projection_onto_image(M, power):
-    """The idempotent projecting onto im(power) along ker(power)."""
+    """The idempotent projecting onto im(power) along ker(power), piece by
+    piece from the kernel bases and the blocks' image bases."""
     f = M.algebra.field
-    K, kincl = power.kernel()
-    I, iincl = power.image()
+    kers = power.kernel_bases()
     blocks = {}
     for (i, x), n in M.dims.items():
-        kb = kincl.block(i, x)
-        ib = iincl.block(i, x)
+        kb = kers[(i, x)][0] if (i, x) in kers else Matrix.zeros(f, n, 0)
+        ib = power.block(i, x).image_basis()
         S = kb.hstack(ib)
         inv = S.solve(Matrix.identity(f, n))
         if inv is None:
@@ -509,11 +493,6 @@ def underline_hom_dim(M, N):
     return H.dim - img.rank()
 
 
-def overline_hom_dim(M, N):
-    """dim Hom(M, N) modulo maps factoring through injectives, by duality."""
-    return underline_hom_dim(N.dual(), M.dual())
-
-
 # -- Ext^1 --------------------------------------------------------------------------
 
 
@@ -547,9 +526,8 @@ class ExtSpace:
             self.window = window
             return
         if window is None:
-            gen_lo = min(-s for _a, s in (self.p1.summands + self.p0.summands))
-            gen_hi = max(-s for _a, s in (self.p1.summands + self.p0.summands))
-            window = (min(gen_lo, N.lo), max(gen_hi, N.hi))
+            degrees = [-s for _a, s in self.p1.summands + self.p0.summands] + [N.lo, N.hi]
+            window = (min(degrees), max(degrees))
         self.window = window
         boundary = psum_pullback_matrix(d1, N)  # Hom(P0,N) -> Hom(P1,N)
         self.B = boundary.image_basis()
@@ -631,14 +609,11 @@ def _kernel_constraints(d1, N, window):
     return Matrix(f, len(rows), size, rows)
 
 
-def ext1(M, N, pres=None):
-    """Ext^1(M, N) from the given presentation of M, else from its minimal
-    presentation, which `minimal_presentation` keeps on M."""
+def ext1(M, N):
+    """Ext^1(M, N) from the minimal presentation of M, which
+    `minimal_presentation` keeps on M, on ExtSpace's own window."""
     from .presentations import minimal_presentation
-    if pres is None:
-        pres = minimal_presentation(M)
-    window = (min(M.lo, N.lo), max(M.hi + 1, N.hi))
-    return ExtSpace(pres.d1, N, window)
+    return ExtSpace(minimal_presentation(M).d1, N)
 
 
 class EndActionOnExt:

@@ -418,13 +418,6 @@ def _eliminate(p, row, prow, c):
     return {j: v // g for j, v in row.items() if v}
 
 
-def kernel_image(A):
-    """(kernel basis, image basis, rank); rank + kernel columns = cols."""
-    ker = A.kernel_basis()
-    im = A.image_basis()
-    return ker, im, A.rank()
-
-
 def charpoly(A):
     """Characteristic polynomial of a square matrix, low-degree-first.
 

@@ -1,8 +1,8 @@
 import pytest
 
-from gradedquiver import Quiver, GradedAlgebra, Relation, QQ, WindowError
+from gradedquiver import Quiver, GradedAlgebra, Relation, QQ, WindowError, InputError
 from gradedquiver.gmodule import ModuleElement
-from gradedquiver.homs import ghom
+from gradedquiver.homs import ghom, ghom_to_injective, underline_hom_dim
 
 
 def rel(quiver, terms):
@@ -82,6 +82,24 @@ def soc_basis(M):
         blk = incl.block(i, x)
         out.extend(ModuleElement(M, i, x, blk.col(c)) for c in range(blk.cols))
     return out
+
+
+def overline_hom_dim(M, N):
+    """dim Hom(M, N) modulo maps factoring through injectives, by duality."""
+    return underline_hom_dim(N.dual(), M.dual())
+
+
+def extend_to_injective(m, s=None):
+    """A morphism f: M -> I_a<s> with f(m) the socle generator of I_a<s>."""
+    M = m.module
+    if s is None:
+        s = -m.degree
+    H = ghom_to_injective(M, m.vertex, s)
+    f = M.algebra.field
+    for t, c in enumerate(m.coords):
+        if c:
+            return H.morphism(t).scale(f.inv(c))
+    raise InputError("cannot extend the zero element")
 
 
 def transpose_back(trdata):

@@ -130,7 +130,7 @@ def class_of_sequence(seq):
     cover through g to the syzygy's generators in K."""
     A, E, C, f, g = seq.A, seq.E, seq.C, seq.f, seq.g
     pres = minimal_presentation(C)
-    ext = ext1(C, A, pres=pres)
+    ext = ext1(C, A)
     supp = C.support_degrees()
     need_hi = (supp[-1] + 1) if supp else C.hi
     W = (E.lo, max(E.hi, need_hi))

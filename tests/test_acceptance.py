@@ -18,13 +18,13 @@ from gradedquiver import (QQ, GF, Quiver, GradedAlgebra,
 from gradedquiver.presentations import (ProjSum, minimal_presentation,
                                         injective_envelope,
                                         graded_dimension, resolution)
-from gradedquiver.homs import (ext1, ExtSpace, underline_hom_dim,
-                               overline_hom_dim, is_strongly_indecomposable)
+from gradedquiver.homs import ext1, ExtSpace, underline_hom_dim, is_strongly_indecomposable
 from gradedquiver.artheory import (TransposeData, transpose, tau, tau_inverse,
                                    nakayama, almost_split_sequence,
                                    verify_almost_split, find_isomorphism)
 
-from conftest import make_fix_a, make_fix_b, make_fix_c, make_fix_d, rel, transpose_back
+from conftest import (make_fix_a, make_fix_b, make_fix_c, make_fix_d, rel, transpose_back,
+                      overline_hom_dim)
 from ext_oracle import ext1_dim_oracle, ext1_dim_oracle_exhaustive
 from injective_oracle import nakayama_pairing_dims
 from quiver_paths import count_paths

@@ -2,13 +2,12 @@ import pytest
 
 from gradedquiver import QQ, GF, GradedMorphism, standard_module, direct_sum
 from gradedquiver.errors import WindowError, UnsupportedRadical
-from gradedquiver.homs import (ghom, ghom_to_injective, extend_to_injective,
-                               end_algebra, is_strongly_indecomposable,
-                               underline_hom_dim, overline_hom_dim, ext1,
+from gradedquiver.homs import (ghom, ghom_to_injective, end_algebra,
+                               is_strongly_indecomposable, underline_hom_dim, ext1,
                                EndActionOnExt, hom_psum_dim)
 from gradedquiver.presentations import ProjSum
 
-from conftest import ghom_dim, make_fix_b
+from conftest import ghom_dim, make_fix_b, overline_hom_dim, extend_to_injective
 from ext_oracle import ext1_dim_oracle, ext1_dim_oracle_exhaustive
 
 

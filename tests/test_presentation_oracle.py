@@ -50,7 +50,7 @@ def compare(alg, rng):
         A = tau(C, window=(C.lo - 4, C.hi + 6), check_verdict=False).module
         if not A.is_exact:
             continue
-        ext = ext1(C, A, pres=pres)
+        ext = ext1(C, A)
         end = end_algebra(C)
         action = EndActionOnExt(ext, end, pres=pres)
         f = alg.field

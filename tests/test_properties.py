@@ -113,7 +113,7 @@ def test_kronecker_sequence_and_socle_failure():
 
     pres = minimal_presentation(C)
     t = tau(C, check_verdict=False)
-    ext = ext1(C, t.module, pres=pres)
+    ext = ext1(C, t.module)
     assert ext.dim == 2
     action = EndActionOnExt(ext, end, pres=pres)
     soc = action.socle_subspace()
@@ -150,4 +150,4 @@ def test_ext_nonzero_for_certified_nonprojective(fix_b, fix_d):
         if pres.module_is_projective():
             continue
         t = tau(C, check_verdict=False)
-        assert ext1(C, t.module, pres=pres).dim >= 1
+        assert ext1(C, t.module).dim >= 1

@@ -99,7 +99,7 @@ def random_algebra_with_long_relations(seed):
         return None
     alg = GradedAlgebra(q, field, relations)
     # keep the windows of the caps below cheap: tame growth on both sides
-    if sum(alg.column_dim(d, v) + alg.row_dim(d, v)
+    if sum(alg.column_dim(d, v) + alg.opposite().column_dim(d, v)
            for d in range(18) for v in vertices) > 150:
         return None
     return alg

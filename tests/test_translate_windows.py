@@ -57,7 +57,7 @@ def test_truncated_polynomial_translates_at_cap_n(n):
         ok, failures = verify_almost_split(seq)
         assert ok, (n, direction, failures)
     for shift in (-1, 0, 1):
-        rep = ar_formula_check(S, standard_module(alg, "S", "1", shift), cap=n)
+        rep = ar_formula_check(S, standard_module(alg, "S", "1", shift))
         assert rep["formula1_holds"] and rep["formula2_holds"], (n, shift, rep)
 
 
