@@ -602,9 +602,12 @@ def direct_sum(modules):
 
 def _sum_with_offsets(modules):
     """(sum, offsets): offsets[k][(i, x)] is the first coordinate of the k-th
-    module's piece (i, x) inside the sum's piece; windows must agree."""
+    module's piece (i, x) inside the sum's piece; windows must agree.  The
+    sum of one module is that module (modules are immutable)."""
     if not modules:
         raise InputError("empty direct sum")
+    if len(modules) == 1:
+        return modules[0], [dict.fromkeys(modules[0].dims, 0)]
     algebra = modules[0].algebra
     lo, hi = modules[0].lo, modules[0].hi
     f = algebra.field

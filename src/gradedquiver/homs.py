@@ -1,8 +1,12 @@
 """Graded hom spaces, endomorphism algebras, stable homs, and Ext^1.
 
-Hom spaces between concrete windowed modules come from the naturality linear
-system.  Homs out of formal projective sums are piece lookups; homs into
-injectives are obtained by dualizing them: GHom(M, I_a<s>) is the dual of
+Hom bases between concrete windowed modules (End algebras, the `hom`
+command, isomorphisms between modules that differ) come from the naturality
+linear system.  Homs out of formal projective sums are piece lookups, and
+stable hom dimensions are read off the source's minimal presentation
+P1 --d1--> P0: Hom(M, Y) is the kernel of the pullback Hom(P0, Y) ->
+Hom(P1, Y), for Y the target and for its realized projective cover.  Homs
+into injectives are obtained by dualizing: GHom(M, I_a<s>) is the dual of
 GHom(P°_a<-s>, D M) over the opposite algebra; stable homs modulo
 injectives are stable homs modulo projectives between the duals.  Ext^1
 against a presented module is the space of Hom(P1, N) tuples vanishing on the
@@ -16,33 +20,31 @@ import random
 from .errors import WindowError, UnsupportedRadical, MathRefusal
 from .linalg import Matrix, charpoly, roots_in_field
 from .gmodule import GradedMorphism, standard_module, _memo
-from .presentations import (ProjSum, projective_cover, Cover, _pmap_from_generators,
-                            _pmap_generator_image)
+from .presentations import (ProjSum, projective_cover, minimal_presentation, Cover,
+                            _pmap_from_generators, _pmap_generator_image)
 
 
-def _align_for_hom(M, N):
-    """Re-window source and target to a common window where the naturality
-    system is fully determined, or refuse."""
+def _hom_window(M, N):
+    """The common window on which the naturality system M -> N is fully
+    determined: the hull of N's window and of M's support with one degree
+    above it.  Refuses where N is truncated inside that hull."""
     if not M.is_exact:
         raise WindowError("hom source must be exact-windowed")
     sup = M.support_degrees()
     if not sup:
-        lo, hi = N.lo, N.hi
-        return M.with_window(lo, hi), N
+        return N.lo, N.hi
     dmin, dmax = sup[0], sup[-1]
-    lo = min(dmin, N.lo)
-    hi = max(dmax + 1, N.hi)
-    if N.lo > lo:
-        if not N.exact_below:
-            raise WindowError("target truncated below the source support")
-    if N.hi < hi:
-        if not N.exact_above:
-            if dmax + 1 > N.hi:
-                raise WindowError("target truncated inside the source support")
-            hi = N.hi
-    N2 = N.with_window(lo, hi)
-    M2 = M.with_window(lo, hi)
-    return M2, N2
+    if dmin < N.lo and not N.exact_below:
+        raise WindowError("target truncated below the source support")
+    if dmax + 1 > N.hi and not N.exact_above:
+        raise WindowError("target truncated inside the source support")
+    return min(dmin, N.lo), max(dmax + 1, N.hi)
+
+
+def _align_for_hom(M, N):
+    """Source and target re-windowed to `_hom_window`, or refuse."""
+    lo, hi = _hom_window(M, N)
+    return M.with_window(lo, hi), N.with_window(lo, hi)
 
 
 class HomSpace:
@@ -470,27 +472,30 @@ def _poly_mul(f, p, q):
 
 
 def underline_hom_dim(M, N):
-    """dim of Hom(M, N) modulo maps factoring through projectives.
+    """dim of Hom(M, N) modulo maps factoring through projectives, read off
+    M's minimal presentation P1 --d1--> P0; no naturality system is solved.
 
-    A map factors through some projective iff it lifts along the projective
-    cover of N, so the quotient is the cokernel of composition with the cover.
+    Hom(M, Y) is the kernel of the pullback Hom(P0, Y) -> Hom(P1, Y).  A map
+    factors through some projective iff it lifts along the projective cover
+    Q -> N, so the quotient is Hom(M, N) modulo Hom(M, Q) pushed through the
+    cover's blocks at P0's generator slots, with Q realized on the hull of
+    the presentation's window and N's.  N must be known where `ghom` reads
+    it (`_hom_window`).
     """
-    H = ghom(M, N)
-    if H.dim == 0:
+    _hom_window(M, N)
+    pres = minimal_presentation(M)
+    hom = psum_pullback_matrix(pres.d1, N).kernel_basis()
+    if hom.cols == 0:
         return 0
-    W = (H.source.lo, H.source.hi)
-    cover = projective_cover(N)
-    cov = cover.realize(N, W)
-    HP = ghom(H.source, cov.source)
-    if HP.dim == 0:
-        return H.dim
-    cols = []
-    for g in HP.morphisms():
-        comp = cov.compose(g)
-        cols.append(H.flatten(comp.blocks))
+    lo, hi = pres.window
+    cov = projective_cover(N).realize(N, (min(lo, N.lo), max(hi, N.hi)))
+    lifts = psum_pullback_matrix(pres.d1, cov.source).kernel_basis()
     f = M.algebra.field
-    img = Matrix.from_cols(f, len(cols[0]), cols)
-    return H.dim - img.rank()
+    pushed = Matrix.zeros(f, 0, lifts.cols)
+    for b, d, n, off in hom_psum_slots(pres.p0, cov.source)[0]:
+        lift = Matrix._make(f, n, lifts.cols, lifts.data[off:off + n])
+        pushed = pushed.vstack(cov.block(d, b) @ lift)
+    return hom.cols - pushed.rank()
 
 
 # -- Ext^1 --------------------------------------------------------------------------
@@ -612,7 +617,6 @@ def _kernel_constraints(d1, N, window):
 def ext1(M, N):
     """Ext^1(M, N) from the minimal presentation of M, which
     `minimal_presentation` keeps on M, on ExtSpace's own window."""
-    from .presentations import minimal_presentation
     return ExtSpace(minimal_presentation(M).d1, N)
 
 
@@ -624,7 +628,6 @@ class EndActionOnExt:
     """
 
     def __init__(self, ext, end, pres=None):
-        from .presentations import minimal_presentation
         self.ext = ext
         self.end = end
         M = end.hom.source

@@ -3,6 +3,8 @@ import pytest
 from gradedquiver import Quiver, GradedAlgebra, Relation, QQ, WindowError, InputError
 from gradedquiver.gmodule import ModuleElement
 from gradedquiver.homs import ghom, ghom_to_injective, underline_hom_dim
+from gradedquiver.linalg import Matrix
+from gradedquiver.presentations import projective_cover
 
 
 def rel(quiver, terms):
@@ -82,6 +84,23 @@ def soc_basis(M):
         blk = incl.block(i, x)
         out.extend(ModuleElement(M, i, x, blk.col(c)) for c in range(blk.cols))
     return out
+
+
+def naturality_underline_hom_dim(M, N):
+    """dim underline Hom(M, N) by naturality systems: Hom(M, N) by `ghom`,
+    modulo the composites with the projective cover of N of the maps from M
+    into the cover's source, also by `ghom` (the route `underline_hom_dim`
+    replaced)."""
+    H = ghom(M, N)
+    if H.dim == 0:
+        return 0
+    W = (H.source.lo, H.source.hi)
+    cov = projective_cover(N).realize(N, W)
+    HP = ghom(H.source, cov.source)
+    if HP.dim == 0:
+        return H.dim
+    cols = [H.flatten(cov.compose(g).blocks) for g in HP.morphisms()]
+    return H.dim - Matrix.from_cols(M.algebra.field, len(cols[0]), cols).rank()
 
 
 def overline_hom_dim(M, N):

@@ -3,7 +3,8 @@
 `ar_formula_check(M, X)` computes dim underline Hom(M, X) and
 dim Ext^1(X, tau M) = dim Ext^1(Tr M, D X) over the opposite algebra, off the
 unrealized transpose, and its second formula is the first on (D M, D X).  The
-routes it replaced are the oracles here:
+routes it replaced are the oracles here, with the stable homs by naturality
+systems (`naturality_underline_hom_dim`):
 - formula 1: tau M realized at the generator degrees of X's presentation, and
   Ext^1(X, tau M) on the window (min(X.lo, lo), max(X.hi + 1, hi));
 - formula 2: overline Hom(X, M) by duality and Ext^1(tau^- M, X) off the
@@ -22,11 +23,12 @@ import pytest
 from gradedquiver import GF, QQ, Quiver, GradedAlgebra, standard_module
 from gradedquiver import artheory, presentations
 from gradedquiver.artheory import ar_formula_check, tau, transpose
-from gradedquiver.homs import ExtSpace, ext1, underline_hom_dim
+from gradedquiver.homs import ExtSpace, ext1
 from gradedquiver.presentations import minimal_presentation
 from gradedquiver.problem import parse_problem, parse_problem_dict
 
-from conftest import make_fix_a, make_fix_b, make_fix_c, make_fix_d, overline_hom_dim, rel
+from conftest import (make_fix_a, make_fix_b, make_fix_c, make_fix_d,
+                      naturality_underline_hom_dim, rel)
 from test_derived_memo import random_problem
 from test_standard_columns import seeded_algebras
 from test_translate_windows import truncated_polynomial
@@ -52,18 +54,21 @@ def old_formula1(M, X, cap):
     degrees = [-s for _a, s in pres.p0.summands + pres.p1.summands]
     t = tau(M, window=(min(degrees), max(degrees)) if degrees else None, cap=cap,
             check_verdict=False)
+    hom = naturality_underline_hom_dim(M, X)
     if t.is_zero():
-        return underline_hom_dim(M, X), 0
+        return hom, 0
     # over fix_a tau M is cut below, outside the degrees ExtSpace reads
     T = t.module
     rhs = ExtSpace(pres.d1, T, (min(X.lo, T.lo), max(X.hi + 1, T.hi))).dim
-    return underline_hom_dim(M, X), rhs
+    return hom, rhs
 
 
 def old_formula2(M, X):
-    """dim overline Hom(X, M) and dim Ext^1(tau^- M, X)."""
+    """dim overline Hom(X, M) = dim underline Hom(D M, D X) and
+    dim Ext^1(tau^- M, X)."""
     trd = transpose(M.dual())
-    return overline_hom_dim(X, M), 0 if trd.is_zero() else ExtSpace(trd.d, X).dim
+    hom = naturality_underline_hom_dim(M.dual(), X.dual())
+    return hom, 0 if trd.is_zero() else ExtSpace(trd.d, X).dim
 
 
 def finite_modules(alg, cap):
