@@ -472,16 +472,6 @@ class GradedMorphism:
             self._kernel_bases = out
         return self._kernel_bases
 
-    def kernel(self):
-        """(K, inclusion K -> source), on the bases of `kernel_bases`."""
-        blocks = {ix: basis for ix, (basis, _free) in self.kernel_bases().items()}
-        dims = {ix: basis.cols for ix, basis in blocks.items()}
-        K = GradedModule(self.source.algebra, self.source.lo, self.source.hi, dims,
-                         _induced_sub_maps(self.source, dims, blocks),
-                         exact_below=self.source.exact_below,
-                         exact_above=self.source.exact_above, check=False)
-        return K, GradedMorphism(K, self.source, blocks, check=False)
-
     def cokernel(self):
         """(C = target/Im f, projection target -> C), one reduction a piece.
 

@@ -9,10 +9,11 @@ Hom(P1, Y), for Y the target and for its realized projective cover.  Homs
 into injectives are obtained by dualizing: GHom(M, I_a<s>) is the dual of
 GHom(P°_a<-s>, D M) over the opposite algebra; stable homs modulo
 injectives are stable homs modulo projectives between the duals.  Ext^1
-against a presented module is the space of Hom(P1, N) tuples vanishing on the
-kernel of the presentation differential, modulo pullbacks from P0, on one
-window: the hull of N's and the generator degrees.  The right End-action is
-realized by lifting endomorphisms along the presentation.
+against a presented module P1 --d1--> P0 is H^1 of Hom(P., N): the Hom(P1, N)
+tuples killed by the pullback along the next differential P2 -> P1, which
+maps onto the generators of ker d1 (`next_differential`), modulo pullbacks
+from P0.  The right End-action is realized by lifting endomorphisms along the
+presentation.
 """
 
 import random
@@ -21,7 +22,7 @@ from .errors import WindowError, UnsupportedRadical, MathRefusal
 from .linalg import Matrix, charpoly, roots_in_field
 from .gmodule import GradedMorphism, standard_module, _memo
 from .presentations import (ProjSum, projective_cover, minimal_presentation, Cover,
-                            _pmap_from_generators, _pmap_generator_image)
+                            next_differential, _pmap_from_generators, _pmap_generator_image)
 
 
 def _hom_window(M, N):
@@ -505,14 +506,15 @@ class ExtSpace:
     """Ext^1 of a presented module against N, as cocycle tuples on P1.
 
     Input is any presentation P1 --d1--> P0 with exact image (the cokernel is
-    the module in question).  A class is a Hom(P1, N) tuple vanishing on the
-    kernel of d1, modulo tuples pulled back from P0; representatives are
-    deterministic echelon choices.  Since the constraints land inside N, the
-    kernel only matters up to the top of N's support, so a window reaching
-    max(N.hi, generator degrees) is complete.
+    the module in question).  Ext^1 is the first cohomology of Hom(P., N): a
+    class is a Hom(P1, N) tuple killed by the pullback along the next
+    differential P2 -> P1 (`next_differential`), modulo tuples pulled back
+    from P0; representatives are deterministic echelon choices.  The tuple
+    only sees ker d1 up to the top of N's support, so P2 is taken on the hull
+    of N's window and the generator degrees of P1 and P0.
     """
 
-    def __init__(self, d1, N, window=None):
+    def __init__(self, d1, N):
         self.d1 = d1
         self.p1 = d1.src
         self.p0 = d1.dst
@@ -528,16 +530,11 @@ class ExtSpace:
             self.Z = Matrix.zeros(f, 0, 0)
             self.reps = []
             self.dim = 0
-            self.window = window
             return
-        if window is None:
-            degrees = [-s for _a, s in self.p1.summands + self.p0.summands] + [N.lo, N.hi]
-            window = (min(degrees), max(degrees))
-        self.window = window
-        boundary = psum_pullback_matrix(d1, N)  # Hom(P0,N) -> Hom(P1,N)
-        self.B = boundary.image_basis()
-        constraints = _kernel_constraints(d1, N, window)
-        self.Z = constraints.kernel_basis()
+        degrees = [-s for _a, s in self.p1.summands + self.p0.summands] + [N.lo, N.hi]
+        d2 = next_differential(d1, (min(degrees), max(degrees)))
+        self.B = psum_pullback_matrix(d1, N).image_basis()
+        self.Z = psum_pullback_matrix(d2, N).kernel_basis()
         # the cocycles outside the span of B and the earlier ones
         _, pivots = self.B.hstack(self.Z).rref()
         self.reps = [self.Z.col(c - self.B.cols) for c in pivots if c >= self.B.cols]
@@ -558,65 +555,9 @@ class ExtSpace:
         return list(self.reps[k])
 
 
-def _kernel_constraints(d1, N, window):
-    """Rows cutting out the tuples that vanish on ker(d1) inside P1.
-
-    An element of the realized P1 with coordinates v at piece (d, x) is sent
-    by the tuple xi to sum_j sum_k v[c0_j+k] u_{j,k} . xi_j, so each kernel
-    basis vector contributes dim N_d(x) linear rows.
-    """
-    alg = N.algebra
-    f = alg.field
-    p1 = d1.src
-    slots, size = hom_psum_slots(p1, N)
-    kers = d1.kernel_bases(window)
-    if not kers:
-        return Matrix.zeros(f, 0, size)
-    _total, offsets = p1.realize(window)
-    rows = []
-    for (d, x), (basis, _free) in kers.items():
-        ndim = N.dims.get((d, x), 0) if N.lo <= d <= N.hi else 0
-        if ndim == 0:
-            if d > N.hi or (d < N.lo and N.exact_below):
-                continue
-            if d < N.lo:
-                raise WindowError("kernel constraint below the target window")
-            continue
-        acts = {}
-        for j, (b, s) in enumerate(p1.summands):
-            piece = alg.piece(d + s, b, x)
-            if piece.dim == 0:
-                continue
-            acts[j] = [N.path_action(rep, -s) for rep in piece.rep_paths]
-        for v in range(basis.cols):
-            vec = basis.col(v)
-            for r in range(ndim):
-                row = [f.zero()] * size
-                nontrivial = False
-                for j, (b, s) in enumerate(p1.summands):
-                    if j not in acts:
-                        continue
-                    c0 = offsets[j][(d, x)]
-                    _bj, dj, nj, offj = slots[j]
-                    for k, act in enumerate(acts[j]):
-                        coeff = vec[c0 + k]
-                        if not coeff:
-                            continue
-                        for m in range(nj):
-                            val = f.mul(coeff, act.data[r][m])
-                            if val:
-                                row[offj + m] = f.add(row[offj + m], val)
-                                nontrivial = True
-                if nontrivial:
-                    rows.append(row)
-    if not rows:
-        return Matrix.zeros(f, 0, size)
-    return Matrix(f, len(rows), size, rows)
-
-
 def ext1(M, N):
     """Ext^1(M, N) from the minimal presentation of M, which
-    `minimal_presentation` keeps on M, on ExtSpace's own window."""
+    `minimal_presentation` keeps on M."""
     return ExtSpace(minimal_presentation(M).d1, N)
 
 

@@ -321,9 +321,6 @@ class ProjPresentation:
         self.window = window
         self._derived = {}
 
-    def is_minimal(self):
-        return self.d1.is_radical()
-
     def module_is_projective(self):
         return self.p1.is_zero()
 
@@ -406,6 +403,16 @@ def _pmap_from_generators(dst, window, gens):
     return PMap(src, dst, entries)
 
 
+def next_differential(d, window):
+    """The differential after d: P -> Q in a minimal resolution, the map
+    P' -> P onto the generators of ker d in degrees up to the window's top,
+    read off d realized on the window; P' has one summand P_x<-i> per
+    generator of degree i at x."""
+    P, _offsets = d.src.realize(window)
+    return _pmap_from_generators(d.src, window,
+                                 _kernel_generators(P, d.kernel_bases(window), window[1]))
+
+
 def _pmap_generator_image(pmap, j, degree, vertex, window):
     """The image of the j-th source generator inside the realized target."""
     alg = pmap.algebra
@@ -463,7 +470,8 @@ def resolution(M, cap, pad=5, window_hi=None):
     kernel bases of the realized differential d_n; its generators at (i, x)
     are the basis vectors completing the image of the arrows into x from
     degree i-1, read in kernel coordinates at the free rows of the piece's
-    rref, and they define P_{n+1} and d_{n+1}.  No syzygy module is built.
+    rref, and they define P_{n+1} and d_{n+1} (`next_differential`).  No
+    syzygy module is built.
 
     Generator searches beyond the first syzygy have no a-priori degree bound;
     the working window is grown once by `pad` when a generator shows up at
@@ -565,12 +573,12 @@ def _resolution_attempt(M, cap, window, final):
         if step == 0:
             d = pres.d1
         else:
-            gens = _kernel_generators(P, kers, hi)
-            if any(g[0] >= hi for g in gens):
-                raise _NeedsWiderWindow(max(g[0] for g in gens))
-            if not gens:
+            d = next_differential(d, window)
+            top = max((-t for _b, t in d.src.summands), default=None)
+            if top is None:
                 raise MathRefusal("nonzero syzygy without generators in the window")
-            d = _pmap_from_generators(psums[-1], window, gens)
+            if top >= hi:
+                raise _NeedsWiderWindow(top)
         if not d.is_radical():
             raise MathRefusal("cover produced a non-radical differential")
         psums.append(d.src)

@@ -1,7 +1,8 @@
 import pytest
 
-from gradedquiver import Quiver, GradedAlgebra, Relation, QQ, WindowError, InputError
-from gradedquiver.gmodule import ModuleElement
+from gradedquiver import (Quiver, GradedAlgebra, GradedModule, GradedMorphism, Relation, QQ,
+                          WindowError, InputError)
+from gradedquiver.gmodule import ModuleElement, _induced_sub_maps
 from gradedquiver.homs import ghom, ghom_to_injective, underline_hom_dim
 from gradedquiver.linalg import Matrix
 from gradedquiver.presentations import projective_cover
@@ -59,6 +60,17 @@ def make_polynomial(field=QQ, skew=None):
 
 
 # -- readings of library data that only the tests use ---------------------------
+
+
+def kernel(mor):
+    """(K, inclusion K -> source) of a morphism, on the bases of its
+    `kernel_bases`, as a module (the program keeps only the bases)."""
+    blocks = {ix: basis for ix, (basis, _free) in mor.kernel_bases().items()}
+    dims = {ix: basis.cols for ix, basis in blocks.items()}
+    src = mor.source
+    K = GradedModule(src.algebra, src.lo, src.hi, dims, _induced_sub_maps(src, dims, blocks),
+                     exact_below=src.exact_below, exact_above=src.exact_above, check=False)
+    return K, GradedMorphism(K, src, blocks, check=False)
 
 
 def ghom_dim(M, N):

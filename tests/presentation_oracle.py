@@ -19,6 +19,7 @@ from gradedquiver.presentations import (Cover, PMap, ProjSum, _pmap_generator_im
                                         minimal_presentation)
 
 import resolution_oracle
+from conftest import kernel
 
 
 def syzygy_cover(pres):
@@ -27,7 +28,7 @@ def syzygy_cover(pres):
     Checks that the d1 they define is the presentation's.
     """
     M = pres.module
-    K, K_incl = pres.cover0.realize(M, pres.window).kernel()
+    K, K_incl = kernel(pres.cover0.realize(M, pres.window))
     gens = resolution_oracle.top_basis(K, gen_degree_bound=M.hi + 1)
     p1 = ProjSum(M.algebra, [(g.vertex, -g.degree) for g in gens])
     d1 = resolution_oracle.pmap_from_kernel_generators(p1, pres.p0, pres.window, gens, K_incl)
@@ -41,7 +42,7 @@ def pushout_sequence(C, A, pres, xi_tuple):
     lo, hi = W = (min(A.lo, C.lo), max(A.hi, C.hi))
     aug = pres.cover0.realize(C, W)
     P0 = aug.source
-    K, K_incl = aug.kernel()
+    K, K_incl = kernel(aug)
     htilde = psum_hom_to_morphism(pres.p1, A, xi_tuple, W)
     aug1 = syzygy_cover(pres).realize(K, W)
     h_blocks = {}
@@ -94,7 +95,7 @@ def lift(pres, fmor):
     alg = pres.module.algebra
     window = pres.window
     aug0 = pres.cover0.realize(pres.module, window)
-    K, K_incl = aug0.kernel()
+    K, K_incl = kernel(aug0)
     aug1 = syzygy_cover(pres).realize(K, window)
     lifted0 = []
     for g in pres.cover0.generators:
@@ -135,7 +136,7 @@ def class_of_sequence(seq):
     need_hi = (supp[-1] + 1) if supp else C.hi
     W = (E.lo, max(E.hi, need_hi))
     aug = pres.cover0.realize(pres.module, W)
-    K, K_incl = aug.kernel()
+    K, K_incl = kernel(aug)
     fld = A.algebra.field
     E_W = E.with_window(*W)
     g_W = GradedMorphism(E_W, C.with_window(*W), dict(g.blocks), check=False)

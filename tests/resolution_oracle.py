@@ -17,6 +17,8 @@ from gradedquiver.linalg import Matrix
 from gradedquiver.presentations import (Cover, PMap, ProjSum, Resolution,
                                         _NeedsWiderWindow, _generated_in_window)
 
+from conftest import kernel
+
 
 def top_basis(M, gen_degree_bound=None):
     """Pure elements lifting a basis of top M, lowest degrees first.
@@ -92,7 +94,7 @@ def _resolution_attempt(M, cap, window, final):
     psums = [cover.psum]
     pmaps = []
     aug = cover.realize(M, window)
-    current, current_incl = aug.kernel()
+    current, current_incl = kernel(aug)
     step = 0
     complete = hi > M.hi
     while True:
@@ -120,5 +122,5 @@ def _resolution_attempt(M, cap, window, final):
         psums.append(pnext)
         pmaps.append(d)
         aug = Cover(pnext, gens).realize(current, window)
-        current, current_incl = aug.kernel()
+        current, current_incl = kernel(aug)
         step += 1

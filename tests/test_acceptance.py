@@ -24,8 +24,9 @@ from gradedquiver.artheory import (TransposeData, transpose, tau, tau_inverse,
                                    verify_almost_split, find_isomorphism)
 
 from conftest import (make_fix_a, make_fix_b, make_fix_c, make_fix_d, rel, transpose_back,
-                      overline_hom_dim)
+                      overline_hom_dim, kernel)
 from ext_oracle import ext1_dim_oracle, ext1_dim_oracle_exhaustive
+from ext_window_oracle import WindowedExtSpace
 from injective_oracle import nakayama_pairing_dims
 from quiver_paths import count_paths
 
@@ -261,8 +262,8 @@ def _formula_sweep(alg, shifts=range(-3, 4)):
                 if tau_real[vM] is None:
                     rhs1 = 0
                 else:
-                    rhs1 = ExtSpace(shifted_d1[(vX, r)], tau_real[vM],
-                                    window=(-WIDE, WIDE)).dim
+                    rhs1 = WindowedExtSpace(shifted_d1[(vX, r)], tau_real[vM],
+                                            window=(-WIDE, WIDE)).dim
                 if lhs1 != rhs1:
                     bad.append(("formula1", vM, vX, r, lhs1, rhs1))
                 lhs2 = overline_hom_dim(X, M)
@@ -436,10 +437,10 @@ def test_criterion_8_minimality_certificates():
         mods += [m for m in sample_fd_modules(alg, rng, 6)]
         for M in mods:
             pres = minimal_presentation(M)
-            assert pres.is_minimal()
+            assert pres.d1.is_radical()
             # Ker(cover) inside rad P: no kernel component in generator degrees
             aug = pres.cover0.realize(M, pres.window)
-            K, _ = aug.kernel()
+            K, _ = kernel(aug)
             radP, _ = aug.source.radical()
             for key, n in K.dims.items():
                 assert n <= radP.dims.get(key, 0), (M.dims, key)
@@ -474,7 +475,7 @@ def test_criterion_9_second_syzygy_golden():
     assert res.status == "finite" and res.length == 2
     # a single shifted copy at vertex 4, not two
     assert res.psums[2].summands == (("4", -2),)
-    syz = res.pmaps[1].realize((0, 10)).kernel()[0]
+    syz = kernel(res.pmaps[1].realize((0, 10)))[0]
     assert syz.is_zero()
     _report("criterion 9 (second syzygy is a single P_4<-2>, frozen from the "
             "dimension-count oracle)", started)

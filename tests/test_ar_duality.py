@@ -12,7 +12,8 @@ systems (`naturality_underline_hom_dim`):
 Both run on seeded acyclic binomial algebras over Q and F_3, on k[x]/(x^n)
 at cap n and on quivers with a loop, against X at shifts -1, 0 and 1.  Also
 here: the right side of `boundedness` against the row scan it replaced, and
-`ext1` on ExtSpace's own window against that old window.
+`ext1` against the windowed Ext route (`ext_window_oracle`) on the window
+`ext1` used to take.  The old formulas read Ext^1 by that route too.
 """
 
 import itertools
@@ -23,12 +24,13 @@ import pytest
 from gradedquiver import GF, QQ, Quiver, GradedAlgebra, standard_module
 from gradedquiver import artheory, presentations
 from gradedquiver.artheory import ar_formula_check, tau, transpose
-from gradedquiver.homs import ExtSpace, ext1
+from gradedquiver.homs import ext1
 from gradedquiver.presentations import minimal_presentation
 from gradedquiver.problem import parse_problem, parse_problem_dict
 
 from conftest import (make_fix_a, make_fix_b, make_fix_c, make_fix_d,
                       naturality_underline_hom_dim, rel)
+from ext_window_oracle import WindowedExtSpace
 from test_derived_memo import random_problem
 from test_standard_columns import seeded_algebras
 from test_translate_windows import truncated_polynomial
@@ -45,7 +47,7 @@ def loop_algebra(field=QQ):
 
 def old_ext1(M, N):
     """Ext^1(M, N) on the window ext1 used to take."""
-    return ExtSpace(minimal_presentation(M).d1, N, (min(M.lo, N.lo), max(M.hi + 1, N.hi)))
+    return WindowedExtSpace(minimal_presentation(M).d1, N, (min(M.lo, N.lo), max(M.hi + 1, N.hi)))
 
 
 def old_formula1(M, X, cap):
@@ -59,7 +61,7 @@ def old_formula1(M, X, cap):
         return hom, 0
     # over fix_a tau M is cut below, outside the degrees ExtSpace reads
     T = t.module
-    rhs = ExtSpace(pres.d1, T, (min(X.lo, T.lo), max(X.hi + 1, T.hi))).dim
+    rhs = WindowedExtSpace(pres.d1, T, (min(X.lo, T.lo), max(X.hi + 1, T.hi))).dim
     return hom, rhs
 
 
@@ -68,7 +70,7 @@ def old_formula2(M, X):
     dim Ext^1(tau^- M, X)."""
     trd = transpose(M.dual())
     hom = naturality_underline_hom_dim(M.dual(), X.dual())
-    return hom, 0 if trd.is_zero() else ExtSpace(trd.d, X).dim
+    return hom, 0 if trd.is_zero() else WindowedExtSpace(trd.d, X).dim
 
 
 def finite_modules(alg, cap):
@@ -156,7 +158,7 @@ def test_ar_formula_check_realizes_no_translate(monkeypatch):
     assert checked > 100
 
 
-# -- ext1 on ExtSpace's own window ---------------------------------------------------
+# -- ext1 against the windowed route on the old window ------------------------------
 
 
 @pytest.mark.parametrize("index", range(len(CASES)), ids=[c[0] for c in CASES])

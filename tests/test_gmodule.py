@@ -4,7 +4,7 @@ from gradedquiver import (QQ, Matrix, GradedModule, GradedMorphism,
                           standard_module, direct_sum)
 from gradedquiver.errors import InputError, WindowError
 
-from conftest import classify
+from conftest import classify, kernel
 
 
 def test_standard_projective_fix_b(fix_b):
@@ -190,9 +190,9 @@ def test_morphism_naturality_enforced(fix_b):
     S1 = standard_module(fix_b, "S", "1", 0, window=(0, 1))
     proj = GradedMorphism(P1, S1, {(0, "1"): Matrix(QQ, 1, 1, [[1]])})
     assert proj.is_surjective()
-    K, incl = proj.kernel()
+    K, incl = kernel(proj)
     assert K.dims == {(1, "2"): 1}
-    C, pr = proj.kernel()[1].cokernel()
+    C, pr = kernel(proj)[1].cokernel()
     assert C.dims == {(0, "1"): 1}
     S2 = standard_module(fix_b, "S", "2", 0, window=(0, 1))
     with pytest.raises(InputError):

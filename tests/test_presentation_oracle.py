@@ -4,16 +4,23 @@ d1 against the syzygy-module route of `presentation_oracle`.
 For every simple and its dual, S + S, and sampled finite-dimensional modules,
 over the fixtures and seeded algebras over Q, F_2 and F_3 (monomial and
 binomial, relations of degree 2 and 3, acyclic and cyclic): the pushout
-sequence of every Ext^1(C, tau C) basis class, the End(C)-action on Ext^1 of
-every End basis vector, and the class coordinates of every such sequence.
+sequence of every Ext^1(C, tau C) basis class, of one combination of them and
+of a coboundary, and the End(C)-action on Ext^1 of every End basis vector.
+The class failures `verify_almost_split` reads off g (no class rebuilt) must
+be those the oracle's class of each sequence predicts: "nonsplit" for the
+zero class, "socle" for a class some radical endomorphism moves, none
+otherwise.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
 from gradedquiver import GF, QQ, standard_module
-from gradedquiver.artheory import AlmostSplitSequence, _class_of_sequence, _pushout_sequence, tau
+from gradedquiver.artheory import AlmostSplitSequence, _pushout_sequence, tau, verify_almost_split
+from gradedquiver.errors import UnsupportedRadical
+from gradedquiver.linalg import Matrix
 from gradedquiver.homs import EndActionOnExt, end_algebra, ext1
 from gradedquiver.presentations import minimal_presentation
 
@@ -21,6 +28,7 @@ import presentation_oracle
 from conftest import make_fix_a, make_fix_b, make_fix_c, make_fix_d
 from test_acceptance import hull_sum, sample_fd_modules
 from test_standard_columns import seeded_algebras
+from test_translate_windows import linear_quiver
 
 
 def ending_terms(alg, rng):
@@ -34,16 +42,45 @@ def ending_terms(alg, rng):
     return out + sampled + [hull_sum([out[0], M]) for M in sampled[:3]]
 
 
+def moved_class_terms(alg):
+    """Over 1 -> 2 -> 3: I_2<-1> = [1 -> 2] plus S_1, and plus S_2<-1>.  The
+    radical map I_2<-1> -> S_1 does not factor through P_1 -> S_1, since
+    Hom(I_2<-1>, P_1) = 0, so it moves the class of 0 -> rad P_1 -> P_1 ->
+    S_1 -> 0 in Ext^1(S_1, tau I_2<-1>), rad P_1 being that translate."""
+    I2 = standard_module(alg, "I", "2", -1, window=(0, 1))
+    S1 = standard_module(alg, "S", "1", 0)
+    return [hull_sum([I2, S1]), hull_sum([I2, S1, standard_module(alg, "S", "2", -1)])]
+
+
 def sequence_json(seq):
     A, E, C, f, g = seq
     return [A.to_json_dict(), E.to_json_dict(), C.to_json_dict(),
             f.to_json_dict(), g.to_json_dict()]
 
 
-def compare(alg, rng):
-    """Both routes on every ending term; the number of sequences compared."""
-    sequences = 0
-    for C in ending_terms(alg, rng):
+CLASS_FAILURES = ("nonsplit", "socle", "class check")
+
+
+def expected_class_failures(seq, ext, end, pres):
+    """The class failures of `verify_almost_split`, predicted from the
+    oracle's class coordinates and End(C)-action."""
+    cls = presentation_oracle.class_of_sequence(seq)
+    if not any(cls):
+        return ["nonsplit: extension class is zero"]
+    rad = end.radical_basis()
+    vec = Matrix.from_cols(ext.field, ext.dim, [list(cls)])
+    for k in range(rad.cols):
+        moved = presentation_oracle.action_matrix(ext, end, pres, rad.col(k)) @ vec
+        if any(moved.col(0)):
+            return ["socle: class not annihilated by the radical of End(C)"]
+    return []
+
+
+def compare(alg, terms):
+    """Both routes on every ending term: a count of the sequences compared,
+    and of those whose class failures were compared, by failure."""
+    counts = Counter()
+    for C in terms:
         pres = minimal_presentation(C)
         if pres.module_is_projective():
             continue
@@ -58,16 +95,29 @@ def compare(alg, rng):
             unit = [f.one() if i == k else f.zero() for i in range(end.dim)]
             assert action.action_matrix(unit) == \
                 presentation_oracle.action_matrix(ext, end, pres, unit), (C.dims, k)
-        for k in range(ext.dim):
-            xi = ext.tuple_of_class(k)
+        # each basis class, one combination of them, and a coboundary
+        tuples = [ext.tuple_of_class(k) for k in range(ext.dim)]
+        if ext.dim > 1:
+            tuples.append([sum((f.mul(f.of(k + 1), t[i]) for k, t in enumerate(tuples)), f.zero())
+                           for i in range(ext.size)])
+        if ext.B.cols:
+            tuples.append(ext.B.col(0))
+        for k, xi in enumerate(tuples):
             got = _pushout_sequence(C, A, pres, ext, xi)
             assert sequence_json(got) == \
                 sequence_json(presentation_oracle.pushout_sequence(C, A, pres, xi)), (C.dims, k)
+            counts["sequences"] += 1
             seq = AlmostSplitSequence(*got, {}, "ending")
-            assert _class_of_sequence(seq)[0] == presentation_oracle.class_of_sequence(seq), \
-                (C.dims, k)
-            sequences += 1
-    return sequences
+            try:
+                failures = verify_almost_split(seq)[1]
+            except UnsupportedRadical:
+                # an End algebra of dimension >= p in the indecomposability checks
+                assert not f.is_rationals
+                continue
+            failures = [m for m in failures if m.startswith(CLASS_FAILURES)]
+            assert failures == expected_class_failures(seq, ext, end, pres), (C.dims, k)
+            counts[failures[0].split(":")[0] if failures else "none"] += 1
+    return counts
 
 
 @pytest.mark.parametrize("field", ["Q", "F2", "F3"])
@@ -76,4 +126,10 @@ def test_formal_d1_route_matches_syzygy_module_route(field):
     if field == "Q":
         algs += [make() for make in (make_fix_a, make_fix_b, make_fix_c, make_fix_d)]
     rng = random.Random(7)
-    assert sum(compare(alg, rng) for alg in algs) > 0
+    counts = sum((compare(alg, ending_terms(alg, rng)) for alg in algs), Counter())
+    line = linear_quiver(3, algs[0].field)
+    counts += compare(line, moved_class_terms(line))
+    assert counts["sequences"] and counts["none"], counts
+    if field == "Q":
+        # the radicals over F_2 and F_3 refuse these End algebras
+        assert counts["nonsplit"] and counts["socle"], counts

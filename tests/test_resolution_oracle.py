@@ -22,7 +22,7 @@ from gradedquiver.gmodule import _sum_with_offsets
 from gradedquiver.presentations import minimal_presentation, resolution, top_basis
 
 import resolution_oracle
-from conftest import make_fix_a, make_fix_b, make_fix_c, make_fix_d, rel
+from conftest import kernel, make_fix_a, make_fix_b, make_fix_c, make_fix_d, rel
 from quiver_paths import list_paths
 from test_resolution_windows import seeded_algebras_with_long_relations
 from test_standard_columns import seeded_algebras
@@ -125,7 +125,7 @@ def top_outcome(top, M):
 def first_syzygy(M):
     """The kernel of M's minimal cover on the presentation window, as a module."""
     pres = minimal_presentation(M)
-    return pres.cover0.realize(M, pres.window).kernel()[0]
+    return kernel(pres.cover0.realize(M, pres.window))[0]
 
 
 def modules_for_tops(alg):
