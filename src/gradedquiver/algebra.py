@@ -18,6 +18,11 @@ subwords and each one is some a*rep; every row is an element of the slice, so
 no standard path is a pivot; and the non-pivot count is dim A_d.  The rows
 are reduced sparsely (`sparse_rref`); the RREF is unique, so the
 representatives are those a dense reduction gives.
+
+Degree d is built only at the heads of arrows out of the nonzero pieces of
+degree d-1 (A_d = A_1 * A_{d-1}).  Each piece keeps the normal forms of its
+columns a*rep; arrow actions (`column_maps`) and maps of projectives
+(`PMap.realize`, through `_Piece.times_arrow`) read their products there.
 """
 
 import math
@@ -149,7 +154,9 @@ class GradedAlgebra:
             terms = tuple((field.of(c), p.arrows[0].name, p.names()[1:]) for c, p in r.terms)
             self._rels_into[r.target].append((r.degree, r.source, terms))
         self._pieces = {}
-        self._reach = {}    # source -> first degree not yet filled (inf once all vanish)
+        # source -> (first degree not yet filled, inf once all vanish; the
+        # vertices of the nonzero pieces one degree below it)
+        self._reach = {}
         self._vanish = {}   # source -> first degree where every piece from it is zero
         self._columns = {}  # (source, degree) -> column dims, see column()
         self._column_maps = {}  # (source, degree) -> arrow actions, see column_maps()
@@ -182,23 +189,31 @@ class GradedAlgebra:
         return got
 
     def _fill(self, source, degree):
-        """Compute every piece from `source` up to `degree`, lowest degree first.
+        """Compute the pieces from `source` up to `degree`, lowest degree first.
 
-        Stops at the first degree where every piece from `source` is zero:
-        A_{i+1} = A_1 * A_i, so every higher piece is zero as well.
+        A_d = A_1 * A_{d-1}, so degree e is computed only at the heads of
+        arrows out of the nonzero pieces of degree e-1, in vertex order; every
+        other piece of degree e is zero and stays absent (`_piece` reads it as
+        `_EMPTY`).  Stops at the first degree where every piece is zero: every
+        higher piece is zero as well.
         """
         # concurrent fills may repeat work; setdefault keeps one of the
         # identical results
-        e = self._reach.get(source, 0)
+        e, live = self._reach.get(source, (0, (source,)))
+        pieces = self._pieces
         while e <= degree:
-            nonzero = False
-            for t in self.quiver.vertices:
-                p = self._pieces.setdefault((e, source, t), self._compute_piece(e, source, t))
-                nonzero = nonzero or p.dim > 0
-            if not nonzero:
+            if e:
+                heads = {a.target for x in live for a in self.quiver.arrows_from[x]}
+                live = [t for t in self.quiver.vertices if t in heads]
+            nonzero = []
+            for t in live:
+                if pieces.setdefault((e, source, t), self._compute_piece(e, source, t)).dim:
+                    nonzero.append(t)
+            live = nonzero
+            if not live:
                 self._vanish[source] = e
-            e = e + 1 if nonzero else math.inf
-            self._reach[source] = e
+            e = e + 1 if live else math.inf
+            self._reach[source] = (e, live)
 
     def _compute_piece(self, degree, source, target):
         """e_target*A_degree*e_source from the filled pieces of lower degree."""
@@ -208,7 +223,7 @@ class GradedAlgebra:
         pieces = self._pieces
         blocks, offsets, ncols = [], {}, 0
         for a in self._arrows_into[target]:
-            prev = pieces[(degree - 1, source, a.source)]
+            prev = pieces.get((degree - 1, source, a.source), _EMPTY)
             offsets[a.name] = ncols
             blocks.append((a, prev))
             ncols += prev.dim
@@ -218,11 +233,12 @@ class GradedAlgebra:
         for rel_degree, rel_source, terms in self._rels_into[target]:
             if rel_degree > degree:
                 continue
-            for v in pieces[(degree - rel_degree, source, rel_source)].rep_paths:
+            for v in pieces.get((degree - rel_degree, source, rel_source), _EMPTY).rep_paths:
+                v_names = v.names()
                 row = {}
                 for c, name, tail in terms:
                     off = offsets[name]
-                    for j, x in enumerate(self._normal_form(tail + v.names())):
+                    for j, x in enumerate(self._normal_form(tail + v_names)):
                         if x:
                             row[off + j] = f.add(row.get(off + j, f.zero()), f.mul(c, x))
                 rows.append(row)
@@ -338,28 +354,6 @@ class GradedAlgebra:
         coeffs = self._lincomb(self.piece(degree, v.source, u.target).dim, products)
         return AlgElement(self, degree, v.source, u.target, coeffs)
 
-    # -- multiplication matrices ----------------------------------------
-
-    def left_mult_matrix(self, u, degree, gen_vertex):
-        """Matrix of w -> u*w on e_{u.source}A_degree e_gen -> e_{u.target}A_{degree+deg u} e_gen."""
-        src_piece = self.piece(degree, gen_vertex, u.source)
-        tgt_dim = self.dim_piece(degree + u.degree, gen_vertex, u.target)
-        cols = []
-        for p in src_piece.rep_paths:
-            w = self.element_from_path(p)
-            cols.append(self.multiply(u, w).coeffs)
-        return Matrix._make_cols(self.field, tgt_dim, cols)
-
-    def right_mult_matrix(self, u, degree, top_vertex):
-        """Matrix of w -> w*u on e_top A_degree e_{u.target} -> e_top A_{degree+deg u} e_{u.source}."""
-        src_piece = self.piece(degree, u.target, top_vertex)
-        tgt_dim = self.dim_piece(degree + u.degree, u.source, top_vertex)
-        cols = []
-        for p in src_piece.rep_paths:
-            w = self.element_from_path(p)
-            cols.append(self.multiply(w, u).coeffs)
-        return Matrix._make_cols(self.field, tgt_dim, cols)
-
     # -- opposite algebra ------------------------------------------------
 
     def opposite(self):
@@ -405,8 +399,8 @@ class GradedAlgebra:
         if degree >= self._vanish.get(gen_vertex, math.inf):
             return ()
         pieces = self._pieces
-        col = tuple((x, pieces[(degree, gen_vertex, x)].dim) for x in self.quiver.vertices
-                    if pieces[(degree, gen_vertex, x)].dim)
+        dims = ((x, pieces.get((degree, gen_vertex, x), _EMPTY).dim) for x in self.quiver.vertices)
+        col = tuple((x, n) for x, n in dims if n)
         return self._columns.setdefault((gen_vertex, degree), col)
 
     def height(self, vertex, cap):
@@ -420,14 +414,27 @@ class GradedAlgebra:
     def column_maps(self, gen_vertex, degree):
         """{arrow name: left multiplication by the arrow from degree `degree` of
         A e_gen}, for the arrows, in quiver order, between nonzero pieces of the
-        column; memoized."""
+        column; memoized.
+
+        The matrix of a: x -> y has the columns `col_nf` of the piece of
+        degree `degree`+1 at y, in a's block: the normal forms of a*rep.
+        """
         got = self._column_maps.get((gen_vertex, degree))
         if got is not None:
             return got
         here = dict(self.column(gen_vertex, degree))
         above = dict(self.column(gen_vertex, degree + 1))
-        maps = {a.name: self.left_mult_matrix(self.arrow_element(a.name), degree, gen_vertex)
-                for a in self.quiver.arrows if a.source in here and a.target in above}
+        f = self.field
+        maps = {}
+        for a in self.quiver.arrows:
+            if a.source in here and a.target in above:
+                piece = self._pieces[(degree + 1, gen_vertex, a.target)]
+                off, n = piece.offsets[a.name], here[a.source]
+                rows = [[f.zero()] * n for _ in range(piece.dim)]
+                for i in range(n):
+                    for r, c in piece.col_nf[off + i]:
+                        rows[r][i] = c
+                maps[a.name] = Matrix._make(f, piece.dim, n, tuple(map(tuple, rows)))
         return self._column_maps.setdefault((gen_vertex, degree), maps)
 
     # -- boundedness -----------------------------------------------------

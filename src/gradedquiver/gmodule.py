@@ -19,7 +19,8 @@ object may be handed to every later caller.
 
 A standard projective P_a<s> is a re-indexed view of the column A e_a, whose
 per-degree dims and arrow actions the algebra computes once (`column`,
-`column_maps`): degree i of P_a<s> is degree i+s of the column, clipped to the
+`column_maps`, which reads each action off the column normal forms its pieces
+already hold): degree i of P_a<s> is degree i+s of the column, clipped to the
 window, so shifts and windows cost no algebra work after the first use.  The
 injective I_a<s> is the dual of the projective P°_a<-s> over the opposite
 algebra.

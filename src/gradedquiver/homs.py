@@ -43,9 +43,11 @@ def _hom_window(M, N):
 
 
 def _align_for_hom(M, N):
-    """Source and target re-windowed to `_hom_window`, or refuse."""
+    """Source and target re-windowed to `_hom_window`, or refuse; one copy
+    serves as both when N is M."""
     lo, hi = _hom_window(M, N)
-    return M.with_window(lo, hi), N.with_window(lo, hi)
+    M2 = M.with_window(lo, hi)
+    return M2, (M2 if N is M else N.with_window(lo, hi))
 
 
 class HomSpace:

@@ -91,7 +91,9 @@ class PMap:
     """A morphism of formal projective sums, one algebra element per entry.
 
     The entry from source summand j = P_{b}<t> into target summand i =
-    P_{a}<s> lies in e_b A_{s-t} e_a and acts by right multiplication.
+    P_{a}<s> lies in e_b A_{s-t} e_a and acts by right multiplication.  A
+    realization reads the products off the piece layer (see `realize`), not
+    through `GradedAlgebra.multiply`.
     """
 
     def __init__(self, src, dst, entries):
@@ -154,7 +156,15 @@ class PMap:
         return PMap(other.src, self.dst, entries)
 
     def realize(self, window):
-        """The induced morphism between realizations on the window; memoized."""
+        """The induced morphism between realizations on the window; memoized.
+
+        A representative path a*rep' of the source piece maps entry e to
+        a*(rep'*e): the normal form of its tail's image pushed along a
+        (`_Piece.times_arrow`).  Standard paths are closed under subwords, so
+        each tail is itself a representative and its image is kept for the
+        whole realization.  This reads the algebra, not the realized source,
+        so generators outside the window are handled as inside.
+        """
         window = tuple(window)
         got = self._realized.get(window)
         if got is not None:
@@ -163,26 +173,43 @@ class PMap:
         dst_mod, dst_off = self.dst.realize(window)
         alg = self.algebra
         f = alg.field
+        images = {}
+
+        def image(i, j, arrows):
+            """Normal form of path*e, for entry e = (i, j) and the path with
+            these arrows."""
+            got = images.get((i, j, arrows))
+            if got is None:
+                e = self.entries[i][j]
+                if arrows:
+                    a = arrows[0]
+                    got = alg.piece(e.degree + len(arrows), e.source, a.target).times_arrow(
+                        f, a.name, image(i, j, arrows[1:]))
+                else:
+                    got = e.coeffs
+                images[(i, j, arrows)] = got
+            return got
+
         blocks = {}
         for (d, x), ncols in src_mod.dims.items():
             nrows = dst_mod.dims.get((d, x), 0)
             if nrows == 0:
                 continue
             entries = [[f.zero()] * ncols for _ in range(nrows)]
-            for i, (a, s) in enumerate(self.dst.summands):
-                for j, (b, t) in enumerate(self.src.summands):
-                    e = self.entries[i][j]
-                    if e is None:
+            # entry (i, j) owns the rows of target summand i and the columns
+            # of source summand j, where both are nonzero at (d, x)
+            for j, (b, t) in enumerate(self.src.summands):
+                c0 = src_off[j].get((d, x))
+                if c0 is None:
+                    continue
+                reps = alg.piece(d + t, b, x).rep_paths
+                for i, offsets in enumerate(dst_off):
+                    r0 = offsets.get((d, x))
+                    if r0 is None or self.entries[i][j] is None:
                         continue
-                    blk = alg.right_mult_matrix(e, d + t, x)
-                    if blk.rows == 0 or blk.cols == 0:
-                        continue
-                    r0 = dst_off[i][(d, x)]
-                    c0 = src_off[j][(d, x)]
-                    for r in range(blk.rows):
-                        for c in range(blk.cols):
-                            entries[r0 + r][c0 + c] = f.add(entries[r0 + r][c0 + c],
-                                                            blk.data[r][c])
+                    for c, rep in enumerate(reps):
+                        for r, v in enumerate(image(i, j, rep.arrows)):
+                            entries[r0 + r][c0 + c] = v
             blocks[(d, x)] = Matrix._make(f, nrows, ncols, tuple(map(tuple, entries)))
         result = GradedMorphism(src_mod, dst_mod, blocks, check=False)
         self._realized[window] = result

@@ -2,9 +2,9 @@
 only as test oracles.
 
 `standard_module` builds P_a<s> and I_a<s> from piece dimensions and
-left-multiplication matrices on every call, scanning the window degree by
-degree; I_a<s> is built as the mirror image of the opposite projective, block
-by block.  The program re-indexes per-vertex column data instead, and takes
+left-multiplication matrices (`product_oracle`) on every call, scanning the
+window degree by degree; I_a<s> is built as the mirror image of the opposite
+projective, block by block.  The program re-indexes per-vertex column data instead, and takes
 I_a<s> as the dual of P°_a<-s>.  `cover_realize` maps each representative
 path by `path_action`, where the program builds each image from the image of
 its tail.  These oracles check that both give the same modules and maps.
@@ -13,6 +13,8 @@ its tail.  These oracles check that both give the same modules and maps.
 from gradedquiver.errors import InputError, WindowError
 from gradedquiver.gmodule import GradedModule, GradedMorphism
 from gradedquiver.linalg import Matrix
+
+from product_oracle import left_mult_matrix
 
 
 def _column_dim(algebra, degree, vertex):
@@ -51,7 +53,7 @@ def standard_module(algebra, kind, vertex, shift=0, window=None):
             for a in algebra.quiver.arrows:
                 if dims.get((i, a.source), 0) and dims.get((i + 1, a.target), 0):
                     u = algebra.arrow_element(a.name)
-                    maps[(a.name, i)] = algebra.left_mult_matrix(u, i + s, vertex)
+                    maps[(a.name, i)] = left_mult_matrix(algebra, u, i + s, vertex)
         exact_below = lo <= -s
         exact_above = vanished or _column_dim(algebra, hi + 1 + s, vertex) == 0
         return GradedModule(algebra, lo, hi, dims, maps,
@@ -69,7 +71,7 @@ def standard_module(algebra, kind, vertex, shift=0, window=None):
             for a in algebra.quiver.arrows:
                 if dims.get((i, a.source), 0) and dims.get((i + 1, a.target), 0):
                     ao = opp.arrow_element(a.name)
-                    maps[(a.name, i)] = opp.left_mult_matrix(ao, -i - 1 - s, vertex).transpose()
+                    maps[(a.name, i)] = left_mult_matrix(opp, ao, -i - 1 - s, vertex).transpose()
         exact_above = hi >= -s
         exact_below = vanished or _column_dim(opp, -lo + 1 - s, vertex) == 0
         return GradedModule(algebra, lo, hi, dims, maps,

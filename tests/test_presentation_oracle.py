@@ -8,8 +8,10 @@ sequence of every Ext^1(C, tau C) basis class, of one combination of them and
 of a coboundary, and the End(C)-action on Ext^1 of every End basis vector.
 The class failures `verify_almost_split` reads off g (no class rebuilt) must
 be those the oracle's class of each sequence predicts: "nonsplit" for the
-zero class, "socle" for a class some radical endomorphism moves, none
-otherwise.
+zero class, "socle" for a class some radical endomorphism moves, "class
+check failed" where End(C) refuses its radical over F_p, none otherwise.  An
+indecomposability check whose End algebra refuses its radical is a failure
+that names the term, never a raise.
 """
 
 import random
@@ -67,7 +69,10 @@ def expected_class_failures(seq, ext, end, pres):
     cls = presentation_oracle.class_of_sequence(seq)
     if not any(cls):
         return ["nonsplit: extension class is zero"]
-    rad = end.radical_basis()
+    try:
+        rad = end.radical_basis()
+    except UnsupportedRadical as e:
+        return [f"class check failed: {e}"]
     vec = Matrix.from_cols(ext.field, ext.dim, [list(cls)])
     for k in range(rad.cols):
         moved = presentation_oracle.action_matrix(ext, end, pres, rad.col(k)) @ vec
@@ -108,12 +113,12 @@ def compare(alg, terms):
                 sequence_json(presentation_oracle.pushout_sequence(C, A, pres, xi)), (C.dims, k)
             counts["sequences"] += 1
             seq = AlmostSplitSequence(*got, {}, "ending")
-            try:
-                failures = verify_almost_split(seq)[1]
-            except UnsupportedRadical:
-                # an End algebra of dimension >= p in the indecomposability checks
-                assert not f.is_rationals
-                continue
+            failures = verify_almost_split(seq)[1]
+            # an End algebra of dimension >= p refuses its radical
+            refused = [m for m in failures if "indecomposability check failed" in m]
+            assert all(m.startswith(("right term", "left term")) for m in refused), failures
+            assert not (refused and f.is_rationals), failures
+            counts["refused"] += bool(refused)
             failures = [m for m in failures if m.startswith(CLASS_FAILURES)]
             assert failures == expected_class_failures(seq, ext, end, pres), (C.dims, k)
             counts[failures[0].split(":")[0] if failures else "none"] += 1
@@ -133,3 +138,5 @@ def test_formal_d1_route_matches_syzygy_module_route(field):
     if field == "Q":
         # the radicals over F_2 and F_3 refuse these End algebras
         assert counts["nonsplit"] and counts["socle"], counts
+    else:
+        assert counts["refused"] and counts["class check failed"], counts

@@ -146,24 +146,26 @@ def _cyclic_algebra():
                          ids=["finite", "cyclic"])
 def test_shifts_reuse_the_first_column(make):
     """Ten shifts of one projective over the same column degrees: only the
-    first realization makes multiplication matrices or looks up pieces."""
+    first realization builds arrow actions or pieces, or looks up pieces."""
     alg = make()
     vertex = alg.quiver.vertices[0]
-    calls = {"mult": 0, "piece": 0}
+    calls = {"maps": 0, "build": 0, "piece": 0}
 
-    def counting(name, method):
+    def counting(name, method, is_miss=lambda *args: True):
         def wrapper(*args):
-            calls[name] += 1
+            calls[name] += is_miss(*args)
             return method(*args)
         return wrapper
 
-    alg.left_mult_matrix = counting("mult", alg.left_mult_matrix)
+    alg.column_maps = counting("maps", alg.column_maps,
+                               lambda *key: key not in alg._column_maps)
+    alg._compute_piece = counting("build", alg._compute_piece)
     alg.piece = counting("piece", alg.piece)
     for s in range(10):
         P = standard_module(alg, "P", vertex, s, (-s - 1, -s + 6))
         if s == 0:
             first, P0 = dict(calls), P
-            assert first["mult"] > 0
+            assert first["maps"] > 0 and first["build"] > 0
         assert P.dims == {(i - s, x): n for (i, x), n in P0.dims.items()}
         assert P.maps == {(name, i - s): m for (name, i), m in P0.maps.items()}
         assert P.exact_above == P0.exact_above
