@@ -339,21 +339,6 @@ class GradedAlgebra:
                                 for c, p in terms))
         return AlgElement(self, degree, source, target, coeffs)
 
-    def multiply(self, u, v):
-        """u*v, meaning v acts first: source(u) must equal target(v)."""
-        if u.algebra is not self or v.algebra is not self:
-            raise InputError("elements of a different algebra")
-        if u.source != v.target:
-            raise InputError(f"endpoint mismatch: source {u.source!r} vs target {v.target!r}")
-        degree = u.degree + v.degree
-        u_reps = self.piece(u.degree, u.source, u.target).rep_paths
-        v_reps = self.piece(v.degree, v.source, v.target).rep_paths
-        products = ((cu * cv, self._normal_form(pu.names() + pv.names()))
-                    for cu, pu in zip(u.coeffs, u_reps) if cu
-                    for cv, pv in zip(v.coeffs, v_reps) if cv)
-        coeffs = self._lincomb(self.piece(degree, v.source, u.target).dim, products)
-        return AlgElement(self, degree, v.source, u.target, coeffs)
-
     # -- opposite algebra ------------------------------------------------
 
     def opposite(self):

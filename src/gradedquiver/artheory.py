@@ -15,7 +15,9 @@ annihilated by the radical of End(C), realized as an explicit pushout; one
 starting at N is the dual of the one ending at D N, and is verified on it.
 Every constructed sequence carries a certificate.  Verification checks the
 definition on the sequence's own maps: g: E -> C is right almost split, that
-is g o Hom(C, E) = rad End(C), with no Ext^1 class rebuilt.
+is g o Hom(C, E) = rad End(C), with no Ext^1 class rebuilt and Hom(C, E)
+read off C's presentation; the left term is tau C, and so indecomposable
+with C, without an End algebra of its own.
 """
 
 import random
@@ -331,9 +333,13 @@ def verify_almost_split(seq, budget=64, seed=0):
     Maps, exactness and ranks are checked as given; the rest on an ending
     sequence, for a starting one with exact left term A its dual, whose right
     term D A keeps its derived data.  The class items read the composites of
-    g with a basis of Hom(C, E) in End(C): the class is zero iff they reach
-    the identity, and killed by the radical iff they span rad End(C).
-    Failures name the given terms; a radical the field cannot compute (End of
+    g with a basis of Hom(C, E), off C's presentation, in End(C): the class
+    is zero iff they reach the identity, and killed by the radical iff they
+    span rad End(C).  A is checked to be isomorphic to tau C, and to be
+    indecomposable only when that does not follow: tau sends an
+    indecomposable non-projective to an indecomposable, so a nonzero A
+    isomorphic to tau C, for C certified "yes", builds no End(A).  Failures
+    name the given terms; a radical the field cannot compute (End of
     dimension >= p over F_p) is a failure too, not a raise."""
     failures = []
     A, E, C, f, g = seq.A, seq.E, seq.C, seq.f, seq.g
@@ -371,17 +377,27 @@ def verify_almost_split(seq, budget=64, seed=0):
         failures.append(f"class check failed: {e}")
     # the left term is the translate of the right term
     taures = tau(C, window=(A.lo, A.hi), check_verdict=False)
+    is_tau = False
     if taures.module.dims != A.dims:
         failures.append(f"{left} term does not match the {translate} (dimensions)")
     elif A.is_exact and taures.module.is_exact:
-        if find_isomorphism(A, taures.module, seed=seed) is None:
+        is_tau = find_isomorphism(A, taures.module, seed=seed) is not None
+        if not is_tau:
             failures.append(f"{left} term not isomorphic to the {translate}")
-    # end terms indecomposable
-    terms = [(right, C), (left, A)] if A.is_exact else [(right, C)]
-    for term, M in terms:
+
+    def indecomposable(term, M):
         try:
-            if is_strongly_indecomposable(M, budget=budget, seed=seed).status == "no":
-                failures.append(f"{term} term decomposes")
+            status = is_strongly_indecomposable(M, budget=budget, seed=seed).status
         except UnsupportedRadical as e:
             failures.append(f"{term} term indecomposability check failed: {e}")
+            return None
+        if status == "no":
+            failures.append(f"{term} term decomposes")
+        return status
+
+    # tau sends a certified indecomposable C to an indecomposable, so a
+    # nonzero A found isomorphic to tau C needs no End algebra of its own
+    if indecomposable(right, C) != "yes" or A.is_zero() or not is_tau:
+        if A.is_exact:
+            indecomposable(left, A)
     return (not failures), failures

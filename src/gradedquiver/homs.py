@@ -1,19 +1,20 @@
 """Graded hom spaces, endomorphism algebras, stable homs, and Ext^1.
 
-Hom bases between concrete windowed modules (End algebras, the `hom`
-command, isomorphisms between modules that differ) come from the naturality
-linear system.  Homs out of formal projective sums are piece lookups, and
-stable hom dimensions are read off the source's minimal presentation
-P1 --d1--> P0: Hom(M, Y) is the kernel of the pullback Hom(P0, Y) ->
-Hom(P1, Y), for Y the target and for its realized projective cover.  Homs
-into injectives are obtained by dualizing: GHom(M, I_a<s>) is the dual of
-GHom(P°_a<-s>, D M) over the opposite algebra; stable homs modulo
-injectives are stable homs modulo projectives between the duals.  Ext^1
-against a presented module P1 --d1--> P0 is H^1 of Hom(P., N): the Hom(P1, N)
-tuples killed by the pullback along the next differential P2 -> P1, which
-maps onto the generators of ker d1 (`next_differential`), modulo pullbacks
-from P0.  The right End-action is realized by lifting endomorphisms along the
-presentation.
+Homs out of formal projective sums are piece lookups, and every other Hom
+is read off the source's minimal presentation P1 --d1--> P0: Hom(M, Y) is
+the kernel of the pullback Hom(P0, Y) -> Hom(P1, Y).  Hom bases between
+concrete windowed modules (End algebras, the `hom` command, isomorphisms
+between modules that differ, Hom(C, E) in verification) realize each
+kernel tuple and compose it with a section of M's cover (`ghom`); stable
+hom dimensions take the kernel for Y the target and for its realized
+projective cover.  Homs into injectives are obtained by dualizing:
+GHom(M, I_a<s>) is the dual of GHom(P°_a<-s>, D M) over the opposite
+algebra; stable homs modulo injectives are stable homs modulo projectives
+between the duals.  Ext^1 against a presented module P1 --d1--> P0 is H^1
+of Hom(P., N): the Hom(P1, N) tuples killed by the pullback along the next
+differential P2 -> P1, which maps onto the generators of ker d1
+(`next_differential`), modulo pullbacks from P0.  The right End-action is
+realized by lifting endomorphisms along the presentation.
 """
 
 import random
@@ -26,9 +27,9 @@ from .presentations import (ProjSum, projective_cover, minimal_presentation, Cov
 
 
 def _hom_window(M, N):
-    """The common window on which the naturality system M -> N is fully
-    determined: the hull of N's window and of M's support with one degree
-    above it.  Refuses where N is truncated inside that hull."""
+    """The window of Hom(M, N): the hull of N's window and of M's support.
+    Refuses where N is truncated inside the degrees M's minimal presentation
+    reads, M's support and the degree above it, where P1's generators reach."""
     if not M.is_exact:
         raise WindowError("hom source must be exact-windowed")
     sup = M.support_degrees()
@@ -39,15 +40,7 @@ def _hom_window(M, N):
         raise WindowError("target truncated below the source support")
     if dmax + 1 > N.hi and not N.exact_above:
         raise WindowError("target truncated inside the source support")
-    return min(dmin, N.lo), max(dmax + 1, N.hi)
-
-
-def _align_for_hom(M, N):
-    """Source and target re-windowed to `_hom_window`, or refuse; one copy
-    serves as both when N is M."""
-    lo, hi = _hom_window(M, N)
-    M2 = M.with_window(lo, hi)
-    return M2, (M2 if N is M else N.with_window(lo, hi))
+    return min(dmin, N.lo), max(dmax, N.hi)
 
 
 class HomSpace:
@@ -131,61 +124,51 @@ def _hom_slots(M, N):
 
 
 def ghom(M, N):
-    """All graded morphisms M -> N via the naturality linear system."""
-    M2, N2 = _align_for_hom(M, N)
-    f = M2.algebra.field
-    slots, size = _hom_slots(M2, N2)
+    """All graded morphisms M -> N, on `_hom_window`, read off M's minimal
+    presentation P1 --d1--> P0.
+
+    Hom(M, N) is the kernel of the pullback Hom(P0, N) -> Hom(P1, N); each
+    kernel tuple, realized as a map P0 -> N, is composed piece by piece with
+    a section of M's cover (the cover block at its pivot columns, inverted).
+    The basis is the echelon form pivoting on the last nonzero coordinate of
+    the `_hom_slots` flattening; it is fixed by the subspace and the order,
+    so it is the standard kernel basis of the naturality system.
+    """
+    W = _hom_window(M, N)
+    source, target = M.with_window(*W), N.with_window(*W)
+    f = M.algebra.field
+    slots, size = _hom_slots(source, target)
     if size == 0:
-        return HomSpace(M2, N2, [])
-    index = {(i, x): (rows, cols, off) for (i, x, rows, cols, off) in slots}
-    eq_rows = []
-    for (i, x) in M2.support():
-        for a in M2.algebra.quiver.arrows_from[x]:
-            if i + 1 > M2.hi:
-                continue
-            y = a.target
-            nN1 = N2.dims.get((i + 1, y), 0)
-            nM = M2.dims[(i, x)]
-            Na = N2.map(a.name, i)
-            Ma = M2.map(a.name, i)
-            # N_i(a) f_{i,x} = f_{i+1,y} M_i(a), one equation per (p, c)
-            for p in range(nN1):
-                for c in range(nM):
-                    row = [f.zero()] * size
-                    nontrivial = False
-                    if (i, x) in index:
-                        rows_ix, cols_ix, off_ix = index[(i, x)]
-                        for q in range(rows_ix):
-                            v = Na.data[p][q]
-                            if v:
-                                row[off_ix + q * cols_ix + c] = v
-                                nontrivial = True
-                    if (i + 1, y) in index:
-                        rows_iy, cols_iy, off_iy = index[(i + 1, y)]
-                        for m in range(cols_iy):
-                            v = Ma.data[m][c]
-                            if v:
-                                row[off_iy + p * cols_iy + m] = f.sub(
-                                    row[off_iy + p * cols_iy + m], v)
-                                nontrivial = True
-                    if nontrivial:
-                        eq_rows.append(row)
-    if eq_rows:
-        sys = Matrix._make(f, len(eq_rows), size, tuple(map(tuple, eq_rows)))
-        ker = sys.kernel_basis()
-    else:
-        ker = Matrix.identity(f, size)
+        return HomSpace(source, target, [])
+    pres = minimal_presentation(M)
+    aug = pres.cover0.realize(source)
+    sections = []
+    for (i, x, rows, cols, off) in slots:
+        blk = aug.block(i, x)
+        pivots = blk.rref()[1]
+        sections.append((pivots, blk.select_cols(pivots).solve(Matrix.identity(f, cols))))
+    vecs = []
+    for phi in psum_pullback_matrix(pres.d1, target).kernel_basis().transpose().data:
+        mor = psum_hom_to_morphism(pres.p0, target, phi, W)
+        vec = [f.zero()] * size
+        for (i, x, rows, cols, off), (pivots, inv) in zip(slots, sections):
+            blk = mor.block(i, x).select_cols(pivots) @ inv
+            for r, row in enumerate(blk.data):
+                vec[off + r * cols:off + (r + 1) * cols] = row
+        vecs.append(vec[::-1])
+    # the rref of the reversed vectors pivots on their last nonzero coordinates
+    R, pivots = Matrix._make(f, len(vecs), size, tuple(map(tuple, vecs))).rref()
     basis = []
-    for k in range(ker.cols):
+    for vec in reversed(R.data[:len(pivots)]):
+        vec = vec[::-1]
         blocks = {}
         for (i, x, rows, cols, off) in slots:
-            entries = [[ker.data[off + r * cols + c][k] for c in range(cols)]
-                       for r in range(rows)]
-            blk = Matrix._make(f, rows, cols, tuple(map(tuple, entries)))
+            blk = Matrix._make(f, rows, cols, tuple(vec[off + r * cols:off + (r + 1) * cols]
+                                                    for r in range(rows)))
             if not blk.is_zero():
                 blocks[(i, x)] = blk
         basis.append(blocks)
-    return HomSpace(M2, N2, basis)
+    return HomSpace(source, target, basis)
 
 
 # -- homs out of formal projectives ------------------------------------------
@@ -631,13 +614,13 @@ class EndActionOnExt:
             if pre is None:
                 raise MathRefusal("endomorphism failed to lift through the cover")
             lifted0.append((g.degree, g.vertex, pre.col(0)))
-        f0 = _pmap_from_generators(self.p0, window, lifted0)
-        g_map = f0.compose(self.pres.d1)  # P1 -> P0
+        f0 = _pmap_from_generators(self.p0, window, lifted0).realize(window)
         d1 = self.pres.d1.realize(window)
         lifted1 = []
         for j, (b, t) in enumerate(self.p1.summands):
             d = -t
-            pre = d1.block(d, b).solve(_pmap_generator_image(g_map, j, d, b, window))
+            img = f0.block(d, b) @ _pmap_generator_image(self.pres.d1, j, d, b, window)
+            pre = d1.block(d, b).solve(img)
             if pre is None:
                 raise MathRefusal("lift left the syzygy")
             lifted1.append((d, b, pre.col(0)))

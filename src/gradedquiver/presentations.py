@@ -91,9 +91,9 @@ class PMap:
     """A morphism of formal projective sums, one algebra element per entry.
 
     The entry from source summand j = P_{b}<t> into target summand i =
-    P_{a}<s> lies in e_b A_{s-t} e_a and acts by right multiplication.  A
-    realization reads the products off the piece layer (see `realize`), not
-    through `GradedAlgebra.multiply`.
+    P_{a}<s> lies in e_b A_{s-t} e_a and acts by right multiplication.  Maps
+    are used through their realizations, which read the products off the
+    piece layer (see `realize`); nothing multiplies two algebra elements.
     """
 
     def __init__(self, src, dst, entries):
@@ -135,25 +135,6 @@ class PMap:
     def is_radical(self):
         """True when every nonzero entry has degree >= 1."""
         return all(e is None or e.degree >= 1 for row in self.entries for e in row)
-
-    def compose(self, other):
-        """self after other."""
-        if other.dst.summands != self.src.summands:
-            raise InputError("formal composition endpoint mismatch")
-        alg = self.algebra
-        entries = [[None] * len(other.src) for _ in range(len(self.dst))]
-        for i in range(len(self.dst)):
-            for j in range(len(other.src)):
-                acc = None
-                for m in range(len(self.src)):
-                    g = other.entries[m][j]
-                    f = self.entries[i][m]
-                    if g is None or f is None:
-                        continue
-                    prod = alg.multiply(g, f)
-                    acc = prod if acc is None else acc + prod
-                entries[i][j] = acc
-        return PMap(other.src, self.dst, entries)
 
     def realize(self, window):
         """The induced morphism between realizations on the window; memoized.

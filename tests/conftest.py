@@ -7,6 +7,8 @@ from gradedquiver.homs import ghom, ghom_to_injective, underline_hom_dim
 from gradedquiver.linalg import Matrix
 from gradedquiver.presentations import projective_cover
 
+import hom_oracle
+
 
 def rel(quiver, terms):
     return Relation((c, quiver.path_from_names(names)) for c, names in terms)
@@ -99,16 +101,16 @@ def soc_basis(M):
 
 
 def naturality_underline_hom_dim(M, N):
-    """dim underline Hom(M, N) by naturality systems: Hom(M, N) by `ghom`,
-    modulo the composites with the projective cover of N of the maps from M
-    into the cover's source, also by `ghom` (the route `underline_hom_dim`
-    replaced)."""
-    H = ghom(M, N)
+    """dim underline Hom(M, N) by naturality systems: Hom(M, N) by the
+    oracle's `ghom`, modulo the composites with the projective cover of N of
+    the maps from M into the cover's source, also by the oracle (the route
+    `underline_hom_dim` replaced)."""
+    H = hom_oracle.ghom(M, N)
     if H.dim == 0:
         return 0
     W = (H.source.lo, H.source.hi)
     cov = projective_cover(N).realize(N, W)
-    HP = ghom(H.source, cov.source)
+    HP = hom_oracle.ghom(H.source, cov.source)
     if HP.dim == 0:
         return H.dim
     cols = [H.flatten(cov.compose(g).blocks) for g in HP.morphisms()]

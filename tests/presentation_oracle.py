@@ -19,6 +19,7 @@ from gradedquiver.presentations import (Cover, PMap, ProjSum, _pmap_generator_im
                                         minimal_presentation)
 
 import resolution_oracle
+from product_oracle import compose
 from conftest import kernel
 
 
@@ -104,7 +105,7 @@ def lift(pres, fmor):
         pre = aug0.block(g.degree, g.vertex).solve(img)
         lifted0.append(ModuleElement(aug0.source, g.degree, g.vertex, pre.col(0)))
     f0 = _elements_to_pmap(pres.p0, pres.p0, lifted0, window)
-    g_map = f0.compose(pres.d1)
+    g_map = compose(f0, pres.d1)
     lifted1 = []
     for j, (b, t) in enumerate(pres.p1.summands):
         d = -t

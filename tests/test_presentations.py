@@ -8,6 +8,7 @@ from gradedquiver.presentations import (ProjSum, PMap, top_basis,
                                         graded_dimension)
 
 from conftest import kernel, soc_basis
+from product_oracle import compose, multiply
 
 
 def S(alg, v, s=0, window=None):
@@ -93,13 +94,15 @@ def test_pmap_compose_and_realize(fix_c):
     b = alg.arrow_element("b")
     f1 = PMap(mid, bot, [[a, b]])
     f2 = PMap(top, mid, [[g], [d]])
-    comp = f1.compose(f2)
+    comp = compose(f1, f2)
     e = comp.entries[0][0]
     assert e is not None and e.degree == 2
-    assert e == alg.multiply(g, a).scale(alg.field.of(2))
+    assert e == multiply(alg, g, a).scale(alg.field.of(2))
     real = f1.realize((0, 3))
     assert real.source.dims[(1, "2")] == 1
     assert not real.is_zero()
+    # the realization of the composite is the composite of the realizations
+    assert comp.realize((0, 3)) == real.compose(f2.realize((0, 3)))
 
 
 def test_soc_basis_fix_a(fix_a):
