@@ -5,8 +5,10 @@ e_t*A_d*e_s is spanned by the columns a*rep, for each arrow a: y -> t and each
 coset representative rep of A_{d-1}(s -> y), modulo the rows r*v, for each
 relation r ending at t and each representative v of A_{d-deg r}(s -> source r).
 A term p*v of r*v is a*(tail) for the last arrow a of p, and the tail's
-coordinates are its normal form in degree d-1, so the work is polynomial in d.
-No noncommutative Groebner machinery is needed beyond this one reduction.
+coordinates are read off the stored column normal forms: the first arrow
+applied to v is a column of the piece one degree above v, pushed along the
+rest of the tail, so the work is polynomial in d.  No noncommutative Groebner
+machinery is needed beyond this one reduction.
 
 Columns are ordered by name tuple and the coset representatives are the
 non-pivot columns of the row-reduced rows: the paths that are not the
@@ -120,13 +122,14 @@ class _Piece:
         self.offsets = offsets
         self.col_nf = col_nf
 
-    def times_arrow(self, field, name, vec):
-        """Normal form of a*w in this piece, from the normal form `vec` of w."""
+    def times_arrow(self, field, name, pairs):
+        """Normal form of a*w in this piece, from the (index, coefficient)
+        pairs of the normal form of w."""
         if not self.dim:
             return ()
         acc = [field.zero()] * self.dim
         off = self.offsets[name]
-        for i, x in enumerate(vec):
+        for i, x in pairs:
             if x:
                 for r, c in self.col_nf[off + i]:
                     acc[r] += x * c
@@ -146,12 +149,14 @@ class GradedAlgebra:
         self.relations = tuple(relations)
         self._arrows_into = {v: sorted(quiver.arrows_into[v], key=lambda a: a.name)
                              for v in quiver.vertices}
-        # per target: (degree, source, ((coeff, last arrow name, tail names), ...))
+        # per target: (degree, source, ((coeff, last arrow name, first arrow,
+        # the arrows between them first-applied first), ...))
         self._rels_into = {v: [] for v in quiver.vertices}
         for r in self.relations:
             quiver.check_vertex(r.source)
             quiver.check_vertex(r.target)
-            terms = tuple((field.of(c), p.arrows[0].name, p.names()[1:]) for c, p in r.terms)
+            terms = tuple((field.of(c), p.arrows[0].name, p.arrows[-1], p.arrows[-2:0:-1])
+                          for c, p in r.terms)
             self._rels_into[r.target].append((r.degree, r.source, terms))
         self._pieces = {}
         # source -> (first degree not yet filled, inf once all vanish; the
@@ -160,7 +165,6 @@ class GradedAlgebra:
         self._vanish = {}   # source -> first degree where every piece from it is zero
         self._columns = {}  # (source, degree) -> column dims, see column()
         self._column_maps = {}  # (source, degree) -> arrow actions, see column_maps()
-        self._nfs = {}      # path name tuple -> normal form
         self._opp = None
         self._standard_modules = {}  # (kind, vertex, shift, window) -> module, by gmodule
 
@@ -233,12 +237,21 @@ class GradedAlgebra:
         for rel_degree, rel_source, terms in self._rels_into[target]:
             if rel_degree > degree:
                 continue
-            for v in pieces.get((degree - rel_degree, source, rel_source), _EMPTY).rep_paths:
-                v_names = v.names()
+            low = degree - rel_degree
+            for k in range(pieces.get((low, source, rel_source), _EMPTY).dim):
                 row = {}
-                for c, name, tail in terms:
+                for c, name, first, between in terms:
+                    # first*v, for v the k-th representative, is a column of
+                    # the piece above v; a zero piece contributes nothing
+                    up = pieces.get((low + 1, source, first.target), _EMPTY)
+                    if not up.dim:
+                        continue
+                    pairs = up.col_nf[up.offsets[first.name] + k]
+                    for e, a in enumerate(between, low + 2):
+                        pairs = enumerate(pieces.get((e, source, a.target), _EMPTY)
+                                          .times_arrow(f, a.name, pairs))
                     off = offsets[name]
-                    for j, x in enumerate(self._normal_form(tail + v_names)):
+                    for j, x in pairs:
                         if x:
                             row[off + j] = f.add(row.get(off + j, f.zero()), f.mul(c, x))
                 rows.append(row)
@@ -266,25 +279,16 @@ class GradedAlgebra:
         """Coordinates of a path, given by its arrow names (last-applied first),
         over the representatives of its piece.
 
-        NF(a*w) = reduce(a (x) NF(w)), and every suffix met on the way is
-        memoized.
+        NF(a*w) = a*NF(w), read off the column normal forms by
+        `_Piece.times_arrow`, one arrow per step, first-applied arrow first.
         """
-        if not names:
-            return (self.field.one(),)
-        nfs = self._nfs
-        got = nfs.get(names)
-        if got is not None:
-            return got
-        j = 1
-        while j < len(names) and names[j:] not in nfs:
-            j += 1
-        vec = nfs[names[j:]] if j < len(names) else (self.field.one(),)
+        f = self.field
         arrows = self.quiver.arrow_by_name
-        source = arrows[names[-1]].source
-        for i in range(j - 1, -1, -1):
-            a = arrows[names[i]]
-            vec = self._piece(len(names) - i, source, a.target).times_arrow(self.field, a.name, vec)
-            nfs[names[i:]] = vec
+        vec = (f.one(),)
+        for d, name in enumerate(reversed(names), 1):
+            a = arrows[name]
+            vec = self._piece(d, arrows[names[-1]].source, a.target).times_arrow(
+                f, name, enumerate(vec))
         return vec
 
     def _lincomb(self, dim, terms):
@@ -372,12 +376,12 @@ class GradedAlgebra:
         e_gen), in vertex order; memoized.
 
         Empty from the first degree where the column vanishes, which _fill
-        records, with no piece lookup past it.
+        records, with no fill or piece lookup past it.
         """
         got = self._columns.get((gen_vertex, degree))
         if got is not None:
             return got
-        if degree < 0:
+        if degree < 0 or degree >= self._vanish.get(gen_vertex, math.inf):
             return ()
         self.quiver.check_vertex(gen_vertex)
         self._fill(gen_vertex, degree)

@@ -466,10 +466,15 @@ def underline_hom_dim(M, N):
     Q -> N, so the quotient is Hom(M, N) modulo Hom(M, Q) pushed through the
     cover's blocks at P0's generator slots, with Q realized on the hull of
     the presentation's window and N's.  N must be known where `ghom` reads
-    it (`_hom_window`).
+    it (`_hom_window`).  Hom(M, N) embeds in Hom(P0, N), so it is zero when
+    that has no coordinates.
     """
     _hom_window(M, N)
     pres = minimal_presentation(M)
+    # P1 before P0: the refusals of psum_pullback_matrix, in its order
+    hom_psum_slots(pres.p1, N)
+    if not hom_psum_slots(pres.p0, N)[1]:
+        return 0
     hom = psum_pullback_matrix(pres.d1, N).kernel_basis()
     if hom.cols == 0:
         return 0

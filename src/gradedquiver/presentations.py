@@ -165,7 +165,7 @@ class PMap:
                 if arrows:
                     a = arrows[0]
                     got = alg.piece(e.degree + len(arrows), e.source, a.target).times_arrow(
-                        f, a.name, image(i, j, arrows[1:]))
+                        f, a.name, enumerate(image(i, j, arrows[1:])))
                 else:
                     got = e.coeffs
                 images[(i, j, arrows)] = got
