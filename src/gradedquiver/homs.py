@@ -217,11 +217,11 @@ def psum_pullback_matrix(pmap, N):
             e = pmap.entries[i][j]
             if e is None:
                 continue
+            # the entry's block: the rows of src slot j, the columns of dst
+            # slot i, disjoint from every other entry's
             act = N.element_action(e, di)  # N_{di}(a) -> N_{dj}(b)
             for r in range(nj):
-                for c in range(ni):
-                    entries[offj + r][offi + c] = f.add(entries[offj + r][offi + c],
-                                                        act.data[r][c])
+                entries[offj + r][offi:offi + ni] = act.data[r]
     return Matrix._make(f, src_size, dst_size, tuple(map(tuple, entries)))
 
 

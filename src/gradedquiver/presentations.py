@@ -12,7 +12,12 @@ whose columns at the generators of P1 generate it.
 
 A resolution is seeded from that presentation; each later syzygy ker d_n is
 kept as the per-piece kernel bases of the realized differential d_n, never
-as a module (see `resolution`).
+as a module (see `resolution`).  A step whose differential has both sums
+realized exactly on the working window depends only on the differential up
+to grading shift, so the algebra keeps it once, keyed by the summands
+(shifts relative to the first source summand's) and the entries'
+coefficients: whether the syzygy is zero and the next differential, as
+formal data only.
 
 There is no separate injective layer.  I_a<s> = D(P°_a<-s>), so a sum of
 injectives (+) I_a<s> is the ProjSum (+) P°_a<-s> over the opposite algebra,
@@ -479,7 +484,9 @@ def resolution(M, cap, pad=5, window_hi=None):
     are the basis vectors completing the image of the arrows into x from
     degree i-1, read in kernel coordinates at the free rows of the piece's
     rref, and they define P_{n+1} and d_{n+1} (`next_differential`).  No
-    syzygy module is built.
+    syzygy module is built.  Where both sums of d_n are exact on the window
+    (`_inside`), the step is read off the algebra's step memo when d_n was
+    met before up to shift, with no realization, kernel or generator search.
 
     Generator searches beyond the first syzygy have no a-priori degree bound;
     the working window is grown once by `pad` when a generator shows up at
@@ -550,9 +557,39 @@ def _generated_in_window(exact_above, d, hi):
     return max(-t for _b, t in d.src.summands) + rel_degree - 1 <= hi
 
 
+def _inside(psum, window):
+    """Whether every summand P_a<t> of the sum has its realization on the
+    window exact on both sides: -t >= lo, and the column A e_a vanishes in
+    degree hi + 1 + t."""
+    lo, hi = window
+    column = psum.algebra.column
+    return all(-t >= lo and not column(a, hi + 1 + t) for a, t in psum.summands)
+
+
+def _up_to_shift(d, t0):
+    """The formal data of d with every shift less t0: its source and target
+    summands and its entries' coefficients."""
+    return (tuple((a, t - t0) for a, t in d.src.summands),
+            tuple((a, s - t0) for a, s in d.dst.summands),
+            tuple(tuple(None if e is None else e.coeffs for e in row) for row in d.entries))
+
+
+def _differential_onto(dst, data):
+    """The map onto `dst` whose data up to shift is `data`, taken relative
+    to dst's first summand (see `_up_to_shift`)."""
+    alg = dst.algebra
+    t0 = dst.summands[0][1]
+    src_summands, _dst_summands, coeffs = data
+    src = ProjSum(alg, [(x, t + t0) for x, t in src_summands])
+    return PMap(src, dst, [[None if c is None else AlgElement(alg, s - t, a, x, c)
+                            for c, (x, t) in zip(row, src.summands)]
+                           for row, (a, s) in zip(coeffs, dst.summands)])
+
+
 def _resolution_attempt(M, cap, window, final):
     lo, hi = window
     pres = minimal_presentation(M)
+    steps = M.algebra._resolution_steps
     psums = [pres.p0]
     pmaps = []
     step = 0
@@ -566,10 +603,16 @@ def _resolution_attempt(M, cap, window, final):
         else:
             # syzygy `step + 1` = ker d_step, piece by piece
             d = pmaps[-1]
-            P, _offsets = d.src.realize(window)
-            kers = d.kernel_bases(window)
-            zero = not kers
-            complete = complete and _generated_in_window(P.exact_above, d, hi)
+            key = None
+            if _inside(d.src, window) and _inside(d.dst, window):
+                # d's realizations are exact, so the step is d's up to shift,
+                # and the syzygy, exact above, is generated inside the window
+                key = _up_to_shift(d, d.src.summands[0][1])
+                zero = _memo(steps, key, lambda: not d.kernel_bases(window))
+            else:
+                P, _offsets = d.src.realize(window)
+                zero = not d.kernel_bases(window)
+                complete = complete and _generated_in_window(P.exact_above, d, hi)
         if zero:
             if complete:
                 return Resolution(M, psums, pmaps, "finite", step, window)
@@ -581,7 +624,12 @@ def _resolution_attempt(M, cap, window, final):
         if step == 0:
             d = pres.d1
         else:
-            d = next_differential(d, window)
+            if key is None:
+                d = next_differential(d, window)
+            else:
+                d = _differential_onto(d.src, _memo(
+                    steps, (key, "next"),
+                    lambda: _up_to_shift(next_differential(d, window), d.src.summands[0][1])))
             top = max((-t for _b, t in d.src.summands), default=None)
             if top is None:
                 raise MathRefusal("nonzero syzygy without generators in the window")

@@ -1,11 +1,19 @@
-"""Scale guards for the resolution loop: long resolutions through the CLI.
+"""Scale guards for the resolution loop: long resolutions through the CLI,
+and the number of kernels the resolutions of long lines compute.
 
 No timing is asserted; each command runs in well under a second.
 """
 
 import json
 
+import pytest
+
+from gradedquiver import GF, QQ, GradedAlgebra, Quiver, standard_module
 from gradedquiver.cli import main
+from gradedquiver.gmodule import GradedMorphism
+from gradedquiver.presentations import resolution
+
+from conftest import rel
 
 
 def run_json(tmp_path, problem, argv, capsys):
@@ -52,3 +60,44 @@ def test_criteria_on_the_commuting_square_with_a_ray_to_25(tmp_path, capsys):
                                 "finite_dimensional_category", "derived_finite_dimensional")
                 for key, v in rep[section].items()}
     assert len(verdicts) == 8 and set(verdicts.values()) == {"yes"}, verdicts
+
+
+def count_kernels(monkeypatch):
+    """A counter of fresh `GradedMorphism.kernel_bases` computations."""
+    fresh = [0]
+    kernel_bases = GradedMorphism.kernel_bases
+
+    def counted(self):
+        if self._kernel_bases is None:
+            fresh[0] += 1
+        return kernel_bases(self)
+
+    monkeypatch.setattr(GradedMorphism, "kernel_bases", counted)
+    return fresh
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "F3"])
+def test_line_resolutions_compute_linearly_many_kernels(field, monkeypatch):
+    # the differentials of the simples' resolutions are the arrows, each met
+    # by every simple above (or below) it; computed once per algebra up to
+    # shift, the kernels grow linearly with the line, not quadratically
+    top = 30
+    q = Quiver([str(i) for i in range(top + 1)],
+               [(f"a{i}", str(i), str(i - 1)) for i in range(1, top + 1)])
+    alg = GradedAlgebra(q, field, [rel(q, [(1, (f"a{i}", f"a{i + 1}"))]) for i in range(1, top)])
+    fresh = count_kernels(monkeypatch)
+    for i, v in enumerate(q.vertices):
+        S = standard_module(alg, "S", v, 0)
+        assert resolution(S, top + 1).report()["value"] == i
+        assert resolution(S.dual(), top + 1).report()["value"] == top - i
+    assert fresh[0] <= 6 * (top + 1)
+
+
+def test_periodic_resolution_computes_one_step(monkeypatch):
+    # k[x]/(x^2): every differential is x, so one kernel serves every step
+    q = Quiver(["0"], [("x", "0", "0")])
+    alg = GradedAlgebra(q, QQ, [rel(q, [(1, ("x", "x"))])])
+    fresh = count_kernels(monkeypatch)
+    report = resolution(standard_module(alg, "S", "0", 0), 30).report()
+    assert report == {"kind": "at-least", "value": 30, "window": [0, 36]}
+    assert fresh[0] <= 4
