@@ -50,8 +50,6 @@ def build_parser():
                         help="degree window lo:hi for realizations")
     common.add_argument("--cap", type=int, default=10,
                         help="degree/dimension cap; translates seek column heights up to it")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized searches")
     common.add_argument("--assert-noetherian", choices=("left", "right", "both"),
                         default=None,
                         help="record a user assertion of local noetherianness "
@@ -282,7 +280,7 @@ def run(args):
         M = module(args.module)
         fn = tau if args.command == "tau" else tau_inverse
         t = fn(M, window=window or REQUESTED_WINDOWS[args.command](M.lo, M.hi),
-               cap=args.cap, seed=args.seed)
+               cap=args.cap)
         payload = {"module": t.module.to_json_dict(), "warning": t.warning}
         text = _dims_table(t.module) + (f"\nwarning: {t.warning}" if t.warning else "")
         _emit(args, payload, text)
@@ -291,9 +289,8 @@ def run(args):
     if args.command == "ars":
         M = module(args.module)
         seq = almost_split_sequence(M, args.direction,
-                                    REQUESTED_WINDOWS[args.direction](M.lo, M.hi),
-                                    args.cap, seed=args.seed)
-        ok, failures = verify_almost_split(seq, seed=args.seed)
+                                    REQUESTED_WINDOWS[args.direction](M.lo, M.hi), args.cap)
+        ok, failures = verify_almost_split(seq)
         payload = seq.to_json_dict()
         payload["verified"] = ok
         payload["failures"] = failures
@@ -302,7 +299,7 @@ def run(args):
 
     if args.command == "verify-ars":
         seq = _sequence_from_file(alg, args.sequence)
-        ok, failures = verify_almost_split(seq, seed=args.seed)
+        ok, failures = verify_almost_split(seq)
         _emit(args, {"verified": ok, "failures": failures},
               "pass" if ok else f"fail: {failures}")
         return 0 if ok else 1
@@ -365,9 +362,8 @@ def run(args):
             if "window" in task:
                 lo, hi = task["window"]
                 argv += ["--window", f"{lo}:{hi}"]
-            for key in ("cap", "seed"):
-                if key in task:
-                    argv += [f"--{key}", str(task[key])]
+            if "cap" in task:
+                argv += ["--cap", str(task["cap"])]
             out_file = f"{name}.json"
             argv += ["--json", "--out", out_file]
             return name, {"exit": main(argv), "out": out_file}

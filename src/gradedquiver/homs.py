@@ -17,6 +17,7 @@ differential P2 -> P1, which maps onto the generators of ker d1
 realized by lifting endomorphisms along the presentation.
 """
 
+import itertools
 import random
 
 from .errors import WindowError, UnsupportedRadical, MathRefusal
@@ -372,9 +373,12 @@ class IndecomposabilityVerdict:
         return f"IndecomposabilityVerdict({self.status!r}, trials={self.trials})"
 
 
-def is_strongly_indecomposable(M, budget=64, seed=0):
+def is_strongly_indecomposable(M):
     """Certified "yes" when End/rad is one dimensional, "no" with a Fitting
-    splitting when one is found, else "presumed" after the search budget."""
+    splitting when one is found, else "presumed".  The endomorphisms tried
+    are fixed: the basis of End(M), the pairwise sums of its elements, then
+    64 coordinate vectors drawn from a fresh `random.Random(0)`, so each
+    verdict, idempotent and trial count is the same on every call."""
     if M.is_zero():
         return IndecomposabilityVerdict("no", summand_dims=(0, 0))
     end = end_algebra(M)
@@ -382,27 +386,20 @@ def is_strongly_indecomposable(M, budget=64, seed=0):
         return IndecomposabilityVerdict("yes")
     f = end.field
     n = end.dim
-    candidates = []
-    for i in range(n):
-        candidates.append([f.one() if k == i else f.zero() for k in range(n)])
-    for i in range(n):
-        for j in range(i + 1, n):
-            candidates.append([f.add(a, b) for a, b in
-                               zip(candidates[i], candidates[j])])
-    rng = random.Random(seed)
+    units = [[f.one() if k == i else f.zero() for k in range(n)] for i in range(n)]
+    sums = [[f.add(a, b) for a, b in zip(u, v)] for u, v in itertools.combinations(units, 2)]
+    rng = random.Random(0)
     small = [-2, -1, 1, 2] if f.is_rationals else list(range(1, f.p))
-    for _ in range(budget):
-        candidates.append([f.of(rng.choice(small + [0])) for _ in range(n)])
-    trials = 0
-    for coords in candidates:
-        trials += 1
+    candidates = units + sums + [[f.of(rng.choice(small + [0])) for _ in range(n)]
+                                 for _ in range(64)]
+    for trials, coords in enumerate(candidates, 1):
         phi = end.hom.from_coordinates(coords)
         split = _fitting_split(M, phi)
         if split is not None:
             idem, dims = split
             return IndecomposabilityVerdict("no", idempotent=idem,
                                             summand_dims=dims, trials=trials)
-    return IndecomposabilityVerdict("presumed", trials=trials)
+    return IndecomposabilityVerdict("presumed", trials=len(candidates))
 
 
 def _fitting_split(M, phi):
@@ -565,11 +562,8 @@ class EndActionOnExt:
         if pres is None:
             pres = minimal_presentation(M)
         self.pres = pres
-        window = pres.window
-        self.p0 = pres.p0
-        self.p1 = pres.p1
-        self.gens0 = pres.cover0.generators
-        self.aug0 = pres.cover0.realize(pres.module, window)
+        self.aug0 = pres.cover0.realize(pres.module, pres.window)
+        self._radical_actions = None
 
     def action_matrix(self, f_coords):
         """Matrix of xi -> xi . f on Ext-class coordinates."""
@@ -586,19 +580,22 @@ class EndActionOnExt:
             cols.append(ext.class_coordinates(moved.col(0)))
         return Matrix.from_cols(ext.field, ext.dim, cols)
 
+    def radical_actions(self):
+        """The action matrices of the radical basis of End(M), built once."""
+        if self._radical_actions is None:
+            rad = self.end.radical_basis()
+            self._radical_actions = [self.action_matrix(rad.col(k)) for k in range(rad.cols)]
+        return self._radical_actions
+
     def socle_subspace(self):
         """Coordinates of the classes killed by every radical endomorphism."""
         ext = self.ext
         f = ext.field
         if ext.dim == 0:
             return Matrix.zeros(f, 0, 0)
-        rad = self.end.radical_basis()
         current = Matrix.identity(f, ext.dim)
-        for k in range(rad.cols):
-            act = self.action_matrix(rad.col(k))
-            combined = act @ current
-            inner = combined.kernel_basis()
-            current = current @ inner
+        for act in self.radical_actions():
+            current = current @ (act @ current).kernel_basis()
         return current
 
     def _lift(self, fmor):
@@ -609,24 +606,24 @@ class EndActionOnExt:
         realized d1 of its image under f0 d1.  Lifts differ only by maps into
         ker d1, on which every cocycle vanishes.
         """
-        alg = self.pres.module.algebra
-        window = self.pres.window
+        pres = self.pres
+        window = pres.window
         lifted0 = []
-        for g in self.gens0:
+        for g in pres.cover0.generators:
             img = fmor.block(g.degree, g.vertex) @ Matrix.from_cols(
-                alg.field, len(g.coords), [list(g.coords)])
+                self.ext.field, len(g.coords), [list(g.coords)])
             pre = self.aug0.block(g.degree, g.vertex).solve(img)
             if pre is None:
                 raise MathRefusal("endomorphism failed to lift through the cover")
             lifted0.append((g.degree, g.vertex, pre.col(0)))
-        f0 = _pmap_from_generators(self.p0, window, lifted0).realize(window)
-        d1 = self.pres.d1.realize(window)
+        f0 = _pmap_from_generators(pres.p0, window, lifted0).realize(window)
+        d1 = pres.d1.realize(window)
         lifted1 = []
-        for j, (b, t) in enumerate(self.p1.summands):
+        for j, (b, t) in enumerate(pres.p1.summands):
             d = -t
-            img = f0.block(d, b) @ _pmap_generator_image(self.pres.d1, j, d, b, window)
+            img = f0.block(d, b) @ _pmap_generator_image(pres.d1, j, d, b, window)
             pre = d1.block(d, b).solve(img)
             if pre is None:
                 raise MathRefusal("lift left the syzygy")
             lifted1.append((d, b, pre.col(0)))
-        return _pmap_from_generators(self.p1, window, lifted1)
+        return _pmap_from_generators(pres.p1, window, lifted1)

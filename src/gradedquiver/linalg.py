@@ -263,6 +263,9 @@ class Matrix:
     def col(self, j):
         return [self.data[i][j] for i in range(self.rows)]
 
+    def select_rows(self, rs):
+        return Matrix._make(self.field, len(rs), self.cols, tuple(self.data[r] for r in rs))
+
     def select_cols(self, js):
         return Matrix._make(self.field, self.rows, len(js),
                             tuple(tuple(row[j] for j in js) for row in self.data))
@@ -475,18 +478,22 @@ def poly_eval(poly, x, field):
     return acc
 
 
-def roots_in_field(poly, field, scan_limit=4096):
+_SCAN_LIMIT = 4096
+
+
+def roots_in_field(poly, field):
     """Roots of a polynomial lying in the base field, ascending.
 
-    Over F_p all residues are scanned (p must stay below scan_limit).  Over Q
-    the rational-root test is applied to the cleared-denominator polynomial.
+    Over F_p all residues are scanned (none when p exceeds `_SCAN_LIMIT`).
+    Over Q the rational-root test is applied to the cleared-denominator
+    polynomial, with at most `_SCAN_LIMIT` divisors of each end coefficient.
     """
     while poly and not poly[-1]:
         poly = poly[:-1]
     if len(poly) <= 1:
         return []
     if not field.is_rationals:
-        if field.p > scan_limit:
+        if field.p > _SCAN_LIMIT:
             return []
         return [x for x in range(field.p) if not poly_eval(poly, x, field)]
     mult = lcm(*(c.denominator for c in poly))
@@ -499,8 +506,8 @@ def roots_in_field(poly, field, scan_limit=4096):
         roots.add(Fraction(0))
     if len(ipoly) > 1:
         a0, an = abs(ipoly[0]), abs(ipoly[-1])
-        for p in _bounded_divisors(a0, scan_limit):
-            for q in _bounded_divisors(an, scan_limit):
+        for p in _bounded_divisors(a0, _SCAN_LIMIT):
+            for q in _bounded_divisors(an, _SCAN_LIMIT):
                 for cand in (Fraction(p, q), Fraction(-p, q)):
                     if not poly_eval(poly, cand, field):
                         roots.add(cand)

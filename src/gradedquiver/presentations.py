@@ -377,7 +377,8 @@ def _kernel_generators(P, kers, bound):
 
     At (i, x) they are the basis vectors of K_i(x) completing the radical
     sum over arrows a: y -> x of a*K_{i-1}(y), whose coordinates are read at
-    the free rows: a list of (degree, vertex, vector in P).
+    the free rows: each arrow block's free rows alone are multiplied by the
+    kernel basis.  Returns a list of (degree, vertex, vector in P).
     """
     if not P.exact_below:
         raise WindowError("top-basis needs the module exact below")
@@ -387,10 +388,10 @@ def _kernel_generators(P, kers, bound):
     for (i, x), (basis, free) in kers.items():
         if i > bound:
             continue
-        rad = [P.map(a.name, i - 1) @ kers[(i - 1, a.source)][0]
+        rad = [P.map(a.name, i - 1).select_rows(free) @ kers[(i - 1, a.source)][0]
                for a in alg.quiver.arrows_into[x] if (i - 1, a.source) in kers]
         coords = Matrix._make(f, len(free), sum(m.cols for m in rad),
-                              tuple(sum((m.data[r] for m in rad), ()) for r in free))
+                              tuple(sum((m.data[r] for m in rad), ()) for r in range(len(free))))
         for k in _complement_indices(f, coords, basis.cols):
             out.append((i, x, basis.col(k)))
     return out

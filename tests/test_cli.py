@@ -117,6 +117,14 @@ def test_cli_ars_exits_1_when_verification_fails(tmp_path, monkeypatch, capsys):
     assert out["verified"] is False and out["failures"]
 
 
+def test_cli_has_no_seed_option(capsys):
+    # every search is deterministic, so there is no seed to pass
+    with pytest.raises(SystemExit) as exc:
+        main([fix("fix_b"), "ars", "--module", "S1", "--seed", "0"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_cli_ars_starting_matches_ending(tmp_path):
     end_f = tmp_path / "end.json"
     start_f = tmp_path / "start.json"

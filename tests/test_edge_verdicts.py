@@ -1,6 +1,9 @@
 """Edge paths: presumed verdicts, unsupported radicals, tampered sequences."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -8,7 +11,10 @@ from gradedquiver import (QQ, GF, Quiver, GradedAlgebra, GradedModule, Matrix,
                           standard_module)
 from gradedquiver.errors import MathRefusal, UnsupportedRadical
 from gradedquiver.homs import end_algebra, is_strongly_indecomposable
-from gradedquiver.artheory import tau, almost_split_sequence
+from gradedquiver.artheory import (AlmostSplitSequence, tau, almost_split_sequence,
+                                   verify_almost_split)
+from gradedquiver.gmodule import direct_sum
+from gradedquiver.problem import parse_problem
 from gradedquiver.cli import main
 
 from test_cli import fix
@@ -30,7 +36,7 @@ def test_presumed_verdict_for_field_extension_end():
     _alg, C = gaussian_kronecker()
     end = end_algebra(C)
     assert end.dim == 2 and end.radical_basis().cols == 0
-    v = is_strongly_indecomposable(C, budget=16)
+    v = is_strongly_indecomposable(C)
     assert v.status == "presumed"
     with pytest.raises(MathRefusal, match="verdict"):
         tau(C)
@@ -74,3 +80,60 @@ def test_cli_verify_tampered_sequence(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["verified"] is False
     assert any("surjective" in m or "rank" in m for m in rep["failures"])
+
+
+def widened_tampered_sequence(tmp_path):
+    """fix_b's sequence ending at S1 with all three windows set to [-4, 8]
+    and middle pieces added at (5, 1), (6, 2) and (7, 1), where the
+    dimensions then fail to add."""
+    out = tmp_path / "seq.json"
+    assert main([fix("fix_b"), "ars", "--module", "S1", "--json",
+                 "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    for term in ("left", "middle", "right"):
+        data[term]["window"] = [-4, 8]
+    for key in ("(5,1)", "(6,2)", "(7,1)"):
+        data["middle"]["dims"][key] = 1
+    bad = tmp_path / "widened.json"
+    bad.write_text(json.dumps(data))
+    return bad
+
+
+def test_verify_reports_the_first_dimension_mismatch_in_sorted_order(tmp_path, capsys):
+    bad = widened_tampered_sequence(tmp_path)
+    capsys.readouterr()
+    assert main([fix("fix_b"), "verify-ars", "--sequence", str(bad), "--json"]) == 1
+    failures = json.loads(capsys.readouterr().out)["failures"]
+    assert "exactness: dims fail to add at (5, '1')" in failures
+    assert not any("(6, '2')" in m or "(7, '1')" in m for m in failures), failures
+
+
+def test_verify_failures_do_not_depend_on_string_hashing(tmp_path):
+    bad = widened_tampered_sequence(tmp_path)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    reports = set()
+    for hash_seed in ("3", "4"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-m", "gradedquiver.cli", fix("fix_b"),
+                              "verify-ars", "--sequence", str(bad), "--json"],
+                             capture_output=True, text=True, env=env, check=False)
+        assert run.returncode == 1, run.stderr
+        reports.add(run.stdout)
+    assert len(reports) == 1
+
+
+def test_sum_of_two_sequences_fails_at_its_decomposable_ends():
+    # no almost split sequence ends at C + C; here g o Hom(C + C, E + E) is
+    # rad End(C + C) = 0, so the indecomposability checks are what fail
+    for name, v in (("fix_b", "1"), ("fix_d", "2"), ("fix_d", "4")):
+        alg = parse_problem(fix(name)).algebra
+        seq = almost_split_sequence(standard_module(alg, "S", v, 0), "ending")
+        A2, _ia, pa = direct_sum([seq.A, seq.A])
+        E2, ie, pe = direct_sum([seq.E, seq.E])
+        C2, ic, _pc = direct_sum([seq.C, seq.C])
+        f2 = ie[0].compose(seq.f).compose(pa[0]) + ie[1].compose(seq.f).compose(pa[1])
+        g2 = ic[0].compose(seq.g).compose(pe[0]) + ic[1].compose(seq.g).compose(pe[1])
+        ok, failures = verify_almost_split(AlmostSplitSequence(A2, E2, C2, f2, g2, {}, "ending"))
+        assert not ok
+        assert failures == ["right term decomposes", "left term decomposes"], (name, v)

@@ -16,7 +16,7 @@ HERE = os.path.dirname(__file__)
 def test_fix_b_sequence_matches_golden(tmp_path):
     out = tmp_path / "seq.json"
     code = main([fix("fix_b"), "ars", "--module", "S1", "--direction", "ending",
-                 "--seed", "0", "--json", "--out", str(out)])
+                 "--json", "--out", str(out)])
     assert code == 0
     with open(os.path.join(HERE, "golden", "fix_b_ars.json"), encoding="utf-8") as fh:
         golden = fh.read()

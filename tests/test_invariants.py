@@ -55,7 +55,7 @@ def test_cli_deterministic_output(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
     for out in (out1, out2):
-        code = main([fix("fix_b"), "ars", "--module", "S1", "--seed", "0",
+        code = main([fix("fix_b"), "ars", "--module", "S1",
                      "--json", "--out", str(out)])
         assert code == 0
     assert out1.read_text() == out2.read_text()

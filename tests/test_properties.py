@@ -142,6 +142,24 @@ def test_kronecker_sequence_and_socle_failure():
     assert not any("nonsplit" in msg for msg in failures), failures
 
 
+def test_construction_builds_each_radical_action_once(monkeypatch):
+    # the socle and the socle_annihilation certificate read the same action
+    # matrices: one per radical basis endomorphism of End(C)
+    _alg, C = kronecker_module()
+    calls = []
+    action_matrix = EndActionOnExt.action_matrix
+
+    def counted(self, f_coords):
+        calls.append(list(f_coords))
+        return action_matrix(self, f_coords)
+
+    monkeypatch.setattr(EndActionOnExt, "action_matrix", counted)
+    seq = almost_split_sequence(C, "ending")
+    rad = end_algebra(C).radical_basis()
+    assert calls == [rad.col(k) for k in range(rad.cols)] and calls
+    assert seq.certificate["socle_annihilation"] == [True] * rad.cols
+
+
 def test_ext_nonzero_for_certified_nonprojective(fix_b, fix_d):
     # whenever C is certified indecomposable and not projective, the Ext
     # space against its translate is nonzero

@@ -10,7 +10,8 @@ and the translates of the simples, targets are shifted simples, projectives
 and injectives, each pair also dualized.  Truncated targets give the
 oracle's value or its WindowError.  Also here: `ar_formula_check` solves no
 naturality system, and `find_isomorphism` returns the identity between
-modules with equal data without a search, and still searches otherwise.
+modules with equal data without a search, and otherwise returns a basis
+morphism of Hom(M, N).
 """
 
 import itertools
@@ -193,3 +194,24 @@ def test_find_isomorphism_searches_between_different_modules():
         # the same pieces with every arrow acting by zero: not isomorphic
         flat = GradedModule(T.algebra, T.lo, T.hi, T.dims, {})
         assert find_isomorphism(T, flat) is None
+
+
+def test_find_isomorphism_returns_a_hom_basis_morphism():
+    # End of a translate of a simple is local, so some basis map of
+    # Hom(T, moved) is an isomorphism, and it is the one returned
+    checked = set()
+    for T in iso_cases():
+        f = T.algebra.field
+        for c in (2, -1, 3, 4, 7):
+            if not f.of(c):
+                continue
+            moved = change_basis(T, c)
+            if moved.maps == T.maps:
+                continue
+            iso = find_isomorphism(T, moved)
+            H = homs.ghom(T, moved)
+            assert iso is not None and iso.is_isomorphism()
+            assert any(iso == H.morphism(k) for k in range(H.dim)), (T.dims, c)
+            checked.add((f, f.of(c)))
+    assert {f for f, _c in checked} == {QQ, GF(3)}
+    assert len(checked) >= 6
