@@ -13,19 +13,25 @@ presentation, and the formula for tau^- is the one for tau on (D M, D X).  An
 almost split sequence ending at C is assembled from a nonzero extension class
 annihilated by the radical of End(C), realized as an explicit pushout; one
 starting at N is the dual of the one ending at D N, and is verified on it.
-Every constructed sequence carries a certificate.  Verification checks the
-definition on the sequence's own maps: g: E -> C is right almost split, that
-is g o Hom(C, E) = rad End(C), with no Ext^1 class rebuilt and Hom(C, E)
-read off C's presentation; the left term is tau C, and so indecomposable
-with C, without an End algebra of its own.
+The right End(C)-action on Ext^1(C, tau C) is realized by lifting
+endomorphisms along C's minimal presentation, and the socle is the joint
+kernel of the radical basis's action matrices.  Every constructed sequence
+carries a certificate.  Verification checks the definition on the sequence's
+own maps: g: E -> C is right almost split, that is g o Hom(C, E) =
+rad End(C), with no Ext^1 class rebuilt and Hom(C, E) read off C's
+presentation; the left term is tau C, and so indecomposable with C, without
+an End algebra of its own, where C is certified.
 """
+
+from functools import reduce
 
 from .errors import InputError, WindowError, MathRefusal, UnsupportedRadical
 from .linalg import Matrix
 from .gmodule import GradedMorphism, direct_sum, zero_module, _memo
-from .presentations import ProjSum, minimal_presentation
-from .homs import (ghom, end_algebra, is_strongly_indecomposable,
-                   ExtSpace, EndActionOnExt, underline_hom_dim, psum_hom_to_morphism)
+from .presentations import (ProjSum, minimal_presentation, _pmap_from_generators,
+                            _pmap_generator_image)
+from .homs import (ghom, end_algebra, is_strongly_indecomposable, ExtSpace,
+                   underline_hom_dim, psum_hom_to_morphism, psum_pullback_matrix)
 
 
 class TransposeData:
@@ -196,6 +202,12 @@ def almost_split_sequence(C, direction="ending", window=None, cap=10):
 
 
 def _ass_ending(C, window, cap, starting=False):
+    """The almost split sequence ending at C: the pushout along the class of
+    Ext^1(C, tau C) given by the first column of the standard kernel basis
+    of the stacked radical actions (`_actions_on_ext`), that is the socle
+    class whose last nonzero coordinate sits lowest and is 1.  The
+    certificate records that class and whether each radical basis
+    endomorphism kills it, read off the same action matrices."""
     # refusals name the direction asked for; starting runs this on D N
     term, kind, verb = ("starting", "injective", "starts") if starting else (
         "ending", "projective", "ends")
@@ -220,19 +232,18 @@ def _ass_ending(C, window, cap, starting=False):
     if ext.dim == 0:
         raise MathRefusal("Ext^1(C, tau C) vanished for a valid input: "
                           "this indicates an internal inconsistency (bug)")
-    end = end_algebra(C)
-    action = EndActionOnExt(ext, end, pres=pres)
-    soc = action.socle_subspace()
+    f_ = ext.field
+    actions = _actions_on_ext(pres, ext, end_algebra(C).radical_basis())
+    # the classes every radical endomorphism kills: one joint kernel
+    soc = reduce(Matrix.vstack, actions, Matrix.zeros(f_, 0, ext.dim)).kernel_basis()
     if soc.cols == 0:
         raise MathRefusal("socle of Ext^1(C, tau C) vanished: internal bug")
-    xi_class = soc.col(0)
-    f_ = ext.field
-    xi_tuple = (Matrix.from_cols(f_, ext.size, ext.reps)
-                @ Matrix.from_cols(f_, ext.dim, [list(xi_class)])).col(0)
+    xi_class = Matrix._make_cols(f_, ext.dim, [soc.col(0)])
+    xi_tuple = (Matrix._make_cols(f_, ext.size, ext.reps) @ xi_class).col(0)
     seq = _pushout_sequence(C, A, pres, ext, xi_tuple)
     certificate = {
-        "nonsplit_witness": [f_.fmt(c) for c in xi_class],
-        "socle_annihilation": _radical_kills(action, xi_class),
+        "nonsplit_witness": [f_.fmt(c) for c in xi_class.col(0)],
+        "socle_annihilation": [not any((act @ xi_class).col(0)) for act in actions],
         "left_is_tau": "by construction",
         "indecomposable_ends": {"right": verdict.status, "left": "translate of "
                                 "a certified indecomposable"},
@@ -240,11 +251,53 @@ def _ass_ending(C, window, cap, starting=False):
     return AlmostSplitSequence(*seq, certificate, "ending")
 
 
-def _radical_kills(action, cls):
-    """Whether each radical basis endomorphism of C kills the Ext^1 class,
-    read off the action matrices the socle came from."""
-    vec = Matrix.from_cols(action.ext.field, len(cls), [list(cls)])
-    return [not any((act @ vec).col(0)) for act in action.radical_actions()]
+def _actions_on_ext(pres, ext, coords):
+    """The matrices of xi -> xi . r on the class coordinates of
+    ext = Ext^1(C, N), built from `pres`, C's minimal presentation: one per
+    column r of `coords`, in the coordinates of End(C).
+
+    Each r lifts once along the presentation: r0: P0 -> P0 sends each
+    generator of P0 to a preimage under the cover of its image under r, and
+    r1: P1 -> P1 each generator of P1 to a preimage under the realized d1 of
+    its image under r0 d1.  Lifts differ only by maps into ker d1, on which
+    every cocycle vanishes.  The representatives pulled back along every r1
+    are read in one solve against [B | reps].
+    """
+    if not coords.cols:
+        return []
+    f = ext.field
+    window = pres.window
+    hom = end_algebra(pres.module).hom
+    aug0 = pres.cover0.realize(pres.module, window)
+    d1 = pres.d1.realize(window)
+    reps = Matrix._make_cols(f, ext.size, ext.reps)
+    moved = Matrix.zeros(f, ext.size, 0)
+    for k in range(coords.cols):
+        r = hom.from_coordinates(coords.col(k))
+        lifted0 = []
+        for g in pres.cover0.generators:
+            img = r.block(g.degree, g.vertex) @ Matrix.from_cols(f, len(g.coords), [g.coords])
+            pre = aug0.block(g.degree, g.vertex).solve(img)
+            if pre is None:
+                raise MathRefusal("endomorphism failed to lift through the cover")
+            lifted0.append((g.degree, g.vertex, pre.col(0)))
+        r0 = _pmap_from_generators(pres.p0, window, lifted0).realize(window)
+        lifted1 = []
+        for j, (b, t) in enumerate(pres.p1.summands):
+            img = r0.block(-t, b) @ _pmap_generator_image(pres.d1, j, -t, b, window)
+            pre = d1.block(-t, b).solve(img)
+            if pre is None:
+                raise MathRefusal("lift left the syzygy")
+            lifted1.append((-t, b, pre.col(0)))
+        r1 = _pmap_from_generators(pres.p1, window, lifted1)
+        moved = moved.hstack(psum_pullback_matrix(r1, ext.N) @ reps)
+    sol = ext.B.hstack(reps).solve(moved)
+    if sol is None:
+        raise MathRefusal("tuple is not a cocycle representative")
+    n = ext.dim
+    rows = sol.data[ext.B.cols:]
+    return [Matrix._make(f, n, n, tuple(row[k * n:(k + 1) * n] for row in rows))
+            for k in range(coords.cols)]
 
 
 def _pushout_sequence(C, A, pres, ext, xi_tuple):
@@ -329,14 +382,17 @@ def verify_almost_split(seq):
     term D A keeps its derived data.  The class items read the composites of
     g with a basis of Hom(C, E), off C's presentation, in End(C): the class
     is zero iff they reach the identity, and killed by the radical iff they
-    span rad End(C).  A is checked to be isomorphic to tau C, and to be
-    indecomposable only when that does not follow: tau sends an
-    indecomposable non-projective to an indecomposable, so a nonzero A
-    isomorphic to tau C, for C certified "yes", builds no End(A); a basis of
-    Hom(A, tau C) decides that isomorphism (`find_isomorphism`).  Failures
-    name the given terms and the first bad degree in sorted order, the same
-    on every run; a radical the field cannot compute (End of dimension >= p
-    over F_p) is a failure too, not a raise."""
+    span rad End(C).  Both ends must be certified indecomposable: a term
+    that decomposes or whose verdict is only "presumed" is a failure.  A is
+    checked against tau C by dimensions, and for C certified "yes" by an
+    isomorphism, which a basis of Hom(A, tau C) decides since End(tau C) is
+    then local (`find_isomorphism`); A is checked to be indecomposable only
+    when that does not follow: tau sends an indecomposable non-projective to
+    an indecomposable, so a nonzero A isomorphic to tau C builds no End(A).
+    Failures name the given terms and the first bad degree in sorted order,
+    the same on every run, with the indecomposability items last; a radical
+    the field cannot compute (End of dimension >= p over F_p) is a failure
+    too, not a raise."""
     failures = []
     A, E, C, f, g = seq.A, seq.E, seq.C, seq.f, seq.g
     if not g.compose(f).is_zero():
@@ -371,29 +427,35 @@ def verify_almost_split(seq):
             failures.append(f"socle: class not annihilated by the radical of {end_c}")
     except MathRefusal as e:
         failures.append(f"class check failed: {e}")
-    # the left term is the translate of the right term
-    taures = tau(C, window=(A.lo, A.hi), check_verdict=False)
-    is_tau = False
-    if taures.module.dims != A.dims:
-        failures.append(f"{left} term does not match the {translate} (dimensions)")
-    elif A.is_exact and taures.module.is_exact:
-        is_tau = find_isomorphism(A, taures.module) is not None
-        if not is_tau:
-            failures.append(f"{left} term not isomorphic to the {translate}")
+    ends = []  # the indecomposability failures, reported last
 
     def indecomposable(term, M):
         try:
             status = is_strongly_indecomposable(M).status
         except UnsupportedRadical as e:
-            failures.append(f"{term} term indecomposability check failed: {e}")
+            ends.append(f"{term} term indecomposability check failed: {e}")
             return None
         if status == "no":
-            failures.append(f"{term} term decomposes")
+            ends.append(f"{term} term decomposes")
+        elif status == "presumed":
+            ends.append(f"{term} term not certified indecomposable: verdict 'presumed'")
         return status
 
+    certified = indecomposable(right, C) == "yes"
+    # the left term is the translate of the right term; the Hom basis
+    # decides that isomorphism only where End(tau C) is local
+    taures = tau(C, window=(A.lo, A.hi), check_verdict=False)
+    is_tau = False
+    if taures.module.dims != A.dims:
+        failures.append(f"{left} term does not match the {translate} (dimensions)")
+    elif certified and A.is_exact and taures.module.is_exact:
+        is_tau = find_isomorphism(A, taures.module) is not None
+        if not is_tau:
+            failures.append(f"{left} term not isomorphic to the {translate}")
     # tau sends a certified indecomposable C to an indecomposable, so a
     # nonzero A found isomorphic to tau C needs no End algebra of its own
-    if indecomposable(right, C) != "yes" or A.is_zero() or not is_tau:
+    if not is_tau or A.is_zero():
         if A.is_exact:
             indecomposable(left, A)
+    failures += ends
     return (not failures), failures

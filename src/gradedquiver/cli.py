@@ -12,7 +12,7 @@ import sys
 import tempfile
 
 from .errors import MathRefusal, InputError, GradedQuiverError
-from .problem import parse_problem, canonical_dumps
+from .problem import parse_problem, canonical_dumps, TASK_FLAGS
 from .linalg import Matrix
 from .gmodule import GradedModule, GradedMorphism, standard_module
 from .presentations import (ProjSum, minimal_presentation, projective_cover,
@@ -355,15 +355,12 @@ def run(args):
             idx, task = item
             name = str(task.get("name", f"task{idx}"))
             argv = [args.problem, task["command"]]
-            for key in ("module", "source", "target", "other", "simple",
-                        "direction", "sequence", "kind"):
+            for key in TASK_FLAGS:
                 if key in task:
                     argv += [f"--{key}", str(task[key])]
             if "window" in task:
                 lo, hi = task["window"]
                 argv += ["--window", f"{lo}:{hi}"]
-            if "cap" in task:
-                argv += ["--cap", str(task["cap"])]
             out_file = f"{name}.json"
             argv += ["--json", "--out", out_file]
             return name, {"exit": main(argv), "out": out_file}

@@ -13,8 +13,7 @@ algebra; stable homs modulo injectives are stable homs modulo projectives
 between the duals.  Ext^1 against a presented module P1 --d1--> P0 is H^1
 of Hom(P., N): the Hom(P1, N) tuples killed by the pullback along the next
 differential P2 -> P1, which maps onto the generators of ker d1
-(`next_differential`), modulo pullbacks from P0.  The right End-action is
-realized by lifting endomorphisms along the presentation.
+(`next_differential`), modulo pullbacks from P0.
 """
 
 import itertools
@@ -24,7 +23,7 @@ from .errors import WindowError, UnsupportedRadical, MathRefusal
 from .linalg import Matrix, charpoly, roots_in_field
 from .gmodule import GradedMorphism, standard_module, _memo
 from .presentations import (ProjSum, projective_cover, minimal_presentation, Cover,
-                            next_differential, _pmap_from_generators, _pmap_generator_image)
+                            next_differential)
 
 
 def _hom_window(M, N):
@@ -527,103 +526,8 @@ class ExtSpace:
         self.reps = [self.Z.col(c - self.B.cols) for c in pivots if c >= self.B.cols]
         self.dim = len(self.reps)
 
-    def class_coordinates(self, tuple_vec):
-        """Coordinates of a cocycle tuple over the chosen representatives."""
-        if self.dim == 0:
-            return []
-        f = self.field
-        wall = self.B.hstack(Matrix.from_cols(f, self.size, self.reps))
-        sol = wall.solve(Matrix.from_cols(f, self.size, [tuple_vec]))
-        if sol is None:
-            raise MathRefusal("tuple is not a cocycle representative")
-        return sol.col(0)[self.B.cols:]
-
-    def tuple_of_class(self, k):
-        return list(self.reps[k])
-
 
 def ext1(M, N):
     """Ext^1(M, N) from the minimal presentation of M, which
     `minimal_presentation` keeps on M."""
     return ExtSpace(minimal_presentation(M).d1, N)
-
-
-class EndActionOnExt:
-    """The right End(M)-action on Ext^1(M, N) by lifting endomorphisms.
-
-    Lifts along `pres`, else along the minimal presentation of M, which
-    `minimal_presentation` keeps on M; `ext` must be built from the same one.
-    """
-
-    def __init__(self, ext, end, pres=None):
-        self.ext = ext
-        self.end = end
-        M = end.hom.source
-        if pres is None:
-            pres = minimal_presentation(M)
-        self.pres = pres
-        self.aug0 = pres.cover0.realize(pres.module, pres.window)
-        self._radical_actions = None
-
-    def action_matrix(self, f_coords):
-        """Matrix of xi -> xi . f on Ext-class coordinates."""
-        ext = self.ext
-        if ext.dim == 0:
-            return Matrix.zeros(ext.field, 0, 0)
-        fmor = self.end.hom.from_coordinates(f_coords)
-        f1 = self._lift(fmor)
-        pull = psum_pullback_matrix(f1, ext.N)
-        cols = []
-        for k in range(ext.dim):
-            vec = Matrix.from_cols(ext.field, ext.size, [ext.tuple_of_class(k)])
-            moved = pull @ vec
-            cols.append(ext.class_coordinates(moved.col(0)))
-        return Matrix.from_cols(ext.field, ext.dim, cols)
-
-    def radical_actions(self):
-        """The action matrices of the radical basis of End(M), built once."""
-        if self._radical_actions is None:
-            rad = self.end.radical_basis()
-            self._radical_actions = [self.action_matrix(rad.col(k)) for k in range(rad.cols)]
-        return self._radical_actions
-
-    def socle_subspace(self):
-        """Coordinates of the classes killed by every radical endomorphism."""
-        ext = self.ext
-        f = ext.field
-        if ext.dim == 0:
-            return Matrix.zeros(f, 0, 0)
-        current = Matrix.identity(f, ext.dim)
-        for act in self.radical_actions():
-            current = current @ (act @ current).kernel_basis()
-        return current
-
-    def _lift(self, fmor):
-        """Lift f: M -> M to f1: P1 -> P1 over the fixed presentation.
-
-        f0 sends each generator of P0 to a preimage under the cover of its
-        image under f; f1 sends each generator of P1 to a preimage under the
-        realized d1 of its image under f0 d1.  Lifts differ only by maps into
-        ker d1, on which every cocycle vanishes.
-        """
-        pres = self.pres
-        window = pres.window
-        lifted0 = []
-        for g in pres.cover0.generators:
-            img = fmor.block(g.degree, g.vertex) @ Matrix.from_cols(
-                self.ext.field, len(g.coords), [list(g.coords)])
-            pre = self.aug0.block(g.degree, g.vertex).solve(img)
-            if pre is None:
-                raise MathRefusal("endomorphism failed to lift through the cover")
-            lifted0.append((g.degree, g.vertex, pre.col(0)))
-        f0 = _pmap_from_generators(pres.p0, window, lifted0).realize(window)
-        d1 = pres.d1.realize(window)
-        lifted1 = []
-        for j, (b, t) in enumerate(pres.p1.summands):
-            d = -t
-            img = f0.block(d, b) @ _pmap_generator_image(pres.d1, j, d, b, window)
-            pre = d1.block(d, b).solve(img)
-            if pre is None:
-                raise MathRefusal("lift left the syzygy")
-            lifted1.append((d, b, pre.col(0)))
-        return _pmap_from_generators(pres.p1, window, lifted1)

@@ -15,6 +15,13 @@ from .algebra import GradedAlgebra, Relation
 from .gmodule import GradedModule, standard_module
 
 
+# the task keys `run-tasks` forwards as `--key value`; a task may also carry
+# its name, command and window, and nothing else
+TASK_FLAGS = ("module", "source", "target", "other", "simple", "direction",
+              "sequence", "kind", "cap")
+TASK_KEYS = frozenset(TASK_FLAGS + ("name", "command", "window"))
+
+
 class ProblemFile:
 
     def __init__(self, field, quiver, algebra, relations_json, modules, tasks):
@@ -126,6 +133,9 @@ def parse_problem_dict(data):
         where = f"tasks[{i}]"
         if not isinstance(task, dict) or "command" not in task:
             raise InputError(f"{where}: expected an object with 'command'")
+        unknown = next((key for key in task if key not in TASK_KEYS), None)
+        if unknown is not None:
+            raise InputError(f"{where}: unknown key {unknown!r}")
         for key in ("module", "source", "target", "other"):
             name = task.get(key)
             if name is not None and name not in modules:

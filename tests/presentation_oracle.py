@@ -7,13 +7,19 @@ radical route of `resolution_oracle.top_basis`.  The pushout factors the
 cocycle through K, the class of a sequence restricts to K's generators, and
 an endomorphism lifts to P1 in two stages, into K and then through the cover.
 The program reads K off the realized d1 instead; both must give the same
-sequences, action matrices and class coordinates.
+sequences, action matrices and class coordinates.  The class of an almost
+split sequence is taken by the earlier construction route too: one solve per
+class and action for the End(C)-action on Ext^1, and the socle by
+intersecting the radical actions' kernels one at a time, where the program
+takes one joint kernel of the stacked actions.
 """
 
 from gradedquiver.algebra import AlgElement
+from gradedquiver.artheory import AlmostSplitSequence, tau
 from gradedquiver.errors import MathRefusal
 from gradedquiver.gmodule import GradedMorphism, ModuleElement, direct_sum
-from gradedquiver.homs import ext1, psum_hom_to_morphism, psum_pullback_matrix
+from gradedquiver.homs import (ExtSpace, end_algebra, ext1, is_strongly_indecomposable,
+                               psum_hom_to_morphism, psum_pullback_matrix)
 from gradedquiver.linalg import Matrix
 from gradedquiver.presentations import (Cover, PMap, ProjSum, _pmap_generator_image,
                                         minimal_presentation)
@@ -21,6 +27,7 @@ from gradedquiver.presentations import (Cover, PMap, ProjSum, _pmap_generator_im
 import resolution_oracle
 from product_oracle import compose
 from conftest import kernel
+from ext_window_oracle import WindowedExtSpace
 
 
 def syzygy_cover(pres):
@@ -117,14 +124,62 @@ def lift(pres, fmor):
 
 
 def action_matrix(ext, end, pres, f_coords):
-    """Matrix of xi -> xi . f on Ext-class coordinates, lifting by `lift`."""
+    """Matrix of xi -> xi . f on Ext-class coordinates, lifting by `lift`
+    and solving for one class at a time."""
     f1 = lift(pres, end.hom.from_coordinates(f_coords))
     pull = psum_pullback_matrix(f1, ext.N)
     cols = []
-    for k in range(ext.dim):
-        vec = Matrix.from_cols(ext.field, ext.size, [ext.tuple_of_class(k)])
-        cols.append(ext.class_coordinates((pull @ vec).col(0)))
+    for rep in ext.reps:
+        vec = Matrix.from_cols(ext.field, ext.size, [rep])
+        cols.append(WindowedExtSpace.class_coordinates(ext, (pull @ vec).col(0)))
     return Matrix.from_cols(ext.field, ext.dim, cols)
+
+
+def radical_actions(ext, end, pres):
+    """`action_matrix` of each radical basis endomorphism of End(C)."""
+    rad = end.radical_basis()
+    return [action_matrix(ext, end, pres, rad.col(k)) for k in range(rad.cols)]
+
+
+def iterated_socle(ext, actions):
+    """Columns spanning the classes every action kills, intersecting the
+    kernels one action at a time; the first column is the socle class
+    whose last nonzero coordinate sits lowest and is 1."""
+    current = Matrix.identity(ext.field, ext.dim)
+    for act in actions:
+        current = current @ (act @ current).kernel_basis()
+    return current
+
+
+def almost_split_sequence(C, direction="ending"):
+    """The almost split sequence at C, for C certified indecomposable, not
+    projective (injective when starting) and with an exact translate: the
+    pushout by `pushout_sequence` along the first `iterated_socle` column
+    of the `radical_actions`; a starting one dualizes the sequence ending
+    at D C."""
+    if direction == "starting":
+        seq = almost_split_sequence(C.dual())
+        f, g = seq.g.dual(), seq.f.dual()
+        ends = seq.certificate["indecomposable_ends"]
+        certificate = dict(seq.certificate,
+                           left_is_tau="dualized from the opposite-side construction",
+                           indecomposable_ends={"left": ends["right"], "right": ends["left"]})
+        return AlmostSplitSequence(f.source, f.target, g.target, f, g, certificate, "starting")
+    pres = minimal_presentation(C)
+    A = tau(C, check_verdict=False).module
+    ext = ExtSpace(pres.d1, A)
+    actions = radical_actions(ext, end_algebra(C), pres)
+    fld = ext.field
+    xi = Matrix.from_cols(fld, ext.dim, [iterated_socle(ext, actions).col(0)])
+    xi_tuple = (Matrix.from_cols(fld, ext.size, ext.reps) @ xi).col(0)
+    certificate = {
+        "nonsplit_witness": [fld.fmt(c) for c in xi.col(0)],
+        "socle_annihilation": [not any((act @ xi).col(0)) for act in actions],
+        "left_is_tau": "by construction",
+        "indecomposable_ends": {"right": is_strongly_indecomposable(C).status,
+                                "left": "translate of a certified indecomposable"},
+    }
+    return AlmostSplitSequence(*pushout_sequence(C, A, pres, xi_tuple), certificate, "ending")
 
 
 def class_of_sequence(seq):
@@ -154,4 +209,4 @@ def class_of_sequence(seq):
         gcol = Matrix.from_cols(fld, len(gen.coords), [list(gen.coords)])
         back = f_W.block(d, b).solve(lam.block(d, b) @ (K_incl.block(d, b) @ gcol))
         tuple_vec.extend(back.col(0))
-    return ext.class_coordinates(tuple_vec)
+    return WindowedExtSpace.class_coordinates(ext, tuple_vec)

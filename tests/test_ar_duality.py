@@ -185,7 +185,7 @@ def test_ext1_window_matches_the_old_window(index):
                 combo = [f.add(c, v) for c, v in zip(combo, new.B.col(0))]
             tuples.append(combo)
             for t in tuples:
-                assert new.class_coordinates(t) == old.class_coordinates(t)
+                assert WindowedExtSpace.class_coordinates(new, t) == old.class_coordinates(t)
     if name.startswith(("seed", "x^")):
         assert nonzero, name
 

@@ -95,6 +95,20 @@ def test_cli_tasks_validate_references(tmp_path):
     assert main([str(pfile), "validate"]) == 2
 
 
+def test_cli_tasks_reject_unknown_keys(tmp_path, capsys, monkeypatch):
+    # a misspelt flag is an input error, not a task run on the defaults
+    with open(fix("fix_b"), encoding="utf-8") as fh:
+        problem = json.load(fh)
+    problem["tasks"] = [{"command": "dims", "module": "P1", "windw": [0, 3]}]
+    pfile = tmp_path / "typo.json"
+    pfile.write_text(json.dumps(problem))
+    monkeypatch.setenv("GRADEDQUIVER_OUT_DIR", str(tmp_path))
+    for command in ("run-tasks", "validate"):
+        assert main([str(pfile), command]) == 2
+        assert capsys.readouterr().err == "error: tasks[0]: unknown key 'windw'\n"
+    assert not list(tmp_path.glob("task*.json"))
+
+
 def test_cli_rad_top(capsys):
     code = main([fix("fix_a"), "rad", "--module", "P1", "--window", "0:4",
                  "--json"])

@@ -7,17 +7,19 @@ import sys
 
 import pytest
 
-from gradedquiver import (QQ, GF, Quiver, GradedAlgebra, GradedModule, Matrix,
+from gradedquiver import (QQ, GF, Quiver, GradedAlgebra, GradedModule, GradedMorphism, Matrix,
                           standard_module)
 from gradedquiver.errors import MathRefusal, UnsupportedRadical
-from gradedquiver.homs import end_algebra, is_strongly_indecomposable
-from gradedquiver.artheory import (AlmostSplitSequence, tau, almost_split_sequence,
-                                   verify_almost_split)
+from gradedquiver.homs import ExtSpace, end_algebra, is_strongly_indecomposable
+from gradedquiver.artheory import (AlmostSplitSequence, _pushout_sequence, tau,
+                                   almost_split_sequence, verify_almost_split)
 from gradedquiver.gmodule import direct_sum
+from gradedquiver.presentations import minimal_presentation
 from gradedquiver.problem import parse_problem
 from gradedquiver.cli import main
 
 from test_cli import fix
+from test_stable_homs import change_basis
 
 
 def gaussian_kronecker(field=QQ):
@@ -137,3 +139,48 @@ def test_sum_of_two_sequences_fails_at_its_decomposable_ends():
         ok, failures = verify_almost_split(AlmostSplitSequence(A2, E2, C2, f2, g2, {}, "ending"))
         assert not ok
         assert failures == ["right term decomposes", "left term decomposes"], (name, v)
+
+
+def test_rebased_sum_fails_only_at_its_decomposable_ends():
+    # the left term A + A of the doubled sequence, re-based piece by piece,
+    # is isomorphic to tau(C + C), but End(A + A) is not local, so no basis
+    # map of Hom need be invertible: the isomorphism is not asked for when
+    # C + C is not certified, and the ends' own failures fail the sequence
+    for v in ("1", "2"):
+        alg = parse_problem(fix("fix_c")).algebra
+        seq = almost_split_sequence(standard_module(alg, "S", v, 0), "ending")
+        assert not all(m.is_zero() for m in seq.A.maps.values())
+        A2, _ia, pa = direct_sum([seq.A, seq.A])
+        E2, ie, pe = direct_sum([seq.E, seq.E])
+        C2, ic, _pc = direct_sum([seq.C, seq.C])
+        f2 = ie[0].compose(seq.f).compose(pa[0]) + ie[1].compose(seq.f).compose(pa[1])
+        g2 = ic[0].compose(seq.g).compose(pe[0]) + ic[1].compose(seq.g).compose(pe[1])
+        B = change_basis(A2, 2)
+        fld = alg.field
+        blocks = {}
+        for (i, x), n in A2.dims.items():
+            # change_basis's base of the piece (i, x), inverted
+            base = Matrix(fld, n, n, [[2 ** (i - A2.lo) if r <= k else 0 for k in range(n)]
+                                      for r in range(n)])
+            blocks[(i, x)] = f2.block(i, x) @ base.solve(Matrix.identity(fld, n))
+        fB = GradedMorphism(B, E2, blocks)
+        assert B.maps != A2.maps
+        ok, failures = verify_almost_split(AlmostSplitSequence(B, E2, C2, fB, g2, {}, "ending"))
+        assert not ok
+        assert failures == ["right term decomposes", "left term decomposes"], v
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_pushout_with_presumed_ends_fails_verification(k):
+    # End(G) is Q(i): local, but not certified, so a sequence ending at G
+    # rests on no certified end and must not verify
+    _alg, G = gaussian_kronecker()
+    pres = minimal_presentation(G)
+    A = tau(G, window=(G.lo - 4, G.hi + 6), check_verdict=False).module
+    ext = ExtSpace(pres.d1, A)
+    assert ext.dim == 2
+    seq = AlmostSplitSequence(*_pushout_sequence(G, A, pres, ext, ext.reps[k]), {}, "ending")
+    ok, failures = verify_almost_split(seq)
+    assert not ok
+    assert failures == ["right term not certified indecomposable: verdict 'presumed'",
+                        "left term not certified indecomposable: verdict 'presumed'"]

@@ -73,7 +73,7 @@ def assert_same(new, old, where):
         combo = [f.add(c, v) for c, v in zip(combo, new.B.col(0))]
     tuples.append(combo)
     for t in tuples:
-        assert new.class_coordinates(t) == old.class_coordinates(t), where
+        assert WindowedExtSpace.class_coordinates(new, t) == old.class_coordinates(t), where
 
 
 @pytest.mark.parametrize("field", sorted(FIELDS))

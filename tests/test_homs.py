@@ -4,8 +4,9 @@ from gradedquiver import QQ, GF, GradedMorphism, standard_module, direct_sum
 from gradedquiver.errors import WindowError, UnsupportedRadical
 from gradedquiver.homs import (ghom, ghom_to_injective, end_algebra,
                                is_strongly_indecomposable, underline_hom_dim, ext1,
-                               EndActionOnExt, hom_psum_dim)
-from gradedquiver.presentations import ProjSum
+                               hom_psum_dim)
+from gradedquiver.artheory import _actions_on_ext
+from gradedquiver.presentations import ProjSum, minimal_presentation
 
 from conftest import ghom_dim, make_fix_b, overline_hom_dim, extend_to_injective
 from ext_oracle import ext1_dim_oracle, ext1_dim_oracle_exhaustive
@@ -275,7 +276,6 @@ def test_end_action_on_ext(fix_b):
     N = S(fix_b, "2", -1)
     ext = ext1(M, N)
     end = end_algebra(M)
-    act = EndActionOnExt(ext, end)
-    ident = act.action_matrix(end.identity_coords)
     from gradedquiver import Matrix
-    assert ident == Matrix.identity(QQ, 1)
+    ident = Matrix.from_cols(QQ, end.dim, [end.identity_coords])
+    assert _actions_on_ext(minimal_presentation(M), ext, ident) == [Matrix.identity(QQ, 1)]

@@ -20,10 +20,11 @@ from collections import Counter
 import pytest
 
 from gradedquiver import GF, QQ, standard_module
-from gradedquiver.artheory import AlmostSplitSequence, _pushout_sequence, tau, verify_almost_split
+from gradedquiver.artheory import (AlmostSplitSequence, _actions_on_ext, _pushout_sequence, tau,
+                                   verify_almost_split)
 from gradedquiver.errors import UnsupportedRadical
 from gradedquiver.linalg import Matrix
-from gradedquiver.homs import EndActionOnExt, end_algebra, ext1
+from gradedquiver.homs import end_algebra, ext1
 from gradedquiver.presentations import minimal_presentation
 
 import presentation_oracle
@@ -94,14 +95,15 @@ def compare(alg, terms):
             continue
         ext = ext1(C, A)
         end = end_algebra(C)
-        action = EndActionOnExt(ext, end, pres=pres)
         f = alg.field
-        for k in range(end.dim):
-            unit = [f.one() if i == k else f.zero() for i in range(end.dim)]
-            assert action.action_matrix(unit) == \
-                presentation_oracle.action_matrix(ext, end, pres, unit), (C.dims, k)
+        units = Matrix.identity(f, end.dim)
+        actions = _actions_on_ext(pres, ext, units)
+        assert len(actions) == end.dim
+        for k, act in enumerate(actions):
+            assert act == presentation_oracle.action_matrix(ext, end, pres, units.col(k)), \
+                (C.dims, k)
         # each basis class, one combination of them, and a coboundary
-        tuples = [ext.tuple_of_class(k) for k in range(ext.dim)]
+        tuples = [list(rep) for rep in ext.reps]
         if ext.dim > 1:
             tuples.append([sum((f.mul(f.of(k + 1), t[i]) for k, t in enumerate(tuples)), f.zero())
                            for i in range(ext.size)])

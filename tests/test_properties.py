@@ -5,10 +5,10 @@ import threading
 from hypothesis import given, settings, strategies as st
 
 from gradedquiver import QQ, Quiver, GradedAlgebra, GradedModule, Matrix, standard_module
+from gradedquiver import artheory
 from gradedquiver.artheory import (almost_split_sequence, verify_almost_split,
-                                   tau, AlmostSplitSequence, _pushout_sequence)
-from gradedquiver.homs import (end_algebra, ext1, EndActionOnExt,
-                               is_strongly_indecomposable)
+                                   tau, AlmostSplitSequence, _actions_on_ext, _pushout_sequence)
+from gradedquiver.homs import end_algebra, ext1, is_strongly_indecomposable
 from gradedquiver.presentations import minimal_presentation
 
 from conftest import make_fix_a, make_fix_c
@@ -116,8 +116,9 @@ def test_kronecker_sequence_and_socle_failure():
     t = tau(C, check_verdict=False)
     ext = ext1(C, t.module)
     assert ext.dim == 2
-    action = EndActionOnExt(ext, end, pres=pres)
-    soc = action.socle_subspace()
+    actions = _actions_on_ext(pres, ext, end.radical_basis())
+    assert len(actions) == 1
+    soc = actions[0].kernel_basis()
     assert soc.cols == 1
     # pick a class representative outside the socle span
     f = ext.field
@@ -132,7 +133,7 @@ def test_kronecker_sequence_and_socle_failure():
     tuple_vec = [f.zero()] * ext.size
     for k, c in enumerate(outside):
         if c:
-            rep = ext.tuple_of_class(k)
+            rep = ext.reps[k]
             tuple_vec = [f.add(x, f.mul(c, y)) for x, y in zip(tuple_vec, rep)]
     A, E, C_W, fmor, gmor = _pushout_sequence(C, t.module, pres, ext, tuple_vec)
     bad = AlmostSplitSequence(A, E, C_W, fmor, gmor, {}, "ending")
@@ -144,19 +145,27 @@ def test_kronecker_sequence_and_socle_failure():
 
 def test_construction_builds_each_radical_action_once(monkeypatch):
     # the socle and the socle_annihilation certificate read the same action
-    # matrices: one per radical basis endomorphism of End(C)
+    # matrices, built in one call: one lift, so one pullback, per radical
+    # basis endomorphism of End(C)
     _alg, C = kronecker_module()
-    calls = []
-    action_matrix = EndActionOnExt.action_matrix
+    calls, pullbacks = [], []
+    actions_on_ext = artheory._actions_on_ext
+    pullback = artheory.psum_pullback_matrix
 
-    def counted(self, f_coords):
-        calls.append(list(f_coords))
-        return action_matrix(self, f_coords)
+    def counted(pres, ext, coords):
+        calls.append([coords.col(k) for k in range(coords.cols)])
+        return actions_on_ext(pres, ext, coords)
 
-    monkeypatch.setattr(EndActionOnExt, "action_matrix", counted)
+    def counted_pullback(pmap, N):
+        pullbacks.append(pmap)
+        return pullback(pmap, N)
+
+    monkeypatch.setattr(artheory, "_actions_on_ext", counted)
+    monkeypatch.setattr(artheory, "psum_pullback_matrix", counted_pullback)
     seq = almost_split_sequence(C, "ending")
     rad = end_algebra(C).radical_basis()
-    assert calls == [rad.col(k) for k in range(rad.cols)] and calls
+    assert calls == [[rad.col(k) for k in range(rad.cols)]] and rad.cols
+    assert len(pullbacks) == rad.cols
     assert seq.certificate["socle_annihilation"] == [True] * rad.cols
 
 
