@@ -12,7 +12,7 @@ import sys
 import tempfile
 
 from .errors import MathRefusal, InputError, GradedQuiverError
-from .problem import parse_problem, canonical_dumps, TASK_FLAGS
+from .problem import parse_problem, canonical_dumps, COMMANDS, TASK_FLAGS
 from .linalg import Matrix
 from .gmodule import GradedModule, GradedMorphism, standard_module
 from .presentations import (ProjSum, minimal_presentation, projective_cover,
@@ -65,46 +65,19 @@ def build_parser():
     ap.add_argument("problem", help="problem file (JSON)")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def cmd(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
-
-    cmd("validate")
-    p = cmd("dims")
-    p.add_argument("--module", required=True)
-    p = cmd("hom")
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=True)
-    p = cmd("ext1")
-    p.add_argument("--module", required=True)
-    p.add_argument("--target", required=True)
-    for name in ("rad", "top", "soc"):
-        p = cmd(name)
-        p.add_argument("--module", required=True)
-    for name in ("cover", "envelope", "present", "copresent", "transpose"):
-        p = cmd(name)
-        p.add_argument("--module", required=True)
-    p = cmd("nakayama")
-    p.add_argument("--module", required=True)
-    for name in ("tau", "tau-inv"):
-        p = cmd(name)
-        p.add_argument("--module", required=True)
-    p = cmd("ars")
-    p.add_argument("--module", required=True)
-    p.add_argument("--direction", choices=("ending", "starting"),
-                   default="ending")
-    p = cmd("verify-ars")
-    p.add_argument("--sequence", required=True,
-                   help="JSON file produced by the ars command")
-    p = cmd("ar-formula")
-    p.add_argument("--module", required=True)
-    p.add_argument("--other", required=True)
-    p = cmd("pd")
-    p.add_argument("--simple", required=True,
-                   help="a vertex label, or 'all'")
-    p.add_argument("--kind", choices=("proj", "inj", "both"), default="both")
-    cmd("criteria")
-    cmd("analyze-quiver")
-    cmd("run-tasks")
+    cmd = {name: sub.add_parser(name, parents=[common]) for name in COMMANDS}
+    for name in ("dims", "ext1", "rad", "top", "soc", "cover", "envelope", "present",
+                 "copresent", "transpose", "nakayama", "tau", "tau-inv", "ars", "ar-formula"):
+        cmd[name].add_argument("--module", required=True)
+    cmd["hom"].add_argument("--source", required=True)
+    for name in ("hom", "ext1"):
+        cmd[name].add_argument("--target", required=True)
+    cmd["ars"].add_argument("--direction", choices=("ending", "starting"), default="ending")
+    cmd["verify-ars"].add_argument("--sequence", required=True,
+                                   help="JSON file produced by the ars command")
+    cmd["ar-formula"].add_argument("--other", required=True)
+    cmd["pd"].add_argument("--simple", required=True, help="a vertex label, or 'all'")
+    cmd["pd"].add_argument("--kind", choices=("proj", "inj", "both"), default="both")
     return ap
 
 
@@ -121,10 +94,20 @@ def _emit(args, payload, table_text=None):
         if base and not os.path.isabs(out):
             out = os.path.join(base, out)
         directory = os.path.dirname(os.path.abspath(out)) or "."
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gradedquiver-")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, out)
+        try:
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gradedquiver-")
+        except OSError as e:
+            raise InputError(f"--out: cannot write into {directory}: {e.strerror}") from None
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, out)
+        except BaseException as e:
+            # a failed write or replace leaves no temporary file behind
+            os.unlink(tmp)
+            if isinstance(e, OSError):
+                raise InputError(f"--out: cannot write {out}: {e.strerror}") from None
+            raise
     else:
         sys.stdout.write(text)
 

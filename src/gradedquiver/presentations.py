@@ -8,7 +8,13 @@ is the kernel of a realized PMap, piece by piece.  The minimal presentation
 of a module is computed once and kept on the module (a shift N<s> shifts
 N's cover and presentation).  It is formal too: the first syzygy im d1 is
 never built as a module, and whoever needs it reads it off the realized d1,
-whose columns at the generators of P1 generate it.
+whose columns at the generators of P1 generate it.  A simple S_v<s>, that
+is, any exact one-dimensional module, is presented formally from its
+arrows: relations lie in degree >= 2, so rad P_v is minimally generated by
+the arrows out of v, and d1 has one summand P_x<s-1> per arrow v -> x, its
+entry the arrow, with no realization, kernel or generator search
+(`_arrows_out`).  D S_v is one-dimensional over the opposite algebra, so
+the injective side gets the same route.
 
 A resolution is seeded from that presentation; each later syzygy ker d_n is
 kept as the per-piece kernel bases of the realized differential d_n, never
@@ -307,9 +313,24 @@ def _projective_cover(M):
         cover = projective_cover(N)
         return Cover(cover.psum.shift(s), [ModuleElement(M, g.degree - s, g.vertex, g.coords)
                                            for g in cover.generators])
-    gens = top_basis(M)
+    piece = _simple_piece(M)
+    if piece is not None:
+        # S_v<s> is generated by its one vector, whatever its window
+        gens = [ModuleElement(M, *piece, (M.algebra.field.one(),))]
+    else:
+        gens = top_basis(M)
     psum = ProjSum(M.algebra, [(g.vertex, -g.degree) for g in gens])
     return Cover(psum, gens)
+
+
+def _simple_piece(M):
+    """The one piece (i, x) of M when M is exact and one-dimensional, that
+    is, the simple S_x<-i> on some window; None otherwise."""
+    if M.is_exact and len(M.dims) == 1:
+        ((piece, n),) = M.dims.items()
+        if n == 1:
+            return piece
+    return None
 
 
 class ProjPresentation:
@@ -365,10 +386,33 @@ def _minimal_presentation(M):
                                 (pres.window[0] - s, pres.window[1] - s))
     window = (M.lo, M.hi + 1)
     cover0 = projective_cover(M)
+    piece = _simple_piece(M)
+    if piece is not None:
+        return ProjPresentation(M, cover0, _arrows_out(cover0.psum, *piece), window)
     aug = cover0.realize(M, window)
     found = _kernel_generators(aug.source, aug.kernel_bases(), M.hi + 1)
     return ProjPresentation(M, cover0, _pmap_from_generators(cover0.psum, window, found),
                             window)
+
+
+def _arrows_out(p0, i, v):
+    """d1 of the simple at (i, v), onto its cover p0 = P_v<-i>, as formal data.
+
+    Relations lie in degree >= 2, so A_1 = kQ_1 and rad P_v is minimally
+    generated by the arrows out of v: one summand P_x<-i-1> per arrow
+    v -> x, its entry the arrow.  They come in the order `_kernel_generators`
+    finds them on the augmentation: by head x in vertex order (the column
+    A_1 e_v), then by the piece's representatives.
+    """
+    alg = p0.algebra
+    f = alg.field
+    summands, entries = [], []
+    for x, n in alg.column(v, 1):
+        for k in range(n):
+            summands.append((x, -i - 1))
+            entries.append(AlgElement(alg, 1, v, x, [f.one() if c == k else f.zero()
+                                                     for c in range(n)]))
+    return PMap(ProjSum(alg, summands), p0, [entries])
 
 
 def _kernel_generators(P, kers, bound):

@@ -15,6 +15,11 @@ from .algebra import GradedAlgebra, Relation
 from .gmodule import GradedModule, standard_module
 
 
+# every command of the command line, in the order its help lists them; a
+# task may name any of them but run-tasks
+COMMANDS = ("validate", "dims", "hom", "ext1", "rad", "top", "soc", "cover", "envelope",
+            "present", "copresent", "transpose", "nakayama", "tau", "tau-inv", "ars",
+            "verify-ars", "ar-formula", "pd", "criteria", "analyze-quiver", "run-tasks")
 # the task keys `run-tasks` forwards as `--key value`; a task may also carry
 # its name, command and window, and nothing else
 TASK_FLAGS = ("module", "source", "target", "other", "simple", "direction",
@@ -44,7 +49,7 @@ class ProblemFile:
             std = spec["standard"]
             kind = std.get("kind")
             vertex = std.get("vertex")
-            shift = int(std.get("shift", 0))
+            shift = std.get("shift", 0)
             if kind == "S" and window is None:
                 return standard_module(self.algebra, "S", vertex, shift)
             if window is None:
@@ -118,9 +123,14 @@ def parse_problem_dict(data):
             raise InputError(f"{where}: expected an object")
         if "standard" in spec:
             std = spec["standard"]
+            if not isinstance(std, dict):
+                raise InputError(f"{where}.standard: expected an object")
             if std.get("kind") not in ("P", "I", "S"):
                 raise InputError(f"{where}.standard.kind: expected P, I or S")
             quiver.check_vertex(str(std.get("vertex")))
+            if not _is_int(std.get("shift", 0)):
+                raise InputError(f"{where}.standard.shift: expected an integer, "
+                                 f"got {std['shift']!r}")
         else:
             for key in ("window", "dims"):
                 if key not in spec:
@@ -136,11 +146,27 @@ def parse_problem_dict(data):
         unknown = next((key for key in task if key not in TASK_KEYS), None)
         if unknown is not None:
             raise InputError(f"{where}: unknown key {unknown!r}")
+        command = task["command"]
+        if command == "run-tasks":
+            raise InputError(f"{where}.command: run-tasks cannot run as a task")
+        if command not in COMMANDS:
+            raise InputError(f"{where}.command: unknown command {command!r}")
+        window = task.get("window", [0, 0])
+        if not (isinstance(window, list) and len(window) == 2 and all(map(_is_int, window))):
+            raise InputError(f"{where}.window: expected two integers [lo, hi], got {window!r}")
+        # the name becomes the output file <name>.json in the working directory
+        out_name = str(task.get("name", "task"))
+        if out_name in ("", ".", "..") or "/" in out_name or "\\" in out_name:
+            raise InputError(f"{where}.name: {out_name!r} is not a plain file name")
         for key in ("module", "source", "target", "other"):
             name = task.get(key)
             if name is not None and name not in modules:
                 raise InputError(f"{where}.{key}: unknown module {name!r}")
     return ProblemFile(field, quiver, algebra, relations, modules, tasks)
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def parse_problem(path):

@@ -221,3 +221,89 @@ def test_module_flags_other_than_exact_or_truncated_are_input_errors(tmp_path, c
     assert main([fix("fix_b"), "verify-ars", "--sequence", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: right.flags.above") and "'truncatd'" in err, err
+
+
+def test_out_into_a_missing_directory_is_an_input_error(tmp_path, capsys):
+    # exit 2 with the path named, never an OSError traceback
+    assert main([fix("fix_b"), "validate", "--out", str(tmp_path / "missing" / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out: cannot write into ") and "missing" in err, err
+    assert not list(tmp_path.iterdir())
+
+
+def test_a_failed_replace_leaves_no_temporary_file(tmp_path, capsys):
+    # the output path is a directory: the temporary file is written, the
+    # replace fails, and the temporary file goes
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    assert main([fix("fix_b"), "validate", "--out", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: --out: cannot write {taken}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert not list(taken.iterdir())
+
+
+def malformed(mutate):
+    with open(fix("fix_b"), encoding="utf-8") as fh:
+        problem = json.load(fh)
+    problem["tasks"] = [{"name": "dims_p1", "command": "dims", "module": "P1"}]
+    mutate(problem)
+    return problem
+
+
+BAD_PROBLEMS = {
+    "standard-not-an-object": (
+        lambda p: p["modules"].update(bad={"standard": ["S", "1"]}),
+        "modules.bad.standard: expected an object"),
+    "non-integer-shift": (
+        lambda p: p["modules"].update(bad={"standard": {"kind": "S", "vertex": "1",
+                                                        "shift": "one"}}),
+        "modules.bad.standard.shift: expected an integer, got 'one'"),
+    "fractional-shift": (
+        lambda p: p["modules"].update(bad={"standard": {"kind": "S", "vertex": "1",
+                                                        "shift": 1.5}}),
+        "modules.bad.standard.shift: expected an integer, got 1.5"),
+    "run-tasks-as-a-task": (
+        lambda p: p["tasks"].append({"command": "run-tasks"}),
+        "tasks[1].command: run-tasks cannot run as a task"),
+    "unknown-command": (
+        lambda p: p["tasks"].append({"command": "no-such-command"}),
+        "tasks[1].command: unknown command 'no-such-command'"),
+    "window-not-two-integers": (
+        lambda p: p["tasks"].append({"command": "dims", "module": "P1", "window": [0, "3"]}),
+        "tasks[1].window: expected two integers [lo, hi], got [0, '3']"),
+    "window-of-three": (
+        lambda p: p["tasks"].append({"command": "dims", "module": "P1", "window": [0, 1, 2]}),
+        "tasks[1].window: expected two integers [lo, hi], got [0, 1, 2]"),
+    "empty-name": (
+        lambda p: p["tasks"].append({"name": "", "command": "validate"}),
+        "tasks[1].name: '' is not a plain file name"),
+    "dot-name": (
+        lambda p: p["tasks"].append({"name": ".", "command": "validate"}),
+        "tasks[1].name: '.' is not a plain file name"),
+    "dot-dot-name": (
+        lambda p: p["tasks"].append({"name": "..", "command": "validate"}),
+        "tasks[1].name: '..' is not a plain file name"),
+    "escaping-name": (
+        lambda p: p["tasks"].append({"name": "../../escape", "command": "validate"}),
+        "tasks[1].name: '../../escape' is not a plain file name"),
+    "backslash-name": (
+        lambda p: p["tasks"].append({"name": "a\\b", "command": "validate"}),
+        "tasks[1].name: 'a\\\\b' is not a plain file name"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_PROBLEMS)
+def test_malformed_problem_files_are_refused_before_any_task_runs(case, tmp_path, capsys,
+                                                                  monkeypatch):
+    mutate, message = BAD_PROBLEMS[case]
+    work = tmp_path / "a" / "b"
+    work.mkdir(parents=True)
+    pfile = work / "problem.json"
+    pfile.write_text(json.dumps(malformed(mutate)))
+    monkeypatch.chdir(work)
+    capsys.readouterr()
+    for command in ("validate", "run-tasks"):
+        assert main([str(pfile), command]) == 2, command
+        assert capsys.readouterr().err == f"error: {message}\n"
+    # nothing ran: no task wrote its output anywhere
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a", "b", "problem.json"]

@@ -1,5 +1,6 @@
 """Scale guards for the resolution loop: long resolutions through the CLI,
-and the number of kernels the resolutions of long lines compute.
+and the number of kernels and cover realizations the resolutions of long
+lines compute.
 
 No timing is asserted; each command runs in well under a second.
 """
@@ -11,7 +12,7 @@ import pytest
 from gradedquiver import GF, QQ, GradedAlgebra, Quiver, standard_module
 from gradedquiver.cli import main
 from gradedquiver.gmodule import GradedMorphism
-from gradedquiver.presentations import resolution
+from gradedquiver.presentations import Cover, resolution
 
 from conftest import rel
 
@@ -91,6 +92,32 @@ def test_line_resolutions_compute_linearly_many_kernels(field, monkeypatch):
         assert resolution(S, top + 1).report()["value"] == i
         assert resolution(S.dual(), top + 1).report()["value"] == top - i
     assert fresh[0] <= 6 * (top + 1)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "F3"])
+def test_line_simples_are_presented_off_their_arrows(field, monkeypatch):
+    # each simple's presentation is read off the arrows out of its vertex,
+    # with no cover realized and no kernel taken, so the kernels left are
+    # those of the later steps: about two per arrow, one per side
+    top = 30
+    q = Quiver([str(i) for i in range(top + 1)],
+               [(f"a{i}", str(i), str(i - 1)) for i in range(1, top + 1)])
+    alg = GradedAlgebra(q, field, [rel(q, [(1, (f"a{i}", f"a{i + 1}"))]) for i in range(1, top)])
+    fresh = count_kernels(monkeypatch)
+    realized = [0]
+    realize = Cover.realize
+
+    def counted(self, module, window=None):
+        realized[0] += 1
+        return realize(self, module, window)
+
+    monkeypatch.setattr(Cover, "realize", counted)
+    for i, v in enumerate(q.vertices):
+        S = standard_module(alg, "S", v, 0)
+        assert resolution(S, top + 1).report()["value"] == i
+        assert resolution(S.dual(), top + 1).report()["value"] == top - i
+    assert realized[0] == 0
+    assert fresh[0] <= 2 * (top + 1)
 
 
 def test_periodic_resolution_computes_one_step(monkeypatch):
