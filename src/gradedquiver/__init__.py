@@ -5,8 +5,7 @@ from .errors import (GradedQuiverError, MathRefusal, InputError, FieldMismatch,
 from .linalg import Field, QQ, GF, Matrix
 from .quiver import Quiver, Arrow, Path
 from .algebra import GradedAlgebra, Relation, AlgElement
-from .gmodule import (GradedModule, GradedMorphism, ModuleElement,
-                      standard_module, direct_sum, zero_module)
+from .gmodule import GradedModule, GradedMorphism, standard_module, direct_sum, zero_module
 
 __all__ = [
     "GradedQuiverError", "MathRefusal", "InputError", "FieldMismatch",
@@ -14,6 +13,6 @@ __all__ = [
     "Field", "QQ", "GF", "Matrix",
     "Quiver", "Arrow", "Path",
     "GradedAlgebra", "Relation", "AlgElement",
-    "GradedModule", "GradedMorphism", "ModuleElement",
+    "GradedModule", "GradedMorphism",
     "standard_module", "direct_sum", "zero_module",
 ]

@@ -28,8 +28,7 @@ from functools import reduce
 from .errors import InputError, WindowError, MathRefusal, UnsupportedRadical
 from .linalg import Matrix
 from .gmodule import GradedMorphism, direct_sum, zero_module, _memo
-from .presentations import (ProjSum, minimal_presentation, _pmap_from_generators,
-                            _pmap_generator_image)
+from .presentations import Generator, ProjSum, minimal_presentation, _pmap_from_generators
 from .homs import (ghom, end_algebra, is_strongly_indecomposable, ExtSpace,
                    underline_hom_dim, psum_hom_to_morphism, psum_pullback_matrix)
 
@@ -270,6 +269,8 @@ def _actions_on_ext(pres, ext, coords):
     hom = end_algebra(pres.module).hom
     aug0 = pres.cover0.realize(pres.module, window)
     d1 = pres.d1.realize(window)
+    # the image of P1's j-th generator in P0 is d1's column at that generator
+    p1_offsets = pres.p1.realize(window)[1]
     reps = Matrix._make_cols(f, ext.size, ext.reps)
     moved = Matrix.zeros(f, ext.size, 0)
     for k in range(coords.cols):
@@ -280,15 +281,16 @@ def _actions_on_ext(pres, ext, coords):
             pre = aug0.block(g.degree, g.vertex).solve(img)
             if pre is None:
                 raise MathRefusal("endomorphism failed to lift through the cover")
-            lifted0.append((g.degree, g.vertex, pre.col(0)))
+            lifted0.append(Generator(g.degree, g.vertex, pre.col(0)))
         r0 = _pmap_from_generators(pres.p0, window, lifted0).realize(window)
         lifted1 = []
         for j, (b, t) in enumerate(pres.p1.summands):
-            img = r0.block(-t, b) @ _pmap_generator_image(pres.d1, j, -t, b, window)
-            pre = d1.block(-t, b).solve(img)
+            blk = d1.block(-t, b)
+            img = r0.block(-t, b) @ blk.select_cols([p1_offsets[j][(-t, b)]])
+            pre = blk.solve(img)
             if pre is None:
                 raise MathRefusal("lift left the syzygy")
-            lifted1.append((-t, b, pre.col(0)))
+            lifted1.append(Generator(-t, b, pre.col(0)))
         r1 = _pmap_from_generators(pres.p1, window, lifted1)
         moved = moved.hstack(psum_pullback_matrix(r1, ext.N) @ reps)
     sol = ext.B.hstack(reps).solve(moved)

@@ -10,12 +10,11 @@ Modules are immutable: their dims and maps are fixed in `__init__` and never
 written afterwards.  Data derived from a module is therefore computed once
 and kept on it (see `_memo`): its dual, which links back so that
 `M.dual().dual() is M`, its projective cover, its minimal presentation and
-its endomorphism algebra; a shift M<s> records M, whose cover and
-presentation it shifts, and a morphism of exact modules dualizes between the
-linked duals.  Standard modules are kept once per algebra, by kind, vertex,
-shift and window (S_a<s> on its own window is S_a<0> shifted).  Callers must
-not mutate a module, a morphism or a matrix they are handed, since the same
-object may be handed to every later caller.
+its endomorphism algebra; a morphism of exact modules dualizes between the
+linked duals.  A shift M<s> is a plain re-indexing with derived data of its
+own.  Standard modules are kept once per algebra, by kind, vertex, shift and
+window.  Callers must not mutate a module, a morphism or a matrix they are
+handed, since the same object may be handed to every later caller.
 
 A standard projective P_a<s> is a re-indexed view of the column A e_a, whose
 per-degree dims and arrow actions the algebra computes once (`column`,
@@ -36,7 +35,7 @@ TRUNCATED = "truncated"
 class GradedModule:
 
     def __init__(self, algebra, lo, hi, dims, maps, exact_below=True, exact_above=True,
-                 check=True, shifted_from=None):
+                 check=True):
         if lo > hi:
             raise InputError(f"bad window [{lo}, {hi}]")
         self.algebra = algebra
@@ -65,7 +64,6 @@ class GradedModule:
         # dual, cover, presentation, End: computed once, see _memo; a copy on
         # a wider window may share all but the dual (_pushout_sequence)
         self._derived = {}
-        self.shifted_from = shifted_from
         if check:
             bad = self.validate()
             if bad is not None:
@@ -177,12 +175,12 @@ class GradedModule:
                             exact_below=below, exact_above=above, check=False)
 
     def shift(self, s):
-        """Grading shift: shift(M, s)_i = M_{i+s}, recording (M, s)."""
+        """Grading shift: shift(M, s)_i = M_{i+s}."""
         dims = {(i - s, x): n for (i, x), n in self.dims.items()}
         maps = {(nm, i - s): m for (nm, i), m in self.maps.items()}
         return GradedModule(self.algebra, self.lo - s, self.hi - s, dims, maps,
                             exact_below=self.exact_below, exact_above=self.exact_above,
-                            check=False, shifted_from=(self, s))
+                            check=False)
 
     # -- duality ---------------------------------------------------------------
 
@@ -307,8 +305,8 @@ class GradedModule:
     def from_json_dict(cls, algebra, d, where="module"):
         try:
             lo, hi = d["window"]
-            if not (isinstance(lo, int) and isinstance(hi, int)):
-                raise ValueError(f"window bounds {lo!r}, {hi!r} are not integers")
+            if not (_is_int(lo) and _is_int(hi)):
+                raise InputError(f"{where}.window: expected two integers, got {d['window']!r}")
             flags = d.get("flags", {})
             for side in ("below", "above"):
                 if flags.get(side, EXACT) not in (EXACT, TRUNCATED):
@@ -318,8 +316,13 @@ class GradedModule:
             exact_above = flags.get("above", EXACT) == EXACT
             dims = {}
             for key, n in d.get("dims", {}).items():
-                i, x = key.strip("()").split(",", 1)
-                dims[(int(i), x.strip())] = int(n)
+                i, x = (part.strip() for part in key.strip("()").split(",", 1))
+                at = f'{where}.dims["{key}"]'
+                if x not in algebra.quiver.vertex_set:
+                    raise InputError(f"{at}: unknown vertex {x!r}")
+                if not (_is_int(n) and n >= 0):
+                    raise InputError(f"{at}: expected a non-negative integer, got {n!r}")
+                dims[(int(i), x)] = n
             maps = {}
             for key, rows in d.get("maps", {}).items():
                 name, deg = key.rsplit("@", 1)
@@ -525,30 +528,8 @@ class GradedMorphism:
         return f"GradedMorphism({self.source!r} -> {self.target!r})"
 
 
-class ModuleElement:
-    """A pure element of a module piece, as a coordinate vector."""
-
-    __slots__ = ("module", "degree", "vertex", "coords")
-
-    def __init__(self, module, degree, vertex, coords):
-        self.module = module
-        self.degree = degree
-        self.vertex = vertex
-        self.coords = tuple(coords)
-        if len(self.coords) != module.dim(degree, vertex):
-            raise InputError("element coordinate length mismatch")
-
-    def act(self, u):
-        """Left action: u * self for an algebra element u with source at self.vertex."""
-        if u.source != self.vertex:
-            raise InputError("action endpoint mismatch")
-        mat = self.module.element_action(u, self.degree)
-        f = self.module.algebra.field
-        res = mat @ Matrix.from_cols(f, mat.cols, [self.coords])
-        return ModuleElement(self.module, self.degree + u.degree, u.target, res.col(0))
-
-    def is_zero(self):
-        return all(not c for c in self.coords)
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _memo(table, key, make):
@@ -665,8 +646,6 @@ def _standard_module(algebra, kind, vertex, shift, window):
     algebra.quiver.check_vertex(vertex)
     s = shift
     if kind == "S":
-        if window is None and s:
-            return standard_module(algebra, "S", vertex).shift(s)
         lo, hi = window if window else (-s, -s)
         if not lo <= -s <= hi:
             raise WindowError(f"window [{lo},{hi}] misses the simple at degree {-s}")

@@ -22,7 +22,7 @@ import random
 from .errors import WindowError, UnsupportedRadical, MathRefusal
 from .linalg import Matrix, charpoly, roots_in_field
 from .gmodule import GradedMorphism, standard_module, _memo
-from .presentations import (ProjSum, projective_cover, minimal_presentation, Cover,
+from .presentations import (ProjSum, projective_cover, minimal_presentation, Cover, Generator,
                             next_differential)
 
 
@@ -226,13 +226,11 @@ def psum_pullback_matrix(pmap, N):
 
 
 def psum_hom_to_morphism(psum, N, coords, window):
-    """Realize a Hom(psum, N) coordinate tuple as a concrete morphism."""
-    from .gmodule import ModuleElement
-    slots, size = hom_psum_slots(psum, N)
-    gens = []
-    for (b, d, n, off) in slots:
-        gens.append(ModuleElement(N, d, b, [coords[off + k] for k in range(n)]))
-    return Cover(psum, gens).realize(N, window)
+    """Realize a Hom(psum, N) coordinate tuple as a concrete morphism: the
+    generator of each summand goes to its slot's slice of the tuple."""
+    slots, _size = hom_psum_slots(psum, N)
+    return Cover(psum, [Generator(d, b, coords[off:off + n])
+                        for (b, d, n, off) in slots]).realize(N, window)
 
 
 # -- homs into injectives ------------------------------------------------------

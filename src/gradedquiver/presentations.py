@@ -4,17 +4,18 @@ Finitely generated projectives are handled formally: a ProjSum is a list of
 (vertex, shift) summands and a PMap is a matrix of algebra elements acting by
 right multiplication.  Formal data is exact in every degree; realizations on
 a window are produced on demand and memoized per object and window, and so
-is the kernel of a realized PMap, piece by piece.  The minimal presentation
-of a module is computed once and kept on the module (a shift N<s> shifts
-N's cover and presentation).  It is formal too: the first syzygy im d1 is
-never built as a module, and whoever needs it reads it off the realized d1,
-whose columns at the generators of P1 generate it.  A simple S_v<s>, that
-is, any exact one-dimensional module, is presented formally from its
-arrows: relations lie in degree >= 2, so rad P_v is minimally generated by
-the arrows out of v, and d1 has one summand P_x<s-1> per arrow v -> x, its
-entry the arrow, with no realization, kernel or generator search
-(`_arrows_out`).  D S_v is one-dimensional over the opposite algebra, so
-the injective side gets the same route.
+is the kernel of a realized PMap, piece by piece.  Every generator, of a
+cover, a kernel or a lift, is one `Generator` (degree, vertex, coords).  The
+minimal presentation of a module is computed once and kept on the module.
+It is formal too: the first syzygy im d1 is never built as a module, and
+whoever needs it reads it off the realized d1, whose columns at the
+generators of P1 generate it.  A simple S_v<s>, that is, any exact
+one-dimensional module, is presented formally from its arrows: relations lie
+in degree >= 2, so rad P_v is minimally generated by the arrows out of v,
+and d1 has one summand P_x<s-1> per arrow v -> x, its entry the arrow, with
+no realization, kernel or generator search (`_arrows_out`).  D S_v is
+one-dimensional over the opposite algebra, so the injective side gets the
+same route.
 
 A resolution is seeded from that presentation; each later syzygy ker d_n is
 kept as the per-piece kernel bases of the realized differential d_n, never
@@ -34,11 +35,11 @@ presentation of D M, read through D.
 """
 
 import math
+from collections import namedtuple
 
 from .errors import InputError, WindowError, MathRefusal
 from .algebra import AlgElement
-from .gmodule import (GradedMorphism, ModuleElement, zero_module,
-                      _complement_indices, _memo, _sum_with_offsets)
+from .gmodule import GradedMorphism, zero_module, _complement_indices, _memo, _sum_with_offsets
 from .linalg import Matrix
 
 
@@ -231,8 +232,12 @@ class PMap:
 # -- generators --------------------------------------------------------------
 
 
+# a pure element of a module: its coordinate vector in the piece (degree, vertex)
+Generator = namedtuple("Generator", "degree vertex coords")
+
+
 def top_basis(M):
-    """Pure elements lifting a basis of top M, lowest degrees first.
+    """Generators lifting a basis of top M, lowest degrees first.
 
     Needs M exact on both sides, so that no generator can hide beyond the
     window.  M is read as the submodule of itself with the identity basis in
@@ -245,11 +250,12 @@ def top_basis(M):
     f = M.algebra.field
     whole = {(i, x): (Matrix.identity(f, M.dims[(i, x)]), range(M.dims[(i, x)]))
              for (i, x) in M.support()}
-    return [ModuleElement(M, i, x, vec) for i, x, vec in _kernel_generators(M, whole, M.hi)]
+    return _kernel_generators(M, whole, M.hi)
 
 
 class Cover:
-    """A projective cover: formal sum, generator images, realized epimorphism."""
+    """A projective cover: a formal sum and the images of its generators, one
+    `Generator` triple (degree, vertex, coords) per summand."""
 
     def __init__(self, psum, generators):
         self.psum = psum
@@ -307,20 +313,10 @@ def projective_cover(M):
 
 
 def _projective_cover(M):
-    if M.shifted_from is not None:
-        # the cover of N<s> is N's, shifted: summands P_a<t+s>, generators s lower
-        N, s = M.shifted_from
-        cover = projective_cover(N)
-        return Cover(cover.psum.shift(s), [ModuleElement(M, g.degree - s, g.vertex, g.coords)
-                                           for g in cover.generators])
+    # S_v<s> is generated by its one vector, whatever its window
     piece = _simple_piece(M)
-    if piece is not None:
-        # S_v<s> is generated by its one vector, whatever its window
-        gens = [ModuleElement(M, *piece, (M.algebra.field.one(),))]
-    else:
-        gens = top_basis(M)
-    psum = ProjSum(M.algebra, [(g.vertex, -g.degree) for g in gens])
-    return Cover(psum, gens)
+    gens = top_basis(M) if piece is None else [Generator(*piece, (M.algebra.field.one(),))]
+    return Cover(ProjSum(M.algebra, [(g.vertex, -g.degree) for g in gens]), gens)
 
 
 def _simple_piece(M):
@@ -369,7 +365,7 @@ def minimal_presentation(M):
     The first syzygy K agrees with P0 above the support of M, so all its
     generators live in degrees <= hi(M) + 1 and the fixed working window
     [lo, hi+1] is provably sufficient.  Computed once per module: equal
-    calls return the same presentation.  A shift's is derived from its source's.
+    calls return the same presentation.
     """
     if not M.is_exact:
         raise WindowError("minimal presentation needs an exact window")
@@ -377,13 +373,6 @@ def minimal_presentation(M):
 
 
 def _minimal_presentation(M):
-    if M.shifted_from is not None:
-        # the presentation of N<s> is N's, shifted: d1's entries between shifted sums
-        N, s = M.shifted_from
-        pres = minimal_presentation(N)
-        cover0 = projective_cover(M)
-        return ProjPresentation(M, cover0, PMap(pres.p1.shift(s), cover0.psum, pres.d1.entries),
-                                (pres.window[0] - s, pres.window[1] - s))
     window = (M.lo, M.hi + 1)
     cover0 = projective_cover(M)
     piece = _simple_piece(M)
@@ -422,7 +411,7 @@ def _kernel_generators(P, kers, bound):
     At (i, x) they are the basis vectors of K_i(x) completing the radical
     sum over arrows a: y -> x of a*K_{i-1}(y), whose coordinates are read at
     the free rows: each arrow block's free rows alone are multiplied by the
-    kernel basis.  Returns a list of (degree, vertex, vector in P).
+    kernel basis.  Returns a list of `Generator`s, their coordinates in P.
     """
     if not P.exact_below:
         raise WindowError("top-basis needs the module exact below")
@@ -437,14 +426,14 @@ def _kernel_generators(P, kers, bound):
         coords = Matrix._make(f, len(free), sum(m.cols for m in rad),
                               tuple(sum((m.data[r] for m in rad), ()) for r in range(len(free))))
         for k in _complement_indices(f, coords, basis.cols):
-            out.append((i, x, basis.col(k)))
+            out.append(Generator(i, x, tuple(basis.col(k))))
     return out
 
 
 def _pmap_from_generators(dst, window, gens):
-    """The map onto the generators: one summand P_x<-i> per (i, x, vec) in
-    `gens`, its generator sent to the vector `vec` of the realized `dst`,
-    split into per-summand algebra-element entries."""
+    """The map onto the generators: one summand P_x<-i> per `Generator`
+    (i, x, vec) in `gens`, its generator sent to the vector `vec` of the
+    realized `dst`, split into per-summand algebra-element entries."""
     alg = dst.algebra
     _total, offsets = dst.realize(window)
     src = ProjSum(alg, [(x, -i) for i, x, _vec in gens])
@@ -469,22 +458,6 @@ def next_differential(d, window):
     P, _offsets = d.src.realize(window)
     return _pmap_from_generators(d.src, window,
                                  _kernel_generators(P, d.kernel_bases(window), window[1]))
-
-
-def _pmap_generator_image(pmap, j, degree, vertex, window):
-    """The image of the j-th source generator inside the realized target."""
-    alg = pmap.algebra
-    total, offsets = pmap.dst.realize(window)
-    f = alg.field
-    vec = [f.zero()] * total.dims.get((degree, vertex), 0)
-    for i, (a, s) in enumerate(pmap.dst.summands):
-        e = pmap.entries[i][j]
-        if e is None:
-            continue
-        c0 = offsets[i][(degree, vertex)]
-        for k, c in enumerate(e.coeffs):
-            vec[c0 + k] = f.add(vec[c0 + k], c)
-    return Matrix.from_cols(f, len(vec), [vec])
 
 
 def injective_envelope(M):

@@ -12,7 +12,7 @@ from .errors import InputError
 from .linalg import Field
 from .quiver import Quiver
 from .algebra import GradedAlgebra, Relation
-from .gmodule import GradedModule, standard_module
+from .gmodule import GradedModule, standard_module, _is_int
 
 
 # every command of the command line, in the order its help lists them; a
@@ -163,10 +163,6 @@ def parse_problem_dict(data):
             if name is not None and name not in modules:
                 raise InputError(f"{where}.{key}: unknown module {name!r}")
     return ProblemFile(field, quiver, algebra, relations, modules, tasks)
-
-
-def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def parse_problem(path):

@@ -2,10 +2,10 @@ import pytest
 
 from gradedquiver import (Quiver, GradedAlgebra, GradedModule, GradedMorphism, Relation, QQ,
                           WindowError, InputError)
-from gradedquiver.gmodule import ModuleElement, _induced_sub_maps
+from gradedquiver.gmodule import _induced_sub_maps
 from gradedquiver.homs import ghom, ghom_to_injective, underline_hom_dim
 from gradedquiver.linalg import Matrix
-from gradedquiver.presentations import projective_cover
+from gradedquiver.presentations import Generator, projective_cover
 
 import hom_oracle
 
@@ -91,12 +91,12 @@ def classify(M):
 
 
 def soc_basis(M):
-    """A basis of soc M as pure elements of M."""
+    """A basis of soc M as `Generator`s of M."""
     soc, incl = M.socle()
     out = []
     for (i, x) in soc.support():
         blk = incl.block(i, x)
-        out.extend(ModuleElement(M, i, x, blk.col(c)) for c in range(blk.cols))
+        out.extend(Generator(i, x, tuple(blk.col(c))) for c in range(blk.cols))
     return out
 
 
@@ -122,9 +122,9 @@ def overline_hom_dim(M, N):
     return underline_hom_dim(N.dual(), M.dual())
 
 
-def extend_to_injective(m, s=None):
-    """A morphism f: M -> I_a<s> with f(m) the socle generator of I_a<s>."""
-    M = m.module
+def extend_to_injective(M, m, s=None):
+    """A morphism f: M -> I_a<s> with f(m) the socle generator of I_a<s>,
+    for a `Generator` m of M."""
     if s is None:
         s = -m.degree
     H = ghom_to_injective(M, m.vertex, s)

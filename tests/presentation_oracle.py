@@ -17,11 +17,11 @@ takes one joint kernel of the stacked actions.
 from gradedquiver.algebra import AlgElement
 from gradedquiver.artheory import AlmostSplitSequence, tau
 from gradedquiver.errors import MathRefusal
-from gradedquiver.gmodule import GradedMorphism, ModuleElement, direct_sum
+from gradedquiver.gmodule import GradedMorphism, direct_sum
 from gradedquiver.homs import (ExtSpace, end_algebra, ext1, is_strongly_indecomposable,
                                psum_hom_to_morphism, psum_pullback_matrix)
 from gradedquiver.linalg import Matrix
-from gradedquiver.presentations import (Cover, PMap, ProjSum, _pmap_generator_image,
+from gradedquiver.presentations import (Cover, Generator, PMap, ProjSum,
                                         minimal_presentation)
 
 import resolution_oracle
@@ -97,6 +97,23 @@ def _elements_to_pmap(src_psum, dst_psum, elements, window):
     return PMap(src_psum, dst_psum, entries)
 
 
+def generator_image(pmap, j, degree, vertex, window):
+    """The image of the j-th source generator inside the realized target,
+    summed entry by entry (the program reads it off the realized map)."""
+    alg = pmap.algebra
+    total, offsets = pmap.dst.realize(window)
+    f = alg.field
+    vec = [f.zero()] * total.dims.get((degree, vertex), 0)
+    for i, (a, s) in enumerate(pmap.dst.summands):
+        e = pmap.entries[i][j]
+        if e is None:
+            continue
+        c0 = offsets[i][(degree, vertex)]
+        for k, c in enumerate(e.coeffs):
+            vec[c0 + k] = f.add(vec[c0 + k], c)
+    return Matrix.from_cols(f, len(vec), [vec])
+
+
 def lift(pres, fmor):
     """f: M -> M lifted to P1 -> P1: into K through its inclusion, then
     through the syzygy cover."""
@@ -110,16 +127,16 @@ def lift(pres, fmor):
         img = fmor.block(g.degree, g.vertex) @ Matrix.from_cols(
             alg.field, len(g.coords), [list(g.coords)])
         pre = aug0.block(g.degree, g.vertex).solve(img)
-        lifted0.append(ModuleElement(aug0.source, g.degree, g.vertex, pre.col(0)))
+        lifted0.append(Generator(g.degree, g.vertex, pre.col(0)))
     f0 = _elements_to_pmap(pres.p0, pres.p0, lifted0, window)
     g_map = compose(f0, pres.d1)
     lifted1 = []
     for j, (b, t) in enumerate(pres.p1.summands):
         d = -t
-        col = _pmap_generator_image(g_map, j, d, b, window)
+        col = generator_image(g_map, j, d, b, window)
         into_K = K_incl.block(d, b).solve(col)
         pre = aug1.block(d, b).solve(into_K)
-        lifted1.append(ModuleElement(aug1.source, d, b, pre.col(0)))
+        lifted1.append(Generator(d, b, pre.col(0)))
     return _elements_to_pmap(pres.p1, pres.p1, lifted1, window)
 
 
@@ -201,7 +218,7 @@ def class_of_sequence(seq):
     for gen in pres.cover0.generators:
         rhs = Matrix.from_cols(fld, len(gen.coords), [list(gen.coords)])
         sol = g_W.block(gen.degree, gen.vertex).solve(rhs)
-        lifted.append(ModuleElement(E_W, gen.degree, gen.vertex, sol.col(0)))
+        lifted.append(Generator(gen.degree, gen.vertex, sol.col(0)))
     lam = Cover(pres.p0, lifted).realize(E_W, W)
     tuple_vec = []
     for gen in syzygy_cover(pres).generators:

@@ -11,17 +11,17 @@ same summands, differentials, statuses, lengths, windows and refusals.
 """
 
 from gradedquiver.errors import MathRefusal, WindowError
-from gradedquiver.gmodule import ModuleElement, _complement_indices
+from gradedquiver.gmodule import _complement_indices
 from gradedquiver.algebra import AlgElement
 from gradedquiver.linalg import Matrix
-from gradedquiver.presentations import (Cover, PMap, ProjSum, Resolution,
+from gradedquiver.presentations import (Cover, Generator, PMap, ProjSum, Resolution,
                                         _NeedsWiderWindow, _generated_in_window)
 
 from conftest import kernel
 
 
 def top_basis(M, gen_degree_bound=None):
-    """Pure elements lifting a basis of top M, lowest degrees first.
+    """Generators lifting a basis of top M, lowest degrees first.
 
     Needs M exact below.  Generators are enumerated up to `gen_degree_bound`;
     without a bound the module must be exact above.
@@ -46,7 +46,7 @@ def top_basis(M, gen_degree_bound=None):
         comp = Matrix.identity(M.algebra.field, n).select_cols(
             _complement_indices(M.algebra.field, incl.block(i, x), n))
         for c in range(comp.cols):
-            out.append(ModuleElement(M, i, x, comp.col(c)))
+            out.append(Generator(i, x, tuple(comp.col(c))))
     return out
 
 

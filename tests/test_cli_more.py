@@ -307,3 +307,44 @@ def test_malformed_problem_files_are_refused_before_any_task_runs(case, tmp_path
         assert capsys.readouterr().err == f"error: {message}\n"
     # nothing ran: no task wrote its output anywhere
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["a", "b", "problem.json"]
+
+
+# a bad module block, mutated in place, and the field-addressed message that
+# refuses it (after the block's own address)
+BAD_MODULE_BLOCKS = {
+    "negative-dim": (lambda m: m["dims"].update({"(0,1)": -1}),
+                     'dims["(0,1)"]: expected a non-negative integer, got -1'),
+    "fractional-dim": (lambda m: m["dims"].update({"(0,1)": 1.5}),
+                       'dims["(0,1)"]: expected a non-negative integer, got 1.5'),
+    "string-dim": (lambda m: m["dims"].update({"(0,1)": "2"}),
+                   'dims["(0,1)"]: expected a non-negative integer, got \'2\''),
+    "unknown-vertex": (lambda m: m["dims"].update({"(0,9)": 1}),
+                       'dims["(0,9)"]: unknown vertex \'9\''),
+    "boolean-window-bound": (lambda m: m.update(window=[0, True]),
+                             "window: expected two integers, got [0, True]"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_MODULE_BLOCKS)
+def test_bad_module_blocks_are_field_addressed_input_errors(case, tmp_path, capsys):
+    mutate, message = BAD_MODULE_BLOCKS[case]
+    problem = base_problem()
+    problem["modules"]["M"] = {"window": [0, 0], "dims": {"(0,1)": 1}}
+    mutate(problem["modules"]["M"])
+    pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps(problem))
+    capsys.readouterr()
+    for command in (["validate"], ["dims", "--module", "M", "--json"],
+                    ["present", "--module", "M"]):
+        assert main([str(pfile)] + command) == 2, command
+        assert capsys.readouterr().err == f"error: modules.M.{message}\n", command
+    # the same block as a term of a sequence file
+    out = tmp_path / "seq.json"
+    assert main([fix("fix_b"), "ars", "--module", "S1", "--json", "--out", str(out)]) == 0
+    seq = json.loads(out.read_text())
+    mutate(seq["left"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(seq))
+    capsys.readouterr()
+    assert main([fix("fix_b"), "verify-ars", "--sequence", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: left.{message}\n"

@@ -17,8 +17,7 @@ import threading
 
 import pytest
 
-from gradedquiver import (GF, QQ, GradedModule, GradedQuiverError, direct_sum,
-                          standard_module)
+from gradedquiver import GF, QQ, GradedQuiverError, direct_sum, standard_module
 from gradedquiver import homs, presentations
 from gradedquiver.artheory import (AlmostSplitSequence, almost_split_sequence,
                                    ar_formula_check, tau, tau_inverse, transpose,
@@ -409,12 +408,6 @@ def test_random_algebras_cover_binomials_of_degree_two_and_three_over_each_field
 # -- shifted modules ------------------------------------------------------------
 
 
-def unlinked(M):
-    """A copy of M with the same data, but no recorded source and no memos."""
-    return GradedModule(M.algebra, M.lo, M.hi, M.dims, M.maps, exact_below=M.exact_below,
-                        exact_above=M.exact_above, check=False)
-
-
 def shift_oracle_algebras():
     """The fixtures over Q and F_3, and the seeded algebras of
     `random_problem` over Q, F_2 and F_3 with binomial relations of degree 2
@@ -426,6 +419,10 @@ def shift_oracle_algebras():
 
 @pytest.mark.parametrize("index", range(14))
 def test_shifted_cover_and_presentation_match_a_fresh_build(index):
+    """M<s> is presented from scratch, and its cover and presentation are
+    M's shifted by s: the summands of p0 and p1 shift, the generators move
+    s degrees down with the same coordinates, the d1 entries are equal, and
+    the window shifts."""
     alg = shift_oracle_algebras()[index]
     rng = random.Random(index)
     modules = [standard_module(alg, "S", v, 0) for v in alg.quiver.vertices]
@@ -433,33 +430,28 @@ def test_shifted_cover_and_presentation_match_a_fresh_build(index):
     for M in modules:
         if not M.is_exact:
             continue
+        cover0, pres0 = projective_cover(M), minimal_presentation(M)
         for s in (-2, 1, 3):
             shifted = M.shift(s)
-            assert shifted.shifted_from[0] is M and shifted.shifted_from[1] == s
             cover = projective_cover(shifted)
-            want = presentations._projective_cover(unlinked(shifted))
-            assert cover.psum.summands == want.psum.summands
-            assert ([(g.degree, g.vertex, g.coords) for g in cover.generators]
-                    == [(g.degree, g.vertex, g.coords) for g in want.generators])
+            assert cover.psum.summands == cover0.psum.shift(s).summands
+            assert cover.generators == [(g.degree - s, g.vertex, g.coords)
+                                        for g in cover0.generators]
             pres = minimal_presentation(shifted)
-            want = presentations._minimal_presentation(unlinked(shifted))
-            assert canonical_dumps(pres.to_json_dict()) == canonical_dumps(want.to_json_dict())
             assert pres.cover0 is cover
-            # derived from M's presentation, not built again
-            assert pres.d1.entries == minimal_presentation(M).d1.entries
-            assert all(e is f for row, frow in zip(pres.d1.entries,
-                                                   minimal_presentation(M).d1.entries)
-                       for e, f in zip(row, frow) if e is not None)
+            want = pres0.d1.shift(s)
+            assert (pres.p0.summands, pres.p1.summands) == (want.dst.summands,
+                                                            want.src.summands)
+            assert pres.d1.entries == pres0.d1.entries
+            assert pres.window == (pres0.window[0] - s, pres0.window[1] - s)
 
 
 def test_a_shifted_simple_is_the_unshifted_one_shifted():
     alg = make_fix_d()
     S0 = standard_module(alg, "S", "2", 0)
-    assert S0.shifted_from is None
     for s in (-1, 2):
         S = standard_module(alg, "S", "2", s)
         assert S is standard_module(alg, "S", "2", s)
-        assert S.shifted_from[0] is S0 and S.shifted_from[1] == s
         assert (S.lo, S.hi, S.dims) == (-s, -s, {(-s, "2"): 1})
-    # on an explicit window it is built directly
-    assert standard_module(alg, "S", "2", 1, window=(-2, 0)).shifted_from is None
+        T = S0.shift(s)
+        assert (S.lo, S.hi, S.dims, S.maps) == (T.lo, T.hi, T.dims, T.maps)

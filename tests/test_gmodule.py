@@ -203,14 +203,13 @@ def test_morphism_naturality_enforced(fix_b):
 
 def test_element_action(fix_a):
     P1 = standard_module(fix_a, "P", "1", 0, window=(0, 4))
-    from gradedquiver import ModuleElement
-    e1 = ModuleElement(P1, 0, "1", [QQ.one()])
+    e1 = Matrix(QQ, 1, 1, [[1]])
     a = fix_a.arrow_element("a")
     b = fix_a.arrow_element("b")
-    va = e1.act(a)
-    assert (va.degree, va.vertex) == (1, "1") and not va.is_zero()
-    vba = va.act(b)
-    assert vba.is_zero()
+    va = P1.element_action(a, 0) @ e1
+    assert (va.rows, va.cols) == (P1.dim(1, "1"), 1) and not va.is_zero()
+    vba = P1.element_action(b, 1) @ va
+    assert (vba.rows, vba.cols) == (P1.dim(2, "2"), 1) and vba.is_zero()
 
 
 def test_module_json_round_trip(fix_c):

@@ -6,7 +6,7 @@ from gradedquiver.homs import (ghom, ghom_to_injective, end_algebra,
                                is_strongly_indecomposable, underline_hom_dim, ext1,
                                hom_psum_dim)
 from gradedquiver.artheory import _actions_on_ext
-from gradedquiver.presentations import ProjSum, minimal_presentation
+from gradedquiver.presentations import Generator, ProjSum, minimal_presentation
 
 from conftest import ghom_dim, make_fix_b, overline_hom_dim, extend_to_injective
 from ext_oracle import ext1_dim_oracle, ext1_dim_oracle_exhaustive
@@ -106,10 +106,8 @@ def test_ghom_to_injective_dims(fix_a, fix_b):
 
 
 def test_socle_embedding(fix_b):
-    from gradedquiver import ModuleElement
     S2 = S(fix_b, "2")
-    m = ModuleElement(S2, 0, "2", [QQ.one()])
-    q = extend_to_injective(m)
+    q = extend_to_injective(S2, Generator(0, "2", (QQ.one(),)))
     assert q.is_injective()
     soc, soc_incl = q.target.socle()
     img = q.block(0, "2").image_basis()
