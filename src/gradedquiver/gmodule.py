@@ -307,6 +307,8 @@ class GradedModule:
             lo, hi = d["window"]
             if not (_is_int(lo) and _is_int(hi)):
                 raise InputError(f"{where}.window: expected two integers, got {d['window']!r}")
+            if lo > hi:
+                raise InputError(f"{where}.window: expected lo <= hi, got {d['window']!r}")
             flags = d.get("flags", {})
             for side in ("below", "above"):
                 if flags.get(side, EXACT) not in (EXACT, TRUNCATED):
@@ -322,7 +324,12 @@ class GradedModule:
                     raise InputError(f"{at}: unknown vertex {x!r}")
                 if not (_is_int(n) and n >= 0):
                     raise InputError(f"{at}: expected a non-negative integer, got {n!r}")
-                dims[(int(i), x)] = n
+                i = int(i)
+                if (i, x) in dims:
+                    raise InputError(f"{at}: duplicate piece {(i, x)}")
+                if n and not lo <= i <= hi:
+                    raise InputError(f"{at}: degree {i} outside window [{lo}, {hi}]")
+                dims[(i, x)] = n
             maps = {}
             for key, rows in d.get("maps", {}).items():
                 name, deg = key.rsplit("@", 1)
@@ -332,11 +339,18 @@ class GradedModule:
                 i = int(deg)
                 rcount = dims.get((i + 1, a.target), 0)
                 ccount = dims.get((i, a.source), 0)
+                if not (isinstance(rows, list) and len(rows) == rcount
+                        and all(isinstance(r, list) and len(r) == ccount for r in rows)):
+                    raise InputError(f'{where}.maps["{key}"]: expected a {rcount}x{ccount} matrix')
                 maps[(name, i)] = Matrix(algebra.field, rcount, ccount, rows)
         except (KeyError, ValueError, TypeError, AttributeError) as e:
             raise InputError(f"{where}: malformed module block ({e})") from e
-        return cls(algebra, lo, hi, dims, maps,
-                   exact_below=exact_below, exact_above=exact_above)
+        M = cls(algebra, lo, hi, dims, maps,
+                exact_below=exact_below, exact_above=exact_above, check=False)
+        bad = M.validate()
+        if bad is not None:
+            raise InputError(f"{where}.maps: relation not annihilated: {bad}")
+        return M
 
     def __repr__(self):
         flags = ("" if self.exact_below else "<trunc") + ("" if self.exact_above else ">trunc")

@@ -17,14 +17,16 @@ no realization, kernel or generator search (`_arrows_out`).  D S_v is
 one-dimensional over the opposite algebra, so the injective side gets the
 same route.
 
-A resolution is seeded from that presentation; each later syzygy ker d_n is
-kept as the per-piece kernel bases of the realized differential d_n, never
-as a module (see `resolution`).  A step whose differential has both sums
-realized exactly on the working window depends only on the differential up
-to grading shift, so the algebra keeps it once, keyed by the summands
-(shifts relative to the first source summand's) and the entries'
-coefficients: whether the syzygy is zero and the next differential, as
-formal data only.
+A resolution is seeded from that presentation.  Whether a later syzygy
+ker d_n is zero is counted along the exact resolution, piece by piece, off
+the projectives' dimensions, with no realization (`_syzygy_dims`); a syzygy
+that is not zero is taken as the per-piece kernel bases of the realized
+differential d_n, never as a module, and searched for generators (see
+`resolution`).  A step whose differential has both sums realized exactly on
+the working window depends only on the differential up to grading shift, so
+the algebra keeps it once, keyed by the summands (shifts relative to the
+first source summand's) and the entries' coefficients: the count's verdict
+whether the syzygy is zero and the next differential, as formal data only.
 
 There is no separate injective layer.  I_a<s> = D(P°_a<-s>), so a sum of
 injectives (+) I_a<s> is the ProjSum (+) P°_a<-s> over the opposite algebra,
@@ -497,14 +499,19 @@ def resolution(M, cap, pad=5, window_hi=None):
     """Iterated minimal covers up to homological degree `cap`.
 
     P_1 -> P_0 is the minimal presentation of M, which M keeps.  From there
-    the syzygy ker d_n is taken piece by piece on the working window, as the
-    kernel bases of the realized differential d_n; its generators at (i, x)
-    are the basis vectors completing the image of the arrows into x from
-    degree i-1, read in kernel coordinates at the free rows of the piece's
-    rref, and they define P_{n+1} and d_{n+1} (`next_differential`).  No
-    syzygy module is built.  Where both sums of d_n are exact on the window
-    (`_inside`), the step is read off the algebra's step memo when d_n was
-    met before up to shift, with no realization, kernel or generator search.
+    each syzygy ker d_n is first counted on the working window: the
+    resolution is exact there, so its dimensions are the alternating sums of
+    those of P_n, ..., P_0 and M (`_syzygy_dims`), and a zero syzygy ends the
+    resolution with no realization or kernel.  Otherwise it is taken piece by
+    piece, as the kernel bases of the realized differential d_n; its
+    generators at (i, x) are the basis vectors completing the image of the
+    arrows into x from degree i-1, read in kernel coordinates at the free
+    rows of the piece's rref, and they define P_{n+1} and d_{n+1}
+    (`next_differential`).  No syzygy module is built.  Where both sums of
+    d_n are exact on the window (`_inside`), the step is read off the
+    algebra's step memo when d_n was met before up to shift: the count's
+    verdict, and the next differential, with no realization, kernel or
+    generator search.
 
     Generator searches beyond the first syzygy have no a-priori degree bound;
     the working window is grown once by `pad` when a generator shows up at
@@ -575,13 +582,45 @@ def _generated_in_window(exact_above, d, hi):
     return max(-t for _b, t in d.src.summands) + rel_degree - 1 <= hi
 
 
+def _exact_above(psum, hi):
+    """Whether the sum's realization up to degree hi is exact above: for
+    every summand P_a<t>, the column A e_a vanishes in degree hi + 1 + t."""
+    column = psum.algebra.column
+    return not any(column(a, hi + 1 + t) for a, t in psum.summands)
+
+
 def _inside(psum, window):
     """Whether every summand P_a<t> of the sum has its realization on the
-    window exact on both sides: -t >= lo, and the column A e_a vanishes in
-    degree hi + 1 + t."""
+    window exact on both sides: -t >= lo, and it is exact above."""
     lo, hi = window
-    column = psum.algebra.column
-    return all(-t >= lo and not column(a, hi + 1 + t) for a, t in psum.summands)
+    return all(-t >= lo for _a, t in psum.summands) and _exact_above(psum, hi)
+
+
+def _syzygy_dims(M, psums, window):
+    """dim (ker d_n)_(i, x) at every piece of the window where it is not 0,
+    for psums = [P_0, ..., P_n] of a resolution of M; {} when d_n is
+    injective there.
+
+    The resolution is exact in degrees <= hi: im d_1 is the first syzygy,
+    and each later P_{k+1} holds every generator of ker d_k up to degree hi
+    (`next_differential`, or a memoized step whose sums were exact on a
+    window).  So by rank-nullity dim ker d_n = dim P_n - dim ker d_{n-1}
+    piece by piece, down to ker(P_0 -> M), and no map is realized: each
+    dim (P_a<t>)_(i, x) is read off the column A e_a in degree i + t.
+    """
+    lo, hi = window
+    column = M.algebra.column
+    dims = {piece: (-1) ** len(psums) * n for piece, n in M.dims.items()}
+    for k, psum in enumerate(psums):
+        sign = (-1) ** (len(psums) - 1 - k)
+        for a, t in psum.summands:
+            for i in range(max(lo, -t), hi + 1):
+                col = column(a, i + t)
+                if not col:
+                    break
+                for x, n in col:
+                    dims[(i, x)] = dims.get((i, x), 0) + sign * n
+    return {piece: n for piece, n in dims.items() if n}
 
 
 def _up_to_shift(d, t0):
@@ -626,11 +665,10 @@ def _resolution_attempt(M, cap, window, final):
                 # d's realizations are exact, so the step is d's up to shift,
                 # and the syzygy, exact above, is generated inside the window
                 key = _up_to_shift(d, d.src.summands[0][1])
-                zero = _memo(steps, key, lambda: not d.kernel_bases(window))
+                zero = _memo(steps, key, lambda: not _syzygy_dims(M, psums, window))
             else:
-                P, _offsets = d.src.realize(window)
-                zero = not d.kernel_bases(window)
-                complete = complete and _generated_in_window(P.exact_above, d, hi)
+                zero = not _syzygy_dims(M, psums, window)
+                complete = complete and _generated_in_window(_exact_above(d.src, hi), d, hi)
         if zero:
             if complete:
                 return Resolution(M, psums, pmaps, "finite", step, window)

@@ -322,6 +322,18 @@ BAD_MODULE_BLOCKS = {
                        'dims["(0,9)"]: unknown vertex \'9\''),
     "boolean-window-bound": (lambda m: m.update(window=[0, True]),
                              "window: expected two integers, got [0, True]"),
+    "reversed-window": (lambda m: m.update(window=[3, 1]),
+                        "window: expected lo <= hi, got [3, 1]"),
+    "duplicate-piece": (lambda m: m["dims"].update({"(0,1)": 1, "(0, 1)": 2}),
+                        'dims["(0, 1)"]: duplicate piece (0, \'1\')'),
+    "piece-outside-window": (lambda m: m.update(window=[0, 0], dims={"(0,1)": 1, "(9,1)": 1}),
+                             'dims["(9,1)"]: degree 9 outside window [0, 0]'),
+    "map-into-a-zero-piece": (lambda m: m.update(window=[0, 0], dims={"(0,1)": 1},
+                                                 maps={"a@0": [["1"]]}),
+                              'maps["a@0"]: expected a 0x1 matrix'),
+    "string-row": (lambda m: m.update(window=[0, 1], dims={"(0,1)": 1, "(1,1)": 1, "(1,2)": 1},
+                                      maps={"a@0": ["1"]}),
+                   'maps["a@0"]: expected a 1x1 matrix'),
 }
 
 
@@ -348,3 +360,17 @@ def test_bad_module_blocks_are_field_addressed_input_errors(case, tmp_path, caps
     capsys.readouterr()
     assert main([fix("fix_b"), "verify-ars", "--sequence", str(bad)]) == 2
     assert capsys.readouterr().err == f"error: left.{message}\n"
+
+
+def test_a_module_block_breaking_a_relation_is_field_addressed(tmp_path, capsys):
+    # b*a = 0 in the algebra, but this block sends the generator along a, then b
+    problem = base_problem()
+    problem["modules"]["M"] = {"window": [0, 2], "dims": {"(0,1)": 1, "(1,1)": 1, "(2,2)": 1},
+                               "maps": {"a@0": [["1"]], "b@1": [["1"]]}}
+    pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps(problem))
+    capsys.readouterr()
+    for command in (["validate"], ["dims", "--module", "M", "--json"]):
+        assert main([str(pfile)] + command) == 2, command
+        assert (capsys.readouterr().err
+                == "error: modules.M.maps: relation not annihilated: (0, 0)\n")

@@ -1,6 +1,7 @@
 """Scale guards for the resolution loop: long resolutions through the CLI,
-and the number of kernels and cover realizations the resolutions of long
-lines compute.
+the number of kernels and cover realizations the resolutions of long lines
+compute, and the kernels and map realizations `criteria` spends on the
+commuting square with a ray.
 
 No timing is asserted; each command runs in well under a second.
 """
@@ -12,7 +13,7 @@ import pytest
 from gradedquiver import GF, QQ, GradedAlgebra, Quiver, standard_module
 from gradedquiver.cli import main
 from gradedquiver.gmodule import GradedMorphism
-from gradedquiver.presentations import Cover, resolution
+from gradedquiver.presentations import Cover, PMap, resolution
 
 from conftest import rel
 
@@ -44,16 +45,20 @@ def test_pd_all_on_a_30_arrow_radical_square_zero_line(tmp_path, capsys):
         assert (entry["inj"]["kind"], entry["inj"]["value"]) == ("exact", top - i)
 
 
-def test_criteria_on_the_commuting_square_with_a_ray_to_25(tmp_path, capsys):
-    end = 25
+def square_with_a_ray(end, field="Q"):
+    """The commuting square 1 => {2,3} => 4 followed by a ray 4 -> 5 -> ... -> end."""
     arrows = [("a", "1", "2"), ("b", "1", "3"), ("g", "2", "4"), ("d", "3", "4")]
     arrows += [(f"e{k}", str(k - 1), str(k)) for k in range(5, end + 1)]
-    problem = {"field": "Q",
-               "quiver": {"vertices": [str(i) for i in range(1, end + 1)],
-                          "arrows": [{"name": n, "from": s, "to": t} for n, s, t in arrows]},
-               "relations": [{"paths": [["g", "a"], ["d", "b"]], "coeffs": ["1", "-1"]}],
-               "modules": {}}
-    rep = run_json(tmp_path, problem, ["criteria", "--cap", str(end + 1)], capsys)
+    return {"field": field,
+            "quiver": {"vertices": [str(i) for i in range(1, end + 1)],
+                       "arrows": [{"name": n, "from": s, "to": t} for n, s, t in arrows]},
+            "relations": [{"paths": [["g", "a"], ["d", "b"]], "coeffs": ["1", "-1"]}],
+            "modules": {}}
+
+
+def test_criteria_on_the_commuting_square_with_a_ray_to_25(tmp_path, capsys):
+    end = 25
+    rep = run_json(tmp_path, square_with_a_ray(end), ["criteria", "--cap", str(end + 1)], capsys)
     # bounded, and every simple has finite pd and id: every verdict is yes
     assert [rep["boundedness"][s]["status"] for s in ("left", "right")] == ["finite"] * 2
     verdicts = {f"{section}.{key}": v["verdict"]
@@ -128,3 +133,25 @@ def test_periodic_resolution_computes_one_step(monkeypatch):
     report = resolution(standard_module(alg, "S", "0", 0), 30).report()
     assert report == {"kind": "at-least", "value": 30, "window": [0, 36]}
     assert fresh[0] <= 4
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:3"])
+def test_criteria_counts_the_syzygies_that_end_its_resolutions(field, tmp_path, capsys,
+                                                                monkeypatch):
+    # every simple's resolution, on both sides, ends where a syzygy vanishes;
+    # that is counted along the exact resolution, so only the steps that go
+    # on realize their differential and take its kernel
+    fresh = count_kernels(monkeypatch)
+    realized = [0]
+    realize = PMap.realize
+
+    def counted(self, window):
+        if tuple(window) not in self._realized:
+            realized[0] += 1
+        return realize(self, window)
+
+    monkeypatch.setattr(PMap, "realize", counted)
+    rep = run_json(tmp_path, square_with_a_ray(15, field), ["criteria", "--cap", "16"], capsys)
+    assert {v["verdict"] for v in rep["derived_finite_dimensional"].values()} == {"yes"}
+    assert fresh[0] <= 2
+    assert realized[0] <= 2
