@@ -26,9 +26,22 @@ from .criteria import existence_report, human_table
 def _window(text):
     try:
         lo, hi = text.split(":")
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError("window must look like lo:hi")
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"window {lo}:{hi} is reversed; expected lo <= hi")
+    return lo, hi
+
+
+def _cap(text):
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"cap {cap} is negative; expected an integer >= 0")
+    return cap
 
 
 # The requested windows of the translate views, from the module's window
@@ -48,7 +61,7 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--window", type=_window, default=None,
                         help="degree window lo:hi for realizations")
-    common.add_argument("--cap", type=int, default=10,
+    common.add_argument("--cap", type=_cap, default=10,
                         help="degree/dimension cap; translates seek column heights up to it")
     common.add_argument("--assert-noetherian", choices=("left", "right", "both"),
                         default=None,

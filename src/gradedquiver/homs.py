@@ -5,7 +5,10 @@ is read off the source's minimal presentation P1 --d1--> P0: Hom(M, Y) is
 the kernel of the pullback Hom(P0, Y) -> Hom(P1, Y).  Hom bases between
 concrete windowed modules (End algebras, the `hom` command, isomorphisms
 between modules that differ, Hom(C, E) in verification) realize each
-kernel tuple and compose it with a section of M's cover (`ghom`); stable
+kernel tuple and compose it with a section of M's cover (`ghom`).  End
+algebras skip that where End is known: a simple's End is formal, the
+identity at its one piece with no Hom system, and a one-dimensional End is
+k, read off its basis element with no composition table or solve; stable
 hom dimensions take the kernel for Y the target and for its realized
 projective cover.  Homs into injectives are obtained by dualizing:
 GHom(M, I_a<s>) is the dual of GHom(P°_a<-s>, D M) over the opposite
@@ -23,7 +26,7 @@ from .errors import WindowError, UnsupportedRadical, MathRefusal
 from .linalg import Matrix, charpoly, roots_in_field
 from .gmodule import GradedMorphism, standard_module, _memo
 from .presentations import (ProjSum, projective_cover, minimal_presentation, Cover, Generator,
-                            next_differential)
+                            next_differential, _simple_piece)
 
 
 def _hom_window(M, N):
@@ -262,15 +265,29 @@ def ghom_to_injective(M, vertex, s):
 
 
 class EndAlgebra:
-    """GEnd(M) with structure constants, identity, and Jacobson radical."""
+    """GEnd(M) with structure constants, identity, and Jacobson radical.
+
+    A one-dimensional End(M) is k, read off its basis element b = c*id
+    (every brick, simples included): the structure constant is c, the
+    identity is 1/c and the radical is zero, since the trace form gives
+    c^2 != 0; nothing is composed or solved.  Otherwise the basis is
+    composed pairwise and the products and the identity are read in the
+    basis by solving.
+    """
 
     def __init__(self, homspace):
         self.hom = homspace
-        self.field = homspace.source.algebra.field
+        f = self.field = homspace.source.algebra.field
         n = homspace.dim
         self.dim = n
+        if n == 1:
+            # b = c*id is c at every piece of the support, so any block reads c
+            c = next(iter(homspace.basis_blocks[0].values())).data[0][0]
+            self.struct = [[[c]]]
+            self.identity_coords = [f.inv(c)]
+            self._radical = Matrix.zeros(f, 1, 0)
+            return
         B = homspace.basis_matrix()
-        self._B = B
         morphs = homspace.morphisms()
         self.struct = [[None] * n for _ in range(n)]
         flats = []
@@ -353,10 +370,20 @@ class EndAlgebra:
 
 
 def end_algebra(M):
-    """GEnd(M), computed once per module."""
+    """GEnd(M), computed once per module.  The End of a simple S_x<-i> is
+    formal: its Hom basis is the identity at its one piece (i, x), which is
+    `ghom(M, M)`'s basis too (the echelon form scales the last nonzero
+    coordinate to 1), so no Hom system is built."""
     if not M.is_exact:
         raise WindowError("endomorphism algebra needs an exact window")
-    return _memo(M._derived, "end", lambda: EndAlgebra(ghom(M, M)))
+    return _memo(M._derived, "end", lambda: EndAlgebra(_end_hom(M)))
+
+
+def _end_hom(M):
+    piece = _simple_piece(M)
+    if piece is None:
+        return ghom(M, M)
+    return HomSpace(M, M, [{piece: Matrix.identity(M.algebra.field, 1)}])
 
 
 class IndecomposabilityVerdict:

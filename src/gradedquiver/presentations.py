@@ -524,6 +524,8 @@ def resolution(M, cap, pad=5, window_hi=None):
     Results are exact under the declared contract that every syzygy is
     finitely generated inside the working window.
     """
+    if cap < 0:
+        raise InputError(f"cap {cap} is negative; expected an integer >= 0")
     if not M.is_exact:
         raise WindowError("resolution needs an exact window")
     hi = window_hi if window_hi is not None else M.hi + 1 + cap + pad

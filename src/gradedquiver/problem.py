@@ -154,6 +154,16 @@ def parse_problem_dict(data):
         window = task.get("window", [0, 0])
         if not (isinstance(window, list) and len(window) == 2 and all(map(_is_int, window))):
             raise InputError(f"{where}.window: expected two integers [lo, hi], got {window!r}")
+        if window[0] > window[1]:
+            raise InputError(f"{where}.window: expected lo <= hi, got {window!r}")
+        # `run-tasks` forwards the cap to the `--cap` flag, which parses it with int()
+        if "cap" in task:
+            try:
+                cap_ok = int(str(task["cap"])) >= 0
+            except ValueError:
+                cap_ok = False
+            if not cap_ok:
+                raise InputError(f"{where}.cap: expected an integer >= 0, got {task['cap']!r}")
         # the name becomes the output file <name>.json in the working directory
         out_name = str(task.get("name", "task"))
         if out_name in ("", ".", "..") or "/" in out_name or "\\" in out_name:

@@ -7,10 +7,15 @@ N_i(a) f_{i,x} = f_{i+1,y} M_i(a).  The program reads Hom(M, N) off M's
 minimal presentation instead (`homs.ghom`), on the hull without the extra
 degree; the basis is the standard kernel basis of this system in both, so
 the blocks must agree.
+
+It keeps too the composition route to End(M) at every dimension
+(`end_by_composition`); the program reads a one-dimensional End formally.
 """
 
+from gradedquiver import homs
 from gradedquiver.errors import WindowError
-from gradedquiver.homs import HomSpace, _hom_slots
+from gradedquiver.gmodule import GradedMorphism
+from gradedquiver.homs import EndAlgebra, HomSpace, _hom_slots
 from gradedquiver.linalg import Matrix
 
 
@@ -93,3 +98,31 @@ def ghom(M, N):
                 blocks[(i, x)] = blk
         basis.append(blocks)
     return HomSpace(M2, N2, basis)
+
+
+class CompositionEnd(EndAlgebra):
+    """End(M) on a given Hom basis by the composition table, whatever its
+    dimension: the basis composed pairwise, the products and the identity
+    read in the basis by solving, the radical by the trace form."""
+
+    def __init__(self, homspace):
+        self.hom = homspace
+        f = self.field = homspace.source.algebra.field
+        n = self.dim = homspace.dim
+        self._radical = None
+        morphs = homspace.morphisms()
+        flats = [homspace.flatten(a.compose(b).blocks) for a in morphs for b in morphs]
+        self.struct = [[None] * n for _ in range(n)]
+        self.identity_coords = []
+        if n:
+            sol = homspace.basis_matrix().solve(Matrix.from_cols(f, len(flats[0]), flats))
+            assert sol is not None, "endomorphism composition left the hom space"
+            for i in range(n):
+                for j in range(n):
+                    self.struct[i][j] = sol.col(i * n + j)
+            self.identity_coords = homspace.coordinates(GradedMorphism.identity(homspace.source))
+
+
+def end_by_composition(M):
+    """End(M) on `homs.ghom(M, M)`'s basis by the composition table."""
+    return CompositionEnd(homs.ghom(M, M))

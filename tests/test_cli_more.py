@@ -274,6 +274,15 @@ BAD_PROBLEMS = {
     "window-of-three": (
         lambda p: p["tasks"].append({"command": "dims", "module": "P1", "window": [0, 1, 2]}),
         "tasks[1].window: expected two integers [lo, hi], got [0, 1, 2]"),
+    "reversed-window": (
+        lambda p: p["tasks"].append({"command": "dims", "module": "P1", "window": [3, 0]}),
+        "tasks[1].window: expected lo <= hi, got [3, 0]"),
+    "negative-cap": (
+        lambda p: p["tasks"].append({"command": "pd", "simple": "all", "cap": -1}),
+        "tasks[1].cap: expected an integer >= 0, got -1"),
+    "non-integer-cap": (
+        lambda p: p["tasks"].append({"command": "pd", "simple": "all", "cap": "ten"}),
+        "tasks[1].cap: expected an integer >= 0, got 'ten'"),
     "empty-name": (
         lambda p: p["tasks"].append({"name": "", "command": "validate"}),
         "tasks[1].name: '' is not a plain file name"),
@@ -374,3 +383,34 @@ def test_a_module_block_breaking_a_relation_is_field_addressed(tmp_path, capsys)
         assert main([str(pfile)] + command) == 2, command
         assert (capsys.readouterr().err
                 == "error: modules.M.maps: relation not annihilated: (0, 0)\n")
+
+
+@pytest.mark.parametrize("command", ["dims", "tau", "hom", "ar-formula"])
+@pytest.mark.parametrize("module", ["S1", "P1"])
+def test_a_reversed_window_is_refused_at_the_flag(command, module, capsys):
+    # the same exit 2 and message whatever the module: the flag is refused
+    # before any module is realized
+    names = {"hom": ["--source", module, "--target", module],
+             "ar-formula": ["--module", module, "--other", module]}
+    argv = [fix("fix_b"), command, *names.get(command, ["--module", module])]
+    with pytest.raises(SystemExit) as e:
+        main(argv + ["--window", "5:3"])
+    assert e.value.code == 2
+    assert "argument --window: window 5:3 is reversed" in capsys.readouterr().err
+    assert main(argv + ["--window", "3:3", "--json"]) in (0, 1)
+
+
+@pytest.mark.parametrize("command", [["pd", "--simple", "all"], ["tau", "--module", "S1"],
+                                     ["ars", "--module", "S1"], ["criteria"]])
+def test_a_negative_cap_is_refused_at_the_flag(command, capsys):
+    with pytest.raises(SystemExit) as e:
+        main([fix("fix_b"), *command, "--cap", "-1"])
+    assert e.value.code == 2
+    assert "argument --cap: cap -1 is negative" in capsys.readouterr().err
+
+
+def test_cap_zero_stays_valid_for_pd_but_not_for_criteria(capsys):
+    assert main([fix("fix_b"), "pd", "--simple", "all", "--cap", "0", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["1"]["proj"]["value"] == 0
+    assert main([fix("fix_b"), "criteria", "--cap", "0"]) == 2
+    assert capsys.readouterr().err == "error: caps must be positive\n"

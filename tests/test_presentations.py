@@ -1,7 +1,7 @@
 import pytest
 
 from gradedquiver import standard_module
-from gradedquiver.errors import WindowError
+from gradedquiver.errors import InputError, WindowError
 from gradedquiver.presentations import (ProjSum, PMap, top_basis,
                                         projective_cover, minimal_presentation,
                                         injective_envelope, resolution,
@@ -244,3 +244,13 @@ def test_resolution_window_must_reach_the_first_syzygy(fix_d):
     with pytest.raises(WindowError, match=r"\[2,2\] must reach degree 3"):
         resolution(M, 4, window_hi=2)
     assert resolution(M, 4, window_hi=3).report()["kind"] == "exact"
+
+
+def test_a_negative_cap_is_an_input_error(fix_b):
+    S1 = standard_module(fix_b, "S", "1", 0)
+    with pytest.raises(InputError, match="cap -1 is negative"):
+        resolution(S1, -1)
+    for kind in ("proj", "inj"):
+        with pytest.raises(InputError, match="cap -1 is negative"):
+            graded_dimension(S1, kind, -1)
+    assert graded_dimension(S1, "proj", 0)["kind"] == "at-least"
