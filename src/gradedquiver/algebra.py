@@ -167,11 +167,10 @@ class GradedAlgebra:
         self._column_maps = {}  # (source, degree) -> arrow actions, see column_maps()
         self._opp = None
         self._standard_modules = {}  # (kind, vertex, shift, window) -> module, by gmodule
-        # resolution steps, by presentations, for differentials d whose sums
-        # are exact on the window: d up to shift (summands relative to its
-        # first source summand, entry coefficients) -> whether ker d is zero,
-        # and (that key, "next") -> the next differential up to shift; formal
-        # data only, no realization
+        # resolution steps, by presentations, for differentials d whose
+        # source is exact above the window: d up to shift (summands relative
+        # to its first source summand, entry coefficients) -> the next
+        # differential up to shift; formal data only, no realization
         self._resolution_steps = {}
 
     # -- piece bases ---------------------------------------------------

@@ -54,11 +54,22 @@ REQUESTED_WINDOWS = {"transpose": lambda lo, hi: (-8, 8),
                      "starting": lambda lo, hi: (lo - 6, hi + 4)}
 
 
+class _Refused(Exception):
+    """argparse's refusal of a command line, as (parser, message)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises its refusals, so that a task's can be addressed to the task."""
+
+    def error(self, message):
+        raise _Refused(self, message)
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser():
     """The command-line parser, built once per process: parsing does not
     change it, so every `main` call shares it, those of run-tasks included."""
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--window", type=_window, default=None,
                         help="degree window lo:hi for realizations")
     common.add_argument("--cap", type=_cap, default=10,
@@ -72,9 +83,8 @@ def build_parser():
     common.add_argument("--table", dest="as_json", action="store_false")
     common.add_argument("--out", default=None,
                         help="write output to a file (atomic)")
-    ap = argparse.ArgumentParser(prog="gradedquiver",
-                                 description="exact computations for graded "
-                                             "quiver algebras")
+    ap = _Parser(prog="gradedquiver",
+                 description="exact computations for graded quiver algebras")
     ap.add_argument("problem", help="problem file (JSON)")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -141,6 +151,24 @@ def _dims_table(module):
     return "\n".join(lines)
 
 
+def _task_args(problem, path):
+    """Each task's (name, arguments), its command line parsed by
+    `build_parser`; a refusal is an input error addressed to the task."""
+    out = []
+    for idx, task in enumerate(problem.tasks):
+        name = str(task.get("name", f"task{idx}"))
+        argv = [path, task["command"]]
+        argv += [a for key in TASK_FLAGS if key in task for a in (f"--{key}", str(task[key]))]
+        if "window" in task:
+            argv += ["--window", "{}:{}".format(*task["window"])]
+        argv += ["--json", "--out", f"{name}.json"]
+        try:
+            out.append((name, build_parser().parse_args(argv)))
+        except _Refused as e:
+            raise InputError(f"tasks[{idx}]: {e.args[1]}") from None
+    return out
+
+
 def run(args):
     problem = parse_problem(args.problem)
     alg = problem.algebra
@@ -150,6 +178,7 @@ def run(args):
         return problem.module(name, window=window)
 
     if args.command == "validate":
+        _task_args(problem, args.problem)  # refuses a task the parser refuses
         issues = {}
         for name in problem.module_names():
             bad = module(name).validate()
@@ -343,25 +372,11 @@ def run(args):
         return 0
 
     if args.command == "run-tasks":
-        if not problem.tasks:
+        tasks = _task_args(problem, args.problem)
+        if not tasks:
             _emit(args, {"tasks": {}}, "no tasks")
             return 0
-
-        def one(item):
-            idx, task = item
-            name = str(task.get("name", f"task{idx}"))
-            argv = [args.problem, task["command"]]
-            for key in TASK_FLAGS:
-                if key in task:
-                    argv += [f"--{key}", str(task[key])]
-            if "window" in task:
-                lo, hi = task["window"]
-                argv += ["--window", f"{lo}:{hi}"]
-            out_file = f"{name}.json"
-            argv += ["--json", "--out", out_file]
-            return name, {"exit": main(argv), "out": out_file}
-
-        results = dict(map(one, enumerate(problem.tasks)))
+        results = {name: {"exit": _report(task), "out": task.out} for name, task in tasks}
         payload = {"tasks": results}
         text = "\n".join(f"{n}  exit {r['exit']}  -> {r['out']}"
                          for n, r in results.items())
@@ -387,8 +402,10 @@ def _sequence_from_file(alg, path):
         g = _morphism_from_json(E, C, data["right_map"], "right_map")
     except KeyError as e:
         raise InputError(f"sequence file missing block {e}") from None
-    return AlmostSplitSequence(A, E, C, f, g, data.get("certificate", {}),
-                               data.get("direction", "ending"))
+    direction = data.get("direction", "ending")
+    if direction not in ("ending", "starting"):
+        raise InputError(f"direction: expected 'ending' or 'starting', got {direction!r}")
+    return AlmostSplitSequence(A, E, C, f, g, data.get("certificate", {}), direction)
 
 
 def _morphism_from_json(source, target, data, where):
@@ -406,7 +423,15 @@ def _morphism_from_json(source, target, data, where):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _Refused as e:
+        argparse.ArgumentParser.error(*e.args)  # usage, message, exit 2
+    return _report(args)
+
+
+def _report(args):
+    """Run parsed arguments: 0, or 1 or 2 with the reason on stderr."""
     try:
         return run(args)
     except MathRefusal as e:

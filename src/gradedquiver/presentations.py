@@ -17,16 +17,16 @@ no realization, kernel or generator search (`_arrows_out`).  D S_v is
 one-dimensional over the opposite algebra, so the injective side gets the
 same route.
 
-A resolution is seeded from that presentation.  Whether a later syzygy
-ker d_n is zero is counted along the exact resolution, piece by piece, off
-the projectives' dimensions, with no realization (`_syzygy_dims`); a syzygy
-that is not zero is taken as the per-piece kernel bases of the realized
-differential d_n, never as a module, and searched for generators (see
-`resolution`).  A step whose differential has both sums realized exactly on
-the working window depends only on the differential up to grading shift, so
-the algebra keeps it once, keyed by the summands (shifts relative to the
-first source summand's) and the entries' coefficients: the count's verdict
-whether the syzygy is zero and the next differential, as formal data only.
+A resolution is seeded from that presentation and walked down in one pass.
+Each syzygy ker d_n is counted on the working window from the one before,
+dim ker d_n = dim P_n - dim ker d_{n-1} piece by piece, off the projectives'
+dimensions, with no realization (`_kernel_dims`); a syzygy that is not zero
+is taken as the per-piece kernel bases of the realized differential d_n,
+never as a module, and searched for generators (see `resolution`).  When
+d_n's source is exact above the window, the whole syzygy lies inside it and
+the next differential depends only on d_n up to grading shift, so the
+algebra keeps it once, as formal data, keyed by the summands (shifts
+relative to the first source summand's) and the entries' coefficients.
 
 There is no separate injective layer.  I_a<s> = D(P°_a<-s>), so a sum of
 injectives (+) I_a<s> is the ProjSum (+) P°_a<-s> over the opposite algebra,
@@ -488,39 +488,36 @@ class Resolution:
         self.window = window
 
     def report(self):
-        if self.status == "finite":
-            return {"kind": "exact", "value": self.length,
-                    "window": list(self.window)}
-        return {"kind": "at-least", "value": self.length,
-                "window": list(self.window)}
+        return {"kind": "exact" if self.status == "finite" else "at-least",
+                "value": self.length, "window": list(self.window)}
 
 
 def resolution(M, cap, pad=5, window_hi=None):
     """Iterated minimal covers up to homological degree `cap`.
 
-    P_1 -> P_0 is the minimal presentation of M, which M keeps.  From there
-    each syzygy ker d_n is first counted on the working window: the
-    resolution is exact there, so its dimensions are the alternating sums of
-    those of P_n, ..., P_0 and M (`_syzygy_dims`), and a zero syzygy ends the
-    resolution with no realization or kernel.  Otherwise it is taken piece by
-    piece, as the kernel bases of the realized differential d_n; its
-    generators at (i, x) are the basis vectors completing the image of the
-    arrows into x from degree i-1, read in kernel coordinates at the free
-    rows of the piece's rref, and they define P_{n+1} and d_{n+1}
-    (`next_differential`).  No syzygy module is built.  Where both sums of
-    d_n are exact on the window (`_inside`), the step is read off the
-    algebra's step memo when d_n was met before up to shift: the count's
-    verdict, and the next differential, with no realization, kernel or
-    generator search.
+    P_1 -> P_0 is the minimal presentation of M, which M keeps; from there
+    the resolution is walked down once.  It is exact on the working window,
+    so each syzygy's dimensions are its projective's less those of the
+    syzygy before, starting from M's (`_kernel_dims`), and a zero syzygy
+    ends it with no realization or kernel.  Otherwise the syzygy is taken
+    piece by piece, as the kernel bases of the realized differential d_n;
+    its generators at (i, x) are the basis vectors completing the image of
+    the arrows into x from degree i-1, read in kernel coordinates at the
+    free rows of the piece's rref, and they define P_{n+1} and d_{n+1}
+    (`next_differential`).  No syzygy module is built.  Where d_n's source
+    is exact above the window (`_exact_above`, once per sum), d_{n+1} is
+    read off the algebra's step memo when d_n was met before up to shift,
+    with no realization, kernel or generator search.
 
     Generator searches beyond the first syzygy have no a-priori degree bound;
     the working window is grown once by `pad` when a generator shows up at
     the very top of the window, and the run errors out if that happens again.
     A syzygy that is zero on the window certifies a finite pd only when every
     syzygy so far, this one included, has all its generators inside the
-    window (see `_generated_in_window`): otherwise a generator above the
-    window was missed.  If not, the window is grown once by `pad`, and if
-    that does not settle it the result is "at-least" the current length.
+    window: it does when its differential's source is exact above, or when
+    `_generated_in_window` proves it.  If not, the window is grown once by
+    `pad`, and if that does not settle it the result is "at-least" the
+    current length.
     Results are exact under the declared contract that every syzygy is
     finitely generated inside the working window.
     """
@@ -548,21 +545,18 @@ class _NeedsWiderWindow(Exception):
         self.degree = degree
 
 
-def _generated_in_window(exact_above, d, hi):
-    """Whether every generator of the syzygy ker d lies in degrees <= hi,
-    where `exact_above` says whether d's realized source is exact above.
+def _generated_in_window(d, hi):
+    """Whether every generator of the syzygy ker d lies in degrees <= hi, for
+    a differential d whose realized source is not exact above.
 
-    It does when the syzygy is exact above.  Over a monomial algebra it also
-    does when every entry of d is one path and, within each row, no entry's
-    path is where another's begins (in the order arrows apply): then
-    products w*u from different columns are different paths, so ker d is
-    spanned by paths, and a path w with w*u = 0 meets a relation across the
-    junction with u inside its first (max relation degree - 1) arrows.  So
-    ker d is generated in degrees <= max(-t) + max relation degree - 1 over
-    the source summands P_b<t>.
+    Over a monomial algebra it does when every entry of d is one path and,
+    within each row, no entry's path is where another's begins (in the order
+    arrows apply): then products w*u from different columns are different
+    paths, so ker d is spanned by paths, and a path w with w*u = 0 meets a
+    relation across the junction with u inside its first (max relation
+    degree - 1) arrows.  So ker d is generated in degrees <= max(-t) + max
+    relation degree - 1 over the source summands P_b<t>.
     """
-    if exact_above:
-        return True
     alg = d.algebra
     if any(len(r.terms) != 1 for r in alg.relations):
         return False
@@ -591,37 +585,20 @@ def _exact_above(psum, hi):
     return not any(column(a, hi + 1 + t) for a, t in psum.summands)
 
 
-def _inside(psum, window):
-    """Whether every summand P_a<t> of the sum has its realization on the
-    window exact on both sides: -t >= lo, and it is exact above."""
-    lo, hi = window
-    return all(-t >= lo for _a, t in psum.summands) and _exact_above(psum, hi)
-
-
-def _syzygy_dims(M, psums, window):
-    """dim (ker d_n)_(i, x) at every piece of the window where it is not 0,
-    for psums = [P_0, ..., P_n] of a resolution of M; {} when d_n is
-    injective there.
-
-    The resolution is exact in degrees <= hi: im d_1 is the first syzygy,
-    and each later P_{k+1} holds every generator of ker d_k up to degree hi
-    (`next_differential`, or a memoized step whose sums were exact on a
-    window).  So by rank-nullity dim ker d_n = dim P_n - dim ker d_{n-1}
-    piece by piece, down to ker(P_0 -> M), and no map is realized: each
-    dim (P_a<t>)_(i, x) is read off the column A e_a in degree i + t.
-    """
-    lo, hi = window
-    column = M.algebra.column
-    dims = {piece: (-1) ** len(psums) * n for piece, n in M.dims.items()}
-    for k, psum in enumerate(psums):
-        sign = (-1) ** (len(psums) - 1 - k)
-        for a, t in psum.summands:
-            for i in range(max(lo, -t), hi + 1):
-                col = column(a, i + t)
-                if not col:
-                    break
-                for x, n in col:
-                    dims[(i, x)] = dims.get((i, x), 0) + sign * n
+def _kernel_dims(psum, image, hi):
+    """dim ker at every piece up to degree hi where it is not 0, for a map
+    from the sum onto a module whose dimensions there are `image`: by
+    rank-nullity, dim P - dim image piece by piece, each dim (P_a<t>)_(i, x)
+    read off the column A e_a in degree i + t."""
+    column = psum.algebra.column
+    dims = {piece: -n for piece, n in image.items()}
+    for a, t in psum.summands:
+        for i in range(-t, hi + 1):
+            col = column(a, i + t)
+            if not col:
+                break
+            for x, n in col:
+                dims[(i, x)] = dims.get((i, x), 0) + n
     return {piece: n for piece, n in dims.items() if n}
 
 
@@ -646,58 +623,55 @@ def _differential_onto(dst, data):
 
 
 def _resolution_attempt(M, cap, window, final):
-    lo, hi = window
+    hi = window[1]
     pres = minimal_presentation(M)
-    steps = M.algebra._resolution_steps
-    psums = [pres.p0]
-    pmaps = []
-    step = 0
-    # whether every syzygy so far had all its generators inside the window;
-    # the first one is generated in degrees <= M.hi + 1 <= hi, which
-    # `resolution` checks
+    psums, pmaps = [pres.p0], []
+    # every P_n is generated in degrees >= lo: in M's support, then inside
+    # the syzygy before.  ker(P_0 -> M) is generated in degrees <= M.hi + 1
+    # <= hi, which `resolution` checks, so its count is zero exactly when P_1 is
+    kernel = _kernel_dims(pres.p0, M.dims, hi)
+    # whether every syzygy so far had all its generators inside the window
     complete = True
-    while True:
-        if step == 0:
-            zero = pres.p1.is_zero()
-        else:
-            # syzygy `step + 1` = ker d_step, piece by piece
-            d = pmaps[-1]
-            key = None
-            if _inside(d.src, window) and _inside(d.dst, window):
-                # d's realizations are exact, so the step is d's up to shift,
-                # and the syzygy, exact above, is generated inside the window
-                key = _up_to_shift(d, d.src.summands[0][1])
-                zero = _memo(steps, key, lambda: not _syzygy_dims(M, psums, window))
-            else:
-                zero = not _syzygy_dims(M, psums, window)
-                complete = complete and _generated_in_window(_exact_above(d.src, hi), d, hi)
-        if zero:
-            if complete:
-                return Resolution(M, psums, pmaps, "finite", step, window)
-            if not final:
-                raise _NeedsWiderWindow(hi)
-            return Resolution(M, psums, pmaps, "at-least", step, window)
-        if step + 1 > cap:
+    differentials = _differentials(pres.d1, window)
+    while kernel:
+        if len(pmaps) == cap:
             return Resolution(M, psums, pmaps, "at-least", cap, window)
-        if step == 0:
-            d = pres.d1
-        else:
-            if key is None:
-                d = next_differential(d, window)
-            else:
-                d = _differential_onto(d.src, _memo(
-                    steps, (key, "next"),
-                    lambda: _up_to_shift(next_differential(d, window), d.src.summands[0][1])))
-            top = max((-t for _b, t in d.src.summands), default=None)
-            if top is None:
-                raise MathRefusal("nonzero syzygy without generators in the window")
-            if top >= hi:
-                raise _NeedsWiderWindow(top)
-        if not d.is_radical():
-            raise MathRefusal("cover produced a non-radical differential")
+        d, exact = next(differentials)  # onto the syzygy `kernel` counts
         psums.append(d.src)
         pmaps.append(d)
-        step += 1
+        kernel = _kernel_dims(d.src, kernel, hi)
+        complete = complete and (exact or _generated_in_window(d, hi))
+    if complete:
+        return Resolution(M, psums, pmaps, "finite", len(pmaps), window)
+    if not final:
+        raise _NeedsWiderWindow(hi)
+    return Resolution(M, psums, pmaps, "at-least", len(pmaps), window)
+
+
+def _differentials(d, window):
+    """d, then each next differential on the window when asked for, each
+    with whether its realized source is exact above.  Then its kernel lies
+    inside the window, so the next one depends only on d up to shift, and
+    the algebra's step memo keeps it as formal data."""
+    hi = window[1]
+    steps = d.algebra._resolution_steps
+    while True:
+        if not d.is_radical():
+            raise MathRefusal("cover produced a non-radical differential")
+        exact = _exact_above(d.src, hi)
+        yield d, exact
+        if exact:
+            t0 = d.src.summands[0][1]
+            d = _differential_onto(d.src, _memo(
+                steps, _up_to_shift(d, t0),
+                lambda: _up_to_shift(next_differential(d, window), t0)))
+        else:
+            d = next_differential(d, window)
+        top = max((-t for _b, t in d.src.summands), default=None)
+        if top is None:
+            raise MathRefusal("nonzero syzygy without generators in the window")
+        if top >= hi:
+            raise _NeedsWiderWindow(top)
 
 
 def graded_dimension(M, kind, cap, pad=5):

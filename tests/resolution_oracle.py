@@ -99,7 +99,8 @@ def _resolution_attempt(M, cap, window, final):
     complete = hi > M.hi
     while True:
         if step > 0:
-            complete = complete and _generated_in_window(current.exact_above, pmaps[-1], hi)
+            complete = complete and (current.exact_above
+                                     or _generated_in_window(pmaps[-1], hi))
         if current.is_zero():
             if complete:
                 return Resolution(M, psums, pmaps, "finite", step, window)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 
 import pytest
@@ -196,6 +198,27 @@ def test_verify_ars_rejects_malformed_sequence_files(tmp_path, capsys):
         assert err.startswith("error: ") and "Traceback" not in err, err
 
 
+@pytest.mark.parametrize("direction", ["sideways", 7, None])
+def test_verify_ars_refuses_a_direction_other_than_ending_or_starting(direction, tmp_path,
+                                                                     capsys):
+    # the direction decides which sequence is checked, so any other value is
+    # an input error, never read as "ending"
+    out = tmp_path / "seq.json"
+    assert main([fix("fix_b"), "ars", "--module", "S1", "--json", "--out", str(out)]) == 0
+    seq = json.loads(out.read_text())
+    assert seq["direction"] == "ending"
+    seq["direction"] = direction
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(seq))
+    capsys.readouterr()
+    assert main([fix("fix_b"), "verify-ars", "--sequence", str(bad)]) == 2
+    assert capsys.readouterr().err == ("error: direction: expected 'ending' or 'starting', "
+                                       f"got {direction!r}\n")
+    del seq["direction"]  # an absent direction is an ending sequence's
+    bad.write_text(json.dumps(seq))
+    assert main([fix("fix_b"), "verify-ars", "--sequence", str(bad)]) == 0
+
+
 def test_module_flags_other_than_exact_or_truncated_are_input_errors(tmp_path, capsys):
     # a misspelt flag is named (exit 2), never read as "truncated"
     problem = base_problem()
@@ -250,6 +273,15 @@ def malformed(mutate):
     return problem
 
 
+def flag_refusal(argv):
+    """What argparse prints after "error: " when the command line refuses
+    these flags; its wording varies across Python versions."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit):
+        main([fix("fix_b")] + argv)
+    return err.getvalue().rstrip("\n").split(": error: ", 1)[1]
+
+
 BAD_PROBLEMS = {
     "standard-not-an-object": (
         lambda p: p["modules"].update(bad={"standard": ["S", "1"]}),
@@ -283,6 +315,12 @@ BAD_PROBLEMS = {
     "non-integer-cap": (
         lambda p: p["tasks"].append({"command": "pd", "simple": "all", "cap": "ten"}),
         "tasks[1].cap: expected an integer >= 0, got 'ten'"),
+    "task-flag-out-of-choices": (
+        lambda p: p["tasks"].append({"command": "pd", "simple": "all", "kind": "sideways"}),
+        "tasks[1]: " + flag_refusal(["pd", "--simple", "all", "--kind", "sideways"])),
+    "task-missing-a-required-flag": (
+        lambda p: p["tasks"].append({"command": "dims"}),
+        "tasks[1]: the following arguments are required: --module"),
     "empty-name": (
         lambda p: p["tasks"].append({"name": "", "command": "validate"}),
         "tasks[1].name: '' is not a plain file name"),

@@ -1,8 +1,9 @@
 """Resolution steps computed once per algebra up to grading shift.
 
-A resolution step whose differential d has both sums realized exactly on the
-working window depends only on d up to shift, so the algebra keeps its
-formal result (`presentations._resolution_attempt`).  These tests check that
+A resolution step whose differential d has its source realized exactly above
+the working window depends only on d up to shift, whatever d's target, so the
+algebra keeps the next differential as formal data
+(`presentations._differentials`).  These tests check that
 keeping it changes no result: every resolution gives the same outcome on an
 algebra whose step memo earlier resolutions filled ("warm") as on a fresh
 algebra with the same quiver, field and relations ("cold"), with the
@@ -15,10 +16,10 @@ import threading
 
 import pytest
 
-from gradedquiver import GF, QQ, GradedAlgebra, standard_module
-from gradedquiver.presentations import resolution
+from gradedquiver import GF, QQ, GradedAlgebra, Quiver, standard_module
+from gradedquiver.presentations import _exact_above, _up_to_shift, resolution
 
-from conftest import make_fix_a, make_fix_b, make_fix_c, make_fix_d
+from conftest import make_fix_a, make_fix_b, make_fix_c, make_fix_d, rel
 from test_resolution_oracle import CAPS, outcome
 from test_resolution_windows import seeded_algebras_with_long_relations
 from test_standard_columns import seeded_algebras
@@ -67,6 +68,29 @@ def assert_warm_matches_cold(alg):
 def test_fixture_resolutions_warm_match_cold(make):
     # fix_a's loop never vanishes, so no step there is kept
     assert_warm_matches_cold(make())
+
+
+def loop_then_path():
+    """A loop x at a and a path a -> b -> c -> e, with zy = wz = 0, over Q."""
+    q = Quiver(["a", "b", "c", "e"], [("x", "a", "a"), ("y", "a", "b"),
+                                      ("z", "b", "c"), ("w", "c", "e")])
+    return GradedAlgebra(q, QQ, [rel(q, [(1, ("z", "y"))]), rel(q, [(1, ("w", "z"))])])
+
+
+def test_step_with_an_infinite_target_is_kept():
+    # S_a = P_a / rad: d_2 = P_c<-2> -> P_a<-1> (+) P_b<-1> has a finite
+    # source and an infinite target, and its next differential is kept
+    alg = loop_then_path()
+    assert_warm_matches_cold(alg)
+    warm = fresh(alg)
+    res = resolution(standard_module(warm, "S", "a", 0), 6)
+    assert res.report() == {"kind": "exact", "value": 3, "window": [0, 12]}
+    d2 = res.pmaps[1]
+    hi = res.window[1]
+    assert _exact_above(d2.src, hi) and not _exact_above(d2.dst, hi)
+    t0 = d2.src.summands[0][1]
+    assert warm._resolution_steps == {
+        _up_to_shift(d2, t0): _up_to_shift(res.pmaps[2], t0)}
 
 
 @pytest.mark.parametrize("field", ["Q", "F2", "F3"])

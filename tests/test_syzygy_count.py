@@ -2,12 +2,13 @@
 
 A resolution ends where a syzygy ker d_n vanishes on the working window.  The
 program decides that with no realization: the resolution is exact in degrees
-up to the window's top, so piece by piece dim ker d_n is the alternating sum
-of the dimensions of P_n, ..., P_0 and M (`presentations._syzygy_dims`).
-Here every step of every returned resolution, from ker(P_0 -> M) to the last
-differential, is counted that way and compared with the kernel bases of the
-realized map on the same window: the same pieces with the same dimensions,
-none negative.  That is checked for every simple on both sides, at caps 0-6
+up to the window's top, so piece by piece dim ker d_n = dim P_n - dim
+ker d_{n-1}, carried down from M's own dimensions
+(`presentations._kernel_dims`).  Here every step of every returned
+resolution, from ker(P_0 -> M) to the last differential, is counted that way,
+from the count before, and compared with the kernel bases of the realized
+map on the same window: the same pieces with the same dimensions, none
+negative.  That is checked for every simple on both sides, at caps 0-6
 and on windows that force or exhaust the retry, on one algebra per case, so
 later resolutions take steps that earlier ones left in the step memo: on the
 fixtures, seeded algebras over Q, F_2 and F_3 (cyclic, binomial, relations of
@@ -20,7 +21,7 @@ import pytest
 
 from gradedquiver import GF, QQ, GradedAlgebra, Quiver, standard_module
 from gradedquiver.errors import GradedQuiverError
-from gradedquiver.presentations import (_inside, _syzygy_dims, minimal_presentation,
+from gradedquiver.presentations import (_exact_above, _kernel_dims, minimal_presentation,
                                         resolution)
 
 from conftest import make_fix_a, make_fix_b, make_fix_c, make_fix_d, rel
@@ -38,18 +39,18 @@ def kernel_dims(morphism):
 
 def assert_counts_match(res):
     """Every syzygy of the resolution, counted and as a kernel.  Returns how
-    many of its steps had a sum that is not exact on the window."""
+    many of its steps had a source that is not exact above the window."""
     M, window = res.module, res.window
     aug = minimal_presentation(M).cover0.realize(M, window)
-    steps = [(res.psums[:1], aug)] + [(res.psums[:n + 1], d.realize(window))
-                                      for n, d in enumerate(res.pmaps, start=1)]
-    for psums, realized in steps:
-        got = _syzygy_dims(M, psums, window)
+    steps = [(res.psums[0], aug)] + [(d.src, d.realize(window)) for d in res.pmaps]
+    got = dict(M.dims)
+    for psum, realized in steps:
+        got = _kernel_dims(psum, got, window[1])
         assert all(n > 0 for n in got.values()), got
-        assert got == kernel_dims(realized), (M.dims, window, len(psums))
+        assert got == kernel_dims(realized), (M.dims, window, psum)
     if res.status == "finite":
         assert not got
-    return sum(not (_inside(d.src, window) and _inside(d.dst, window)) for d in res.pmaps)
+    return sum(not _exact_above(d.src, window[1]) for d in res.pmaps)
 
 
 def check_algebra(alg):
