@@ -172,6 +172,11 @@ class GradedAlgebra:
         # to its first source summand, entry coefficients) -> the next
         # differential up to shift; formal data only, no realization
         self._resolution_steps = {}
+        # resolution tails, by presentations, under the same keys: a
+        # differential whose walk was followed to a zero syzygy, through
+        # sources exact above -> (least window top the tail needs, plus the
+        # key's shift; number of differentials from it to the end)
+        self._resolution_tails = {}
 
     # -- piece bases ---------------------------------------------------
 

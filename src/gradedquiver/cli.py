@@ -169,8 +169,11 @@ def _task_args(problem, path):
     return out
 
 
-def run(args):
-    problem = parse_problem(args.problem)
+def run(args, problem=None):
+    """Run one parsed command line on the problem, parsed from its file
+    unless given: the tasks of `run-tasks` share one problem, so one
+    algebra and its memos."""
+    problem = problem or parse_problem(args.problem)
     alg = problem.algebra
     window = args.window
 
@@ -376,7 +379,8 @@ def run(args):
         if not tasks:
             _emit(args, {"tasks": {}}, "no tasks")
             return 0
-        results = {name: {"exit": _report(task), "out": task.out} for name, task in tasks}
+        results = {name: {"exit": _report(task, problem), "out": task.out}
+                   for name, task in tasks}
         payload = {"tasks": results}
         text = "\n".join(f"{n}  exit {r['exit']}  -> {r['out']}"
                          for n, r in results.items())
@@ -430,10 +434,10 @@ def main(argv=None):
     return _report(args)
 
 
-def _report(args):
+def _report(args, problem=None):
     """Run parsed arguments: 0, or 1 or 2 with the reason on stderr."""
     try:
-        return run(args)
+        return run(args, problem)
     except MathRefusal as e:
         print(f"refused: {e}", file=sys.stderr)
         return 1

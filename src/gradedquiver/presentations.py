@@ -26,7 +26,10 @@ never as a module, and searched for generators (see `resolution`).  When
 d_n's source is exact above the window, the whole syzygy lies inside it and
 the next differential depends only on d_n up to grading shift, so the
 algebra keeps it once, as formal data, keyed by the summands (shifts
-relative to the first source summand's) and the entries' coefficients.
+relative to the first source summand's) and the entries' coefficients; it
+is read formally when the count shows the syzygy to be all of P_n in one
+degree (`_top_slice_step`).  Under the same keys the algebra keeps the tails
+walked to a zero syzygy, so a resolution stops where it meets one again.
 
 There is no separate injective layer.  I_a<s> = D(P°_a<-s>), so a sum of
 injectives (+) I_a<s> is the ProjSum (+) P°_a<-s> over the opposite algebra,
@@ -462,6 +465,41 @@ def next_differential(d, window):
                                  _kernel_generators(P, d.kernel_bases(window), window[1]))
 
 
+def _top_slice_step(d, kernel):
+    """The next differential, as formal data, when the count `kernel` of
+    ker d (see `_kernel_dims`) is all of d's source P at its pieces, all in
+    one degree i0; None otherwise.
+
+    Such a syzygy has no radical, so its generators are a basis of each
+    piece (i0, x), and d's block there is zero, whose kernel basis is the
+    identity: `next_differential` takes the unit vectors of the realized
+    pieces, in support order.  So P' has one P_x<-i0> per unit vector, in
+    vertex order and then in P's summand order, each sent to its unit vector
+    in the piece e_x A_(i0+t) e_b of its summand P_b<t>.
+    """
+    degrees = {i for i, _x in kernel}
+    if len(degrees) != 1:
+        return None
+    (i0,) = degrees
+    alg = d.algebra
+    f = alg.field
+    columns = [dict(alg.column(b, i0 + t)) for b, t in d.src.summands]
+    summands, cols = [], []
+    for x in alg.quiver.vertices:
+        if (i0, x) not in kernel:
+            continue
+        if sum(col.get(x, 0) for col in columns) != kernel[(i0, x)]:
+            return None
+        for j, ((b, t), col) in enumerate(zip(d.src.summands, columns)):
+            n = col.get(x, 0)
+            for k in range(n):
+                summands.append((x, -i0))
+                cols.append((j, AlgElement(alg, i0 + t, b, x,
+                                           [f.one() if c == k else f.zero() for c in range(n)])))
+    entries = [[e if j == i else None for j, e in cols] for i in range(len(d.src))]
+    return PMap(ProjSum(alg, summands), d.src, entries)
+
+
 def injective_envelope(M):
     """The injective envelope of M, read off the cover of D M: (P, env).
 
@@ -477,15 +515,43 @@ def injective_envelope(M):
 
 
 class Resolution:
-    """A chain of minimal covers P_m -> ... -> P_1 -> P_0 -> M."""
+    """A chain of minimal covers P_m -> ... -> P_1 -> P_0 -> M.
+
+    m is the length: pd when finite, else the lower bound, which is the cap
+    when the resolution stopped there.  `psums` [P_0, ..., P_m] and `pmaps`
+    [d_1: P_1 -> P_0, ...] are built on first read: from the differentials
+    the walk took, each later one is the algebra's step memo entry for the
+    one before (`_resolution_attempt` keeps every step of a memoized tail
+    there), so a caller that reads only the report builds none of them.
+    """
 
     def __init__(self, module, psums, pmaps, status, length, window):
         self.module = module
-        self.psums = psums    # [P_0, ..., P_m]
-        self.pmaps = pmaps    # [d_1: P_1 -> P_0, ...]
         self.status = status  # "finite" | "at-least"
         self.length = length  # pd when finite, else a lower bound for it
         self.window = window
+        self._p0 = psums[0]
+        self._pmaps = pmaps   # the differentials walked, d_1 first
+        self._built = None
+
+    @property
+    def psums(self):
+        return self._build()[0]
+
+    @property
+    def pmaps(self):
+        return self._build()[1]
+
+    def _build(self):
+        if self._built is None:
+            pmaps = list(self._pmaps)
+            while len(pmaps) < self.length:
+                d = pmaps[-1]
+                t0 = d.src.summands[0][1]
+                pmaps.append(_differential_onto(
+                    d.src, d.algebra._resolution_steps[_up_to_shift(d, t0)]))
+            self._built = [self._p0] + [d.src for d in pmaps], pmaps
+        return self._built
 
     def report(self):
         return {"kind": "exact" if self.status == "finite" else "at-least",
@@ -505,9 +571,14 @@ def resolution(M, cap, pad=5, window_hi=None):
     the arrows into x from degree i-1, read in kernel coordinates at the
     free rows of the piece's rref, and they define P_{n+1} and d_{n+1}
     (`next_differential`).  No syzygy module is built.  Where d_n's source
-    is exact above the window (`_exact_above`, once per sum), d_{n+1} is
+    is exact above the window (`_exact_top`, once per sum), d_{n+1} is
     read off the algebra's step memo when d_n was met before up to shift,
-    with no realization, kernel or generator search.
+    with no realization, kernel or generator search; when the count shows
+    ker d_n to be all of P_n in one degree, the step is read formally
+    (`_top_slice_step`).  And where such a d_n heads a tail that an earlier
+    walk followed to its end on a window at least as high, up to shift, the
+    walk stops there: the algebra's tail memo gives its length.  The
+    differentials it skipped are built only if `psums` or `pmaps` is read.
 
     Generator searches beyond the first syzygy have no a-priori degree bound;
     the working window is grown once by `pad` when a generator shows up at
@@ -578,11 +649,15 @@ def _generated_in_window(d, hi):
     return max(-t for _b, t in d.src.summands) + rel_degree - 1 <= hi
 
 
-def _exact_above(psum, hi):
-    """Whether the sum's realization up to degree hi is exact above: for
-    every summand P_a<t>, the column A e_a vanishes in degree hi + 1 + t."""
-    column = psum.algebra.column
-    return not any(column(a, hi + 1 + t) for a, t in psum.summands)
+def _exact_top(psum, hi):
+    """The sum's top degree when its realization up to degree hi is exact
+    above, that is, when for every summand P_a<t> the column A e_a vanishes
+    in degree hi + 1 + t; None when it is not.  P_a<t> ends in degree
+    h(a) - t (see `ProjSum.support`)."""
+    alg = psum.algebra
+    if any(alg.column(a, hi + 1 + t) for a, t in psum.summands):
+        return None
+    return max((alg.height(a, hi + 1 + t) - t for a, t in psum.summands), default=-math.inf)
 
 
 def _kernel_dims(psum, image, hi):
@@ -624,54 +699,86 @@ def _differential_onto(dst, data):
 
 def _resolution_attempt(M, cap, window, final):
     hi = window[1]
+    steps, tails = M.algebra._resolution_steps, M.algebra._resolution_tails
     pres = minimal_presentation(M)
-    psums, pmaps = [pres.p0], []
     # every P_n is generated in degrees >= lo: in M's support, then inside
     # the syzygy before.  ker(P_0 -> M) is generated in degrees <= M.hi + 1
     # <= hi, which `resolution` checks, so its count is zero exactly when P_1 is
     kernel = _kernel_dims(pres.p0, M.dims, hi)
+    d, pmaps = pres.d1, []
     # whether every syzygy so far had all its generators inside the window
     complete = True
-    differentials = _differentials(pres.d1, window)
-    while kernel:
-        if len(pmaps) == cap:
-            return Resolution(M, psums, pmaps, "at-least", cap, window)
-        d, exact = next(differentials)  # onto the syzygy `kernel` counts
-        psums.append(d.src)
-        pmaps.append(d)
-        kernel = _kernel_dims(d.src, kernel, hi)
-        complete = complete and (exact or _generated_in_window(d, hi))
-    if complete:
-        return Resolution(M, psums, pmaps, "finite", len(pmaps), window)
-    if not final:
-        raise _NeedsWiderWindow(hi)
-    return Resolution(M, psums, pmaps, "at-least", len(pmaps), window)
-
-
-def _differentials(d, window):
-    """d, then each next differential on the window when asked for, each
-    with whether its realized source is exact above.  Then its kernel lies
-    inside the window, so the next one depends only on d up to shift, and
-    the algebra's step memo keeps it as formal data."""
-    hi = window[1]
-    steps = d.algebra._resolution_steps
-    while True:
+    # the steps since the last one whose source is not exact above, each as
+    # (d up to shift, t0, the least window top the step needs)
+    run = []
+    while kernel and len(pmaps) < cap:
+        if pmaps:
+            # the differential onto the syzygy `kernel` counts; after a source
+            # exact above, that syzygy lies inside the window, so the step
+            # depends only on the last differential up to shift
+            prev = pmaps[-1]
+            if run:
+                key, t0, _need = run[-1]
+                d = _differential_onto(prev.src, _memo(steps, key, lambda: _up_to_shift(
+                    _top_slice_step(prev, kernel) or next_differential(prev, window), t0)))
+            else:
+                d = next_differential(prev, window)
+            top = max((-t for _b, t in d.src.summands), default=None)
+            if top is None:
+                raise MathRefusal("nonzero syzygy without generators in the window")
+            if top >= hi:
+                raise _NeedsWiderWindow(top)
         if not d.is_radical():
             raise MathRefusal("cover produced a non-radical differential")
-        exact = _exact_above(d.src, hi)
-        yield d, exact
-        if exact:
-            t0 = d.src.summands[0][1]
-            d = _differential_onto(d.src, _memo(
-                steps, _up_to_shift(d, t0),
-                lambda: _up_to_shift(next_differential(d, window), t0)))
+        src_top = _exact_top(d.src, hi)
+        if src_top is None:
+            run = []
+            complete = complete and _generated_in_window(d, hi)
         else:
-            d = next_differential(d, window)
-        top = max((-t for _b, t in d.src.summands), default=None)
-        if top is None:
-            raise MathRefusal("nonzero syzygy without generators in the window")
-        if top >= hi:
-            raise _NeedsWiderWindow(top)
+            t0 = d.src.summands[0][1]
+            key = _up_to_shift(d, t0)
+            # the source exact above, and past the walk's first step, the
+            # generators below the top
+            need = max(src_top, top + 1) if pmaps else src_top
+            tail = tails.get(key)
+            if tail is not None and hi + t0 >= tail[0]:
+                # the walk from here was taken before, on a window this high
+                _record_tails(tails, run, max(tail[0] - t0, need), tail[1])
+                length = len(pmaps) + tail[1]
+                pmaps.append(d)
+                break
+            run.append((key, t0, need))
+        pmaps.append(d)
+        kernel = _kernel_dims(d.src, kernel, hi)
+    else:
+        if kernel:
+            return Resolution(M, [pres.p0], pmaps, "at-least", cap, window)
+        _record_tails(tails, run, -math.inf, 0)
+        length = len(pmaps)
+    if length > cap:
+        return Resolution(M, [pres.p0], pmaps, "at-least", cap, window)
+    if complete:
+        return Resolution(M, [pres.p0], pmaps, "finite", length, window)
+    if not final:
+        raise _NeedsWiderWindow(hi)
+    return Resolution(M, [pres.p0], pmaps, "at-least", length, window)
+
+
+def _record_tails(tails, run, need, length):
+    """Keep the tail from each step of the walk's exact run in the algebra's
+    tail memo, keyed by the step up to shift: the least window top the whole
+    tail needs, plus t0, and its number of differentials.  `need` and
+    `length` are those of what follows the run: a memoized tail, or nothing
+    (-inf, 0) when the run's last step counted a zero syzygy.  Every step of
+    the run took its next differential from the step memo, which is where
+    `Resolution` finds the tail again."""
+    for key, t0, step_need in reversed(run):
+        need, length = max(need, step_need), length + 1
+        # the smaller top wins; every top kept is sufficient, so a racing
+        # walk that overwrites a smaller one costs only a later stop
+        got = tails.get(key)
+        if got is None or need + t0 < got[0]:
+            tails[key] = (need + t0, length)
 
 
 def graded_dimension(M, kind, cap, pad=5):

@@ -178,6 +178,62 @@ def test_run_tasks_with_shared_parser_matches_sequential_main(tmp_path, capsys,
     assert json.loads(capsys.readouterr().out)["1"]["proj"]["kind"] == "exact"
 
 
+def test_run_tasks_parses_the_problem_once(tmp_path, capsys, monkeypatch):
+    # every task runs on the one parsed problem, so on one algebra and its
+    # memos; each task's file and exit code are those of the same command run
+    # on its own, which parses the file afresh
+    import gradedquiver.cli as cli
+    from gradedquiver.problem import COMMANDS
+
+    seq_file = tmp_path / "given_seq.json"
+    assert main([fix("fix_b"), "ars", "--module", "S1", "--json", "--out", str(seq_file)]) == 0
+    with open(fix("fix_b"), encoding="utf-8") as fh:
+        problem = json.load(fh)
+    flags = {"validate": {}, "dims": {"module": "P1", "window": [0, 3]},
+             "hom": {"source": "P1", "target": "S1"}, "ext1": {"module": "S1", "target": "S2"},
+             "rad": {"module": "P1"}, "top": {"module": "P2"}, "soc": {"module": "I1"},
+             "cover": {"module": "S2m1"}, "envelope": {"module": "S1"},
+             "present": {"module": "S2"}, "copresent": {"module": "S1"},
+             "transpose": {"module": "S1"}, "nakayama": {"module": "P2"},
+             "tau": {"module": "S2"}, "tau-inv": {"module": "S1"},
+             "ars": {"module": "S2", "direction": "starting"},
+             "verify-ars": {"sequence": str(seq_file)},
+             "ar-formula": {"module": "S1", "other": "S2"},
+             "pd": {"simple": "all", "cap": 5}, "criteria": {"cap": 4},
+             "analyze-quiver": {}}
+    assert set(flags) == set(COMMANDS) - {"run-tasks"}
+    problem["tasks"] = [dict(flags[c], name=f"t_{c}", command=c) for c in flags]
+    pfile = tmp_path / "prob.json"
+    pfile.write_text(json.dumps(problem))
+    batch, alone = tmp_path / "batch", tmp_path / "alone"
+    batch.mkdir()
+    alone.mkdir()
+    parses = [0]
+    parse_problem = cli.parse_problem
+
+    def counted(path):
+        parses[0] += 1
+        return parse_problem(path)
+
+    monkeypatch.setattr(cli, "parse_problem", counted)
+    monkeypatch.setenv("GRADEDQUIVER_OUT_DIR", str(batch))
+    main([str(pfile), "run-tasks", "--json"])
+    assert parses[0] == 1
+    summary = json.loads(capsys.readouterr().out)["tasks"]
+    monkeypatch.setenv("GRADEDQUIVER_OUT_DIR", str(alone))
+    for task in problem["tasks"]:
+        argv = [str(pfile), task["command"]]
+        for key, value in task.items():
+            if key == "window":
+                argv += ["--window", "{}:{}".format(*value)]
+            elif key not in ("name", "command"):
+                argv += [f"--{key}", str(value)]
+        out = f"{task['name']}.json"
+        assert main(argv + ["--json", "--out", out]) == summary[task["name"]]["exit"], task
+        assert (alone / out).read_bytes() == (batch / out).read_bytes(), task
+    assert parses[0] == 1 + len(problem["tasks"])
+
+
 def test_verify_ars_rejects_malformed_sequence_files(tmp_path, capsys):
     # a malformed sequence file is an input error (exit 2), never a crash
     out = tmp_path / "seq.json"

@@ -1,7 +1,7 @@
 """Scale guards for the resolution loop: long resolutions through the CLI,
-the number of kernels and cover realizations the resolutions of long lines
-compute, and the kernels and map realizations `criteria` spends on the
-commuting square with a ray.
+the number of kernels, cover realizations and syzygy counts the resolutions
+of long lines compute, and the kernels and map realizations `criteria`
+spends on the commuting square with a ray.
 
 No timing is asserted; each command runs in well under a second.
 """
@@ -13,9 +13,10 @@ import pytest
 from gradedquiver import GF, QQ, GradedAlgebra, Quiver, standard_module
 from gradedquiver.cli import main
 from gradedquiver.gmodule import GradedMorphism
+from gradedquiver import presentations
 from gradedquiver.presentations import Cover, PMap, resolution
 
-from conftest import rel
+from conftest import make_fix_d, rel
 
 
 def run_json(tmp_path, problem, argv, capsys):
@@ -123,6 +124,31 @@ def test_line_simples_are_presented_off_their_arrows(field, monkeypatch):
         assert resolution(S.dual(), top + 1).report()["value"] == top - i
     assert realized[0] == 0
     assert fresh[0] <= 2 * (top + 1)
+
+
+@pytest.mark.parametrize("top", [30, 60])
+@pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "F3"])
+def test_line_resolutions_walk_each_tail_once(field, top, monkeypatch):
+    # past its first step, the resolution of S_i is that of S_(i-1) shifted
+    # by one (or S_(i+1) on the injective side), whose tail the algebra keeps:
+    # each resolution counts two syzygies at most, and every step it takes
+    # is read formally, so no kernel is taken at all
+    alg = make_fix_d(field, top=top)
+    fresh = count_kernels(monkeypatch)
+    counted = [0]
+    kernel_dims = presentations._kernel_dims
+
+    def counting(*args):
+        counted[0] += 1
+        return kernel_dims(*args)
+
+    monkeypatch.setattr(presentations, "_kernel_dims", counting)
+    for i, v in enumerate(alg.quiver.vertices):
+        S = standard_module(alg, "S", v, 0)
+        assert resolution(S, top + 1).report()["value"] == i
+        assert resolution(S.dual(), top + 1).report()["value"] == top - i
+    assert fresh[0] == 0
+    assert counted[0] <= 5 * (top + 1)
 
 
 def test_periodic_resolution_computes_one_step(monkeypatch):

@@ -3,7 +3,7 @@
 A resolution step whose differential d has its source realized exactly above
 the working window depends only on d up to shift, whatever d's target, so the
 algebra keeps the next differential as formal data
-(`presentations._differentials`).  These tests check that
+(`presentations._resolution_attempt`).  These tests check that
 keeping it changes no result: every resolution gives the same outcome on an
 algebra whose step memo earlier resolutions filled ("warm") as on a fresh
 algebra with the same quiver, field and relations ("cold"), with the
@@ -17,7 +17,7 @@ import threading
 import pytest
 
 from gradedquiver import GF, QQ, GradedAlgebra, Quiver, standard_module
-from gradedquiver.presentations import _exact_above, _up_to_shift, resolution
+from gradedquiver.presentations import _exact_top, _up_to_shift, resolution
 
 from conftest import make_fix_a, make_fix_b, make_fix_c, make_fix_d, rel
 from test_resolution_oracle import CAPS, outcome
@@ -87,7 +87,7 @@ def test_step_with_an_infinite_target_is_kept():
     assert res.report() == {"kind": "exact", "value": 3, "window": [0, 12]}
     d2 = res.pmaps[1]
     hi = res.window[1]
-    assert _exact_above(d2.src, hi) and not _exact_above(d2.dst, hi)
+    assert _exact_top(d2.src, hi) is not None and _exact_top(d2.dst, hi) is None
     t0 = d2.src.summands[0][1]
     assert warm._resolution_steps == {
         _up_to_shift(d2, t0): _up_to_shift(res.pmaps[2], t0)}

@@ -21,7 +21,7 @@ import pytest
 
 from gradedquiver import GF, QQ, GradedAlgebra, Quiver, standard_module
 from gradedquiver.errors import GradedQuiverError
-from gradedquiver.presentations import (_exact_above, _kernel_dims, minimal_presentation,
+from gradedquiver.presentations import (_exact_top, _kernel_dims, minimal_presentation,
                                         resolution)
 
 from conftest import make_fix_a, make_fix_b, make_fix_c, make_fix_d, rel
@@ -50,7 +50,7 @@ def assert_counts_match(res):
         assert got == kernel_dims(realized), (M.dims, window, psum)
     if res.status == "finite":
         assert not got
-    return sum(not _exact_above(d.src, window[1]) for d in res.pmaps)
+    return sum(_exact_top(d.src, window[1]) is None for d in res.pmaps)
 
 
 def check_algebra(alg):
