@@ -22,9 +22,12 @@ are reduced sparsely (`sparse_rref`); the RREF is unique, so the
 representatives are those a dense reduction gives.
 
 Degree d is built only at the heads of arrows out of the nonzero pieces of
-degree d-1 (A_d = A_1 * A_{d-1}).  Each piece keeps the normal forms of its
-columns a*rep; arrow actions (`column_maps`) and maps of projectives
-(`PMap.realize`, through `_Piece.times_arrow`) read their products there.
+degree d-1 (A_d = A_1 * A_{d-1}), and the fill records each degree's column
+as it goes.  Each piece keeps the normal forms of its columns a*rep; arrow
+actions (`column_maps`) and maps of projectives (`PMap.realize`, through
+`_Piece.times_arrow`) read their products there.  A representative a*rep is
+kept as a link to its column, (a, the piece of rep, the index of rep there),
+so no per-piece work depends on path length; its `Path` is built on demand.
 """
 
 import math
@@ -112,15 +115,34 @@ class _Piece:
     each representative rep of A_{d-1}(s -> source a).  `offsets[a.name]` is
     the first column of a's block and `col_nf[j]` lists the (representative
     index, coefficient) pairs of the normal form of column j.
+
+    Each representative is kept as the column it came from: `links[r]` is
+    (a, lower piece, index of rep there) for the representative a*rep, and
+    None for the trivial path of degree 0.  `rep_paths`, the representatives
+    as `Path`s, is built from the links on first read.
     """
 
-    __slots__ = ("rep_paths", "dim", "offsets", "col_nf")
+    __slots__ = ("links", "dim", "offsets", "col_nf", "_paths")
 
-    def __init__(self, rep_paths, offsets=None, col_nf=()):
-        self.rep_paths = tuple(rep_paths)
-        self.dim = len(self.rep_paths)
+    def __init__(self, links, offsets=None, col_nf=(), paths=None):
+        self.links = tuple(links)
+        self.dim = len(self.links)
         self.offsets = offsets
         self.col_nf = col_nf
+        self._paths = paths
+
+    @property
+    def rep_paths(self):
+        """The representatives as paths, last-applied arrow first."""
+        paths = self._paths
+        if paths is None:
+            paths, below, lower = [], None, None
+            for a, prev, i in self.links:
+                if prev is not below:
+                    below, lower = prev, prev.rep_paths
+                paths.append(Path((a,) + lower[i].arrows))
+            paths = self._paths = tuple(paths)
+        return paths
 
     def times_arrow(self, field, name, pairs):
         """Normal form of a*w in this piece, from the (index, coefficient)
@@ -137,7 +159,7 @@ class _Piece:
 
 
 # the one object shared by every zero piece
-_EMPTY = _Piece(())
+_EMPTY = _Piece((), paths=())
 
 
 class GradedAlgebra:
@@ -149,6 +171,7 @@ class GradedAlgebra:
         self.relations = tuple(relations)
         self._arrows_into = {v: sorted(quiver.arrows_into[v], key=lambda a: a.name)
                              for v in quiver.vertices}
+        self._vertex_index = {v: i for i, v in enumerate(quiver.vertices)}
         # per target: (degree, source, ((coeff, last arrow name, first arrow,
         # the arrows between them first-applied first), ...))
         self._rels_into = {v: [] for v in quiver.vertices}
@@ -163,7 +186,7 @@ class GradedAlgebra:
         # vertices of the nonzero pieces one degree below it)
         self._reach = {}
         self._vanish = {}   # source -> first degree where every piece from it is zero
-        self._columns = {}  # (source, degree) -> column dims, see column()
+        self._columns = {}  # (source, degree) -> column dims, recorded by _fill
         self._column_maps = {}  # (source, degree) -> arrow actions, see column_maps()
         self._opp = None
         self._standard_modules = {}  # (kind, vertex, shift, window) -> module, by gmodule
@@ -206,25 +229,31 @@ class GradedAlgebra:
         """Compute the pieces from `source` up to `degree`, lowest degree first.
 
         A_d = A_1 * A_{d-1}, so degree e is computed only at the heads of
-        arrows out of the nonzero pieces of degree e-1, in vertex order; every
-        other piece of degree e is zero and stays absent (`_piece` reads it as
-        `_EMPTY`).  Stops at the first degree where every piece is zero: every
-        higher piece is zero as well.
+        arrows out of the nonzero pieces of degree e-1, put in vertex order
+        through the vertex index; every other piece of degree e is zero and
+        stays absent (`_piece` reads it as `_EMPTY`).  Each degree's column,
+        the nonzero (x, dim) pairs in vertex order, is recorded for
+        `column()` as it is computed.  Stops at the first degree where every
+        piece is zero: every higher piece is zero as well.
         """
         # concurrent fills may repeat work; setdefault keeps one of the
         # identical results
         e, live = self._reach.get(source, (0, (source,)))
         pieces = self._pieces
+        arrows_from = self.quiver.arrows_from
         while e <= degree:
             if e:
-                heads = {a.target for x in live for a in self.quiver.arrows_from[x]}
-                live = [t for t in self.quiver.vertices if t in heads]
-            nonzero = []
+                heads = {a.target for x in live for a in arrows_from[x]}
+                live = sorted(heads, key=self._vertex_index.__getitem__)
+            col = []
             for t in live:
-                if pieces.setdefault((e, source, t), self._compute_piece(e, source, t)).dim:
-                    nonzero.append(t)
-            live = nonzero
-            if not live:
+                n = pieces.setdefault((e, source, t), self._compute_piece(e, source, t)).dim
+                if n:
+                    col.append((t, n))
+            live = [t for t, _n in col]
+            if live:
+                self._columns.setdefault((source, e), tuple(col))
+            else:
                 self._vanish[source] = e
             e = e + 1 if live else math.inf
             self._reach[source] = (e, live)
@@ -232,7 +261,7 @@ class GradedAlgebra:
     def _compute_piece(self, degree, source, target):
         """e_target*A_degree*e_source from the filled pieces of lower degree."""
         if degree == 0:
-            return _Piece((Path.trivial(source),)) if source == target else _EMPTY
+            return _Piece((None,), paths=(Path.trivial(source),)) if source == target else _EMPTY
         f = self.field
         pieces = self._pieces
         blocks, offsets, ncols = [], {}, 0
@@ -268,14 +297,15 @@ class GradedAlgebra:
         # reduced as sparse rows; the RREF is unique, so the representatives
         # do not depend on how the rows are reduced
         pivots = sparse_rref(f, map(dict.items, rows))
-        reps, col_rep = [], {}
+        links, col_rep = [], {}
+        j = 0
         for a, prev in blocks:
-            for i, rep in enumerate(prev.rep_paths):
-                j = offsets[a.name] + i
+            for i in range(prev.dim):
                 if j not in pivots:
-                    col_rep[j] = len(reps)
-                    reps.append(Path((a,) + rep.arrows))
-        if not reps:
+                    col_rep[j] = len(links)
+                    links.append((a, prev, i))
+                j += 1
+        if not links:
             return _EMPTY
         col_nf = [None] * ncols
         for j, r in col_rep.items():
@@ -283,7 +313,7 @@ class GradedAlgebra:
         for k, row in pivots.items():
             # a reduced row is zero at every other pivot column
             col_nf[k] = tuple((col_rep[m], f.neg(row[m])) for m in sorted(row) if m != k)
-        return _Piece(reps, offsets, col_nf)
+        return _Piece(links, offsets, col_nf)
 
     def _normal_form(self, names):
         """Coordinates of a path, given by its arrow names (last-applied first),
@@ -383,10 +413,11 @@ class GradedAlgebra:
 
     def column(self, gen_vertex, degree):
         """Degree `degree` of the column A e_gen: the nonzero (x, dim e_x A_degree
-        e_gen), in vertex order; memoized.
+        e_gen), in vertex order.
 
-        Empty from the first degree where the column vanishes, which _fill
-        records, with no fill or piece lookup past it.
+        Read off the record `_fill` keeps of each degree it computes.  Empty
+        from the first degree where the column vanishes, which _fill records,
+        with no fill or piece lookup past it.
         """
         got = self._columns.get((gen_vertex, degree))
         if got is not None:
@@ -395,12 +426,7 @@ class GradedAlgebra:
             return ()
         self.quiver.check_vertex(gen_vertex)
         self._fill(gen_vertex, degree)
-        if degree >= self._vanish.get(gen_vertex, math.inf):
-            return ()
-        pieces = self._pieces
-        dims = ((x, pieces.get((degree, gen_vertex, x), _EMPTY).dim) for x in self.quiver.vertices)
-        col = tuple((x, n) for x, n in dims if n)
-        return self._columns.setdefault((gen_vertex, degree), col)
+        return self._columns.get((gen_vertex, degree), ())
 
     def height(self, vertex, cap):
         """The last nonzero degree of the column A e_vertex; None unless it

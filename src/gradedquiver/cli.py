@@ -12,7 +12,7 @@ import sys
 import tempfile
 
 from .errors import MathRefusal, InputError, GradedQuiverError
-from .problem import parse_problem, canonical_dumps, COMMANDS, TASK_FLAGS
+from .problem import parse_problem, parse_cap, canonical_dumps, COMMANDS, TASK_FLAGS
 from .linalg import Matrix
 from .gmodule import GradedModule, GradedMorphism, standard_module
 from .presentations import (ProjSum, minimal_presentation, projective_cover,
@@ -36,12 +36,9 @@ def _window(text):
 
 def _cap(text):
     try:
-        cap = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if cap < 0:
-        raise argparse.ArgumentTypeError(f"cap {cap} is negative; expected an integer >= 0")
-    return cap
+        return parse_cap(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 # The requested windows of the translate views, from the module's window

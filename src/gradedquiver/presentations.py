@@ -156,12 +156,13 @@ class PMap:
     def realize(self, window):
         """The induced morphism between realizations on the window; memoized.
 
-        A representative path a*rep' of the source piece maps entry e to
+        A representative a*rep' of the source piece maps entry e to
         a*(rep'*e): the normal form of its tail's image pushed along a
         (`_Piece.times_arrow`).  Standard paths are closed under subwords, so
-        each tail is itself a representative and its image is kept for the
-        whole realization.  This reads the algebra, not the realized source,
-        so generators outside the window are handled as inside.
+        each tail is itself a representative, the one its link names, and
+        its image is kept for the whole realization.  This reads the algebra,
+        not the realized source, so generators outside the window are handled
+        as inside.
         """
         window = tuple(window)
         got = self._realized.get(window)
@@ -173,19 +174,21 @@ class PMap:
         f = alg.field
         images = {}
 
-        def image(i, j, arrows):
-            """Normal form of path*e, for entry e = (i, j) and the path with
-            these arrows."""
-            got = images.get((i, j, arrows))
+        def image(i, j, piece, r, m):
+            """Normal form of rep*e, for entry e = (i, j) and the r-th
+            representative rep of `piece`, of degree m."""
+            key = (i, j, piece, r)
+            got = images.get(key)
             if got is None:
                 e = self.entries[i][j]
-                if arrows:
-                    a = arrows[0]
-                    got = alg.piece(e.degree + len(arrows), e.source, a.target).times_arrow(
-                        f, a.name, enumerate(image(i, j, arrows[1:])))
-                else:
+                link = piece.links[r]
+                if link is None:
                     got = e.coeffs
-                images[(i, j, arrows)] = got
+                else:
+                    a, below, k = link
+                    got = alg.piece(e.degree + m, e.source, a.target).times_arrow(
+                        f, a.name, enumerate(image(i, j, below, k, m - 1)))
+                images[key] = got
             return got
 
         blocks = {}
@@ -200,13 +203,13 @@ class PMap:
                 c0 = src_off[j].get((d, x))
                 if c0 is None:
                     continue
-                reps = alg.piece(d + t, b, x).rep_paths
+                piece = alg.piece(d + t, b, x)
                 for i, offsets in enumerate(dst_off):
                     r0 = offsets.get((d, x))
                     if r0 is None or self.entries[i][j] is None:
                         continue
-                    for c, rep in enumerate(reps):
-                        for r, v in enumerate(image(i, j, rep.arrows)):
+                    for c in range(piece.dim):
+                        for r, v in enumerate(image(i, j, piece, c, d + t)):
                             entries[r0 + r][c0 + c] = v
             blocks[(d, x)] = Matrix._make(f, nrows, ncols, tuple(map(tuple, entries)))
         result = GradedMorphism(src_mod, dst_mod, blocks, check=False)
@@ -274,22 +277,25 @@ class Cover:
         f = src.algebra.field
         images = {}
 
-        def image(j, arrows):
-            """The image of the j-th generator under the path, as a column.
+        def image(j, piece, r, m):
+            """The image of the j-th generator under the r-th representative
+            of `piece`, of degree m, as a column.
 
             A representative a*rep' maps to a acting on the image of rep',
             which is itself a representative (standard paths are closed under
-            subwords), so each image is one product.
+            subwords), the one its link names, so each image is one product.
             """
-            got = images.get((j, arrows))
+            key = (j, piece, r)
+            got = images.get(key)
             if got is None:
                 gen = self.generators[j]
-                if arrows:
-                    got = (target.map(arrows[0].name, gen.degree + len(arrows) - 1)
-                           @ image(j, arrows[1:]))
-                else:
+                link = piece.links[r]
+                if link is None:
                     got = Matrix.from_cols(f, len(gen.coords), [gen.coords])
-                images[(j, arrows)] = got
+                else:
+                    a, below, k = link
+                    got = target.map(a.name, gen.degree + m - 1) @ image(j, below, k, m - 1)
+                images[key] = got
             return got
 
         blocks = {}
@@ -302,8 +308,8 @@ class Cover:
                     if piece.dim == 0:
                         continue
                     c0 = offsets[j][(i, x)]
-                    for c, rep in enumerate(piece.rep_paths):
-                        col = image(j, rep.arrows)
+                    for c in range(piece.dim):
+                        col = image(j, piece, c, i + s)
                         for r in range(nrows):
                             entries[r][c0 + c] = col.data[r][0]
             blocks[(i, x)] = Matrix._make(f, nrows, ncols, tuple(map(tuple, entries)))

@@ -79,6 +79,22 @@ class ProblemFile:
         return out
 
 
+def parse_cap(value):
+    """A degree/dimension cap: the integer int(str(value)) when that is >= 0.
+
+    The one cap rule, for the `--cap` flag and for a task's `cap`, which
+    `run-tasks` forwards to that flag as text.  Raises ValueError with the
+    flag's message otherwise.
+    """
+    try:
+        cap = int(str(value))
+    except ValueError:
+        raise ValueError(f"invalid int value: {value!r}") from None
+    if cap < 0:
+        raise ValueError(f"cap {cap} is negative; expected an integer >= 0")
+    return cap
+
+
 def canonical_dumps(obj):
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
@@ -156,14 +172,13 @@ def parse_problem_dict(data):
             raise InputError(f"{where}.window: expected two integers [lo, hi], got {window!r}")
         if window[0] > window[1]:
             raise InputError(f"{where}.window: expected lo <= hi, got {window!r}")
-        # `run-tasks` forwards the cap to the `--cap` flag, which parses it with int()
+        # `run-tasks` forwards the cap to the `--cap` flag, which reads it the same way
         if "cap" in task:
             try:
-                cap_ok = int(str(task["cap"])) >= 0
+                parse_cap(task["cap"])
             except ValueError:
-                cap_ok = False
-            if not cap_ok:
-                raise InputError(f"{where}.cap: expected an integer >= 0, got {task['cap']!r}")
+                raise InputError(f"{where}.cap: expected an integer >= 0, "
+                                 f"got {task['cap']!r}") from None
         # the name becomes the output file <name>.json in the working directory
         out_name = str(task.get("name", "task"))
         if out_name in ("", ".", "..") or "/" in out_name or "\\" in out_name:

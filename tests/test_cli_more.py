@@ -508,3 +508,37 @@ def test_cap_zero_stays_valid_for_pd_but_not_for_criteria(capsys):
     assert json.loads(capsys.readouterr().out)["1"]["proj"]["value"] == 0
     assert main([fix("fix_b"), "criteria", "--cap", "0"]) == 2
     assert capsys.readouterr().err == "error: caps must be positive\n"
+
+
+# (cap, accepted): one rule for the `--cap` flag and for a task's cap, which
+# `run-tasks` forwards to the flag as str(cap)
+CAPS = [(0, True), (3, True), ("03", True), (-1, False), ("x", False), (2.5, False),
+        (True, False)]
+
+
+@pytest.mark.parametrize("cap, accepted", CAPS, ids=[repr(c) for c, _ in CAPS])
+def test_a_cap_is_accepted_or_refused_alike_as_flag_and_as_task(cap, accepted, tmp_path,
+                                                                capsys, monkeypatch):
+    code = None
+    with contextlib.suppress(SystemExit):
+        code = main([fix("fix_b"), "pd", "--simple", "all", "--cap", str(cap), "--json"])
+    flag_out, flag_err = capsys.readouterr()
+    pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps(malformed(
+        lambda p: p["tasks"].append({"name": "pd", "command": "pd", "simple": "all",
+                                     "cap": cap}))))
+    monkeypatch.chdir(tmp_path)
+    task_code = main([str(pfile), "run-tasks"])
+    task_err = capsys.readouterr().err
+    if accepted:
+        assert (code, flag_err) == (0, "")
+        assert (task_code, task_err) == (0, "")
+        assert json.loads((tmp_path / "pd.json").read_text()) == json.loads(flag_out)
+    else:
+        assert code is None
+        want = (f"cap {cap} is negative; expected an integer >= 0" if cap == -1
+                else f"invalid int value: {str(cap)!r}")
+        assert f"argument --cap: {want}" in flag_err
+        assert task_code == 2
+        assert task_err == f"error: tasks[1].cap: expected an integer >= 0, got {cap!r}\n"
+        assert not (tmp_path / "pd.json").exists()

@@ -6,11 +6,12 @@ spends on the commuting square with a ray.
 No timing is asserted; each command runs in well under a second.
 """
 
+import collections
 import json
 
 import pytest
 
-from gradedquiver import GF, QQ, GradedAlgebra, Quiver, standard_module
+from gradedquiver import GF, QQ, GradedAlgebra, Path, Quiver, standard_module
 from gradedquiver.cli import main
 from gradedquiver.gmodule import GradedMorphism
 from gradedquiver import presentations
@@ -181,3 +182,72 @@ def test_criteria_counts_the_syzygies_that_end_its_resolutions(field, tmp_path, 
     assert {v["verdict"] for v in rep["derived_finite_dimensional"].values()} == {"yes"}
     assert fresh[0] <= 2
     assert realized[0] <= 2
+
+
+def ray_boundedness(end):
+    """The boundedness block of the square with a ray to `end`, in closed form.
+
+    Left, A e_x: from 1 the paths a, b, then g*a = d*b, then one path to each
+    vertex of the ray; from 2 or 3 one path to 4 and on; from k >= 4 one path
+    to each later vertex.  Right, e_x A: into 2 or 3 one arrow from 1; into 4
+    two arrows and g*a; into k >= 5 one path from each earlier vertex of the
+    ray, two from 2 and 3 and one from 1.
+    """
+    left = {"1": (end, end - 1), "2": (end - 2, end - 2), "3": (end - 2, end - 2)}
+    left.update({str(k): (end - k + 1, end - k + 1) for k in range(4, end + 1)})
+    right = {"1": (1, 1), "2": (2, 2), "3": (2, 2), "4": (4, 3)}
+    right.update({str(k): (k, k - 1) for k in range(5, end + 1)})
+
+    def side(per_vertex):
+        return {"status": "finite", "total_dim": sum(n for n, _ in per_vertex.values()),
+                "per_vertex": {v: {"status": "finite", "total_dim": n, "vanishes_at": vanish}
+                               for v, (n, vanish) in per_vertex.items()}}
+
+    return {"left": side(left), "right": side(right)}
+
+
+@pytest.mark.parametrize("end", [60, 120])
+@pytest.mark.parametrize("field", ["Q", "Fp:3"])
+def test_criteria_boundedness_is_linear_in_the_pieces_it_fills(field, end, tmp_path, capsys,
+                                                                monkeypatch):
+    # the fill keeps each representative as a link to its column and records
+    # each column as it goes: boundedness builds the paths of degree 0 and
+    # the opposite relations' and no other, and computes each piece once
+    built, inside = [0], [False]
+    path_init = Path.__init__
+
+    def counted_path(self, *args, **kwargs):
+        built[0] += inside[0]
+        path_init(self, *args, **kwargs)
+
+    boundedness = GradedAlgebra.boundedness
+
+    def counted_boundedness(self, cap):
+        inside[0] = True
+        try:
+            return boundedness(self, cap)
+        finally:
+            inside[0] = False
+
+    computed = collections.Counter()
+    compute_piece = GradedAlgebra._compute_piece
+
+    def counted_piece(self, *key):
+        computed[(id(self), key)] += 1
+        return compute_piece(self, *key)
+
+    monkeypatch.setattr(Path, "__init__", counted_path)
+    monkeypatch.setattr(GradedAlgebra, "boundedness", counted_boundedness)
+    monkeypatch.setattr(GradedAlgebra, "_compute_piece", counted_piece)
+    rep = run_json(tmp_path, square_with_a_ray(end, field), ["criteria", "--cap", str(end + 1)],
+                   capsys)
+    assert rep["boundedness"] == ray_boundedness(end)
+    verdicts = {v["verdict"] for section in ("finitely_presented_category",
+                                             "finitely_copresented_category",
+                                             "finite_dimensional_category",
+                                             "derived_finite_dimensional")
+                for v in rep[section].values()}
+    assert verdicts == {"yes"}
+    # one trivial path per vertex and side, one path per opposite relation term
+    assert built[0] <= 2 * end + 2
+    assert set(computed.values()) == {1}
