@@ -18,8 +18,19 @@ u*r*v would give.  Lex order on name tuples of equal length is compatible
 with multiplication on both sides, so these standard paths are closed under
 subwords and each one is some a*rep; every row is an element of the slice, so
 no standard path is a pivot; and the non-pivot count is dim A_d.  The rows
-are reduced sparsely (`sparse_rref`); the RREF is unique, so the
+are reduced sparsely (`integer_rref`); the RREF is unique, so the
 representatives are those a dense reduction gives.
+
+The layer works in integers.  Over Q each relation is cleared of its
+denominators once, which scales it and leaves its span as it was; a row r*v
+is an integer row, reduced to primitive integer pivot rows, and a piece keeps
+its column normal forms as integer numerators over one positive denominator,
+the least common one (`_Piece.den`).  Products a*w map (denominator, integer
+vector) to (denominator, integer vector).  Canonical scalars, `Fraction`s over
+Q, are made only at the exits that build canonical data: the arrow matrices of
+`column_maps`, the blocks of `PMap.realize` and the coordinates of
+`_normal_form` (`element_from_path`).  Over F_p the denominator is always 1
+and the numerators are residues, so both fields run the same code.
 
 Degree d is built only at the heads of arrows out of the nonzero pieces of
 degree d-1 (A_d = A_1 * A_{d-1}), and the fill records each degree's column
@@ -33,7 +44,7 @@ so no per-piece work depends on path length; its `Path` is built on demand.
 import math
 
 from .errors import InputError
-from .linalg import Matrix, sparse_rref
+from .linalg import Matrix, integer_rref
 from .quiver import Path
 
 
@@ -114,7 +125,9 @@ class _Piece:
     The spanning columns are a*rep for each arrow a into t, in name order, and
     each representative rep of A_{d-1}(s -> source a).  `offsets[a.name]` is
     the first column of a's block and `col_nf[j]` lists the (representative
-    index, coefficient) pairs of the normal form of column j.
+    index, numerator) pairs of the normal form of column j, whose
+    coefficients are those integers over the piece's one positive
+    denominator `den`: 1 over F_p, where the numerators are in [0, p).
 
     Each representative is kept as the column it came from: `links[r]` is
     (a, lower piece, index of rep there) for the representative a*rep, and
@@ -122,13 +135,14 @@ class _Piece:
     as `Path`s, is built from the links on first read.
     """
 
-    __slots__ = ("links", "dim", "offsets", "col_nf", "_paths")
+    __slots__ = ("links", "dim", "offsets", "col_nf", "den", "_paths")
 
-    def __init__(self, links, offsets=None, col_nf=(), paths=None):
+    def __init__(self, links, offsets=None, col_nf=(), den=1, paths=None):
         self.links = tuple(links)
         self.dim = len(self.links)
         self.offsets = offsets
         self.col_nf = col_nf
+        self.den = den
         self._paths = paths
 
     @property
@@ -140,22 +154,33 @@ class _Piece:
             for a, prev, i in self.links:
                 if prev is not below:
                     below, lower = prev, prev.rep_paths
-                paths.append(Path((a,) + lower[i].arrows))
+                # a*rep is a path: a's source is rep's target
+                paths.append(Path._make((a,) + lower[i].arrows))
             paths = self._paths = tuple(paths)
         return paths
 
-    def times_arrow(self, field, name, pairs):
-        """Normal form of a*w in this piece, from the (index, coefficient)
-        pairs of the normal form of w."""
+    def times_arrow(self, field, name, den, pairs):
+        """Normal form of a*w in this piece, from that of w, both as integers
+        over one positive denominator: w's as `den` and (index, numerator)
+        pairs, a*w's as (denominator, tuple of numerators), in lowest terms."""
         if not self.dim:
-            return ()
-        acc = [field.zero()] * self.dim
+            return 1, ()
+        acc = [0] * self.dim
         off = self.offsets[name]
+        col_nf = self.col_nf
         for i, x in pairs:
             if x:
-                for r, c in self.col_nf[off + i]:
+                for r, c in col_nf[off + i]:
                     acc[r] += x * c
-        return tuple(acc) if field.p is None else tuple(v % field.p for v in acc)
+        p = field.p
+        if p is not None:
+            return 1, tuple(v % p for v in acc)
+        den *= self.den
+        if den != 1:
+            g = math.gcd(den, *acc)
+            if g != 1:
+                return den // g, tuple(v // g for v in acc)
+        return den, tuple(acc)
 
 
 # the one object shared by every zero piece
@@ -172,14 +197,17 @@ class GradedAlgebra:
         self._arrows_into = {v: sorted(quiver.arrows_into[v], key=lambda a: a.name)
                              for v in quiver.vertices}
         self._vertex_index = {v: i for i, v in enumerate(quiver.vertices)}
-        # per target: (degree, source, ((coeff, last arrow name, first arrow,
-        # the arrows between them first-applied first), ...))
+        # per target: (degree, source, ((integer coeff, last arrow name, first
+        # arrow, the arrows between them first-applied first), ...))
         self._rels_into = {v: [] for v in quiver.vertices}
         for r in self.relations:
             quiver.check_vertex(r.source)
             quiver.check_vertex(r.target)
-            terms = tuple((field.of(c), p.arrows[0].name, p.arrows[-1], p.arrows[-2:0:-1])
-                          for c, p in r.terms)
+            # integer coefficients: over Q the relation times the lcm of its
+            # denominators, which spans the same rows
+            _den, coeffs = field.integers([field.of(c) for c, _p in r.terms])
+            terms = tuple((c, p.arrows[0].name, p.arrows[-1], p.arrows[-2:0:-1])
+                          for c, (_c, p) in zip(coeffs, r.terms))
             self._rels_into[r.target].append((r.degree, r.source, terms))
         self._pieces = {}
         # source -> (first degree not yet filled, inf once all vanish; the
@@ -263,6 +291,7 @@ class GradedAlgebra:
         if degree == 0:
             return _Piece((None,), paths=(Path.trivial(source),)) if source == target else _EMPTY
         f = self.field
+        p = f.p
         pieces = self._pieces
         blocks, offsets, ncols = [], {}, 0
         for a in self._arrows_into[target]:
@@ -272,31 +301,40 @@ class GradedAlgebra:
             ncols += prev.dim
         if not ncols:
             return _EMPTY
-        rows = []   # sparse: column -> coefficient
+        rows = []   # sparse integer rows: column -> coefficient
         for rel_degree, rel_source, terms in self._rels_into[target]:
             if rel_degree > degree:
                 continue
             low = degree - rel_degree
             for k in range(pieces.get((low, source, rel_source), _EMPTY).dim):
-                row = {}
+                # the row times `den`, the lcm of its terms' denominators
+                row, den = {}, 1
                 for c, name, first, between in terms:
                     # first*v, for v the k-th representative, is a column of
                     # the piece above v; a zero piece contributes nothing
                     up = pieces.get((low + 1, source, first.target), _EMPTY)
                     if not up.dim:
                         continue
-                    pairs = up.col_nf[up.offsets[first.name] + k]
+                    d, pairs = up.den, up.col_nf[up.offsets[first.name] + k]
                     for e, a in enumerate(between, low + 2):
-                        pairs = enumerate(pieces.get((e, source, a.target), _EMPTY)
-                                          .times_arrow(f, a.name, pairs))
+                        d, vec = pieces.get((e, source, a.target), _EMPTY).times_arrow(
+                            f, a.name, d, pairs)
+                        pairs = enumerate(vec)
+                    if d != den:
+                        g = math.gcd(d, den)
+                        if d != g:
+                            row = {j: v * (d // g) for j, v in row.items()}
+                        c *= den // g
+                        den = den // g * d
                     off = offsets[name]
                     for j, x in pairs:
                         if x:
-                            row[off + j] = f.add(row.get(off + j, f.zero()), f.mul(c, x))
-                rows.append(row)
-        # reduced as sparse rows; the RREF is unique, so the representatives
-        # do not depend on how the rows are reduced
-        pivots = sparse_rref(f, map(dict.items, rows))
+                            row[off + j] = row.get(off + j, 0) + c * x
+                rows.append(row.items() if p is None
+                            else [(j, v % p) for j, v in row.items()])
+        # reduced as sparse integer rows; the RREF is unique, so the
+        # representatives do not depend on how the rows are reduced
+        pivots = integer_rref(p, rows)
         links, col_rep = [], {}
         j = 0
         for a, prev in blocks:
@@ -307,29 +345,35 @@ class GradedAlgebra:
                 j += 1
         if not links:
             return _EMPTY
+        # the normal forms over one denominator: 1 over F_p, where pivot
+        # rows are monic, and the lcm of the pivot rows' leads over Q
+        den = math.lcm(*[row[k] for k, row in pivots.items()])
         col_nf = [None] * ncols
         for j, r in col_rep.items():
-            col_nf[j] = ((r, f.one()),)
+            col_nf[j] = ((r, den),)
         for k, row in pivots.items():
             # a reduced row is zero at every other pivot column
-            col_nf[k] = tuple((col_rep[m], f.neg(row[m])) for m in sorted(row) if m != k)
-        return _Piece(links, offsets, col_nf)
+            scale = -(den // row[k])
+            nf = [(col_rep[m], scale * x) for m, x in sorted(row.items()) if m != k]
+            col_nf[k] = tuple(nf) if p is None else tuple((r, v % p) for r, v in nf)
+        return _Piece(links, offsets, col_nf, den)
 
     def _normal_form(self, names):
         """Coordinates of a path, given by its arrow names (last-applied first),
         over the representatives of its piece.
 
         NF(a*w) = a*NF(w), read off the column normal forms by
-        `_Piece.times_arrow`, one arrow per step, first-applied arrow first.
+        `_Piece.times_arrow`, one arrow per step, first-applied arrow first,
+        in integers; the coordinates are made canonical scalars at the end.
         """
         f = self.field
         arrows = self.quiver.arrow_by_name
-        vec = (f.one(),)
+        den, vec = 1, (1,)
         for d, name in enumerate(reversed(names), 1):
             a = arrows[name]
-            vec = self._piece(d, arrows[names[-1]].source, a.target).times_arrow(
-                f, name, enumerate(vec))
-        return vec
+            den, vec = self._piece(d, arrows[names[-1]].source, a.target).times_arrow(
+                f, name, den, enumerate(vec))
+        return f.scalars(den, vec)
 
     def _lincomb(self, dim, terms):
         """Coordinates of the sum of c*vec over (c, normal form vec) terms of one piece."""
@@ -455,11 +499,12 @@ class GradedAlgebra:
             if a.source in here and a.target in above:
                 piece = self._pieces[(degree + 1, gen_vertex, a.target)]
                 off, n = piece.offsets[a.name], here[a.source]
-                rows = [[f.zero()] * n for _ in range(piece.dim)]
+                rows = [[0] * n for _ in range(piece.dim)]
                 for i in range(n):
                     for r, c in piece.col_nf[off + i]:
                         rows[r][i] = c
-                maps[a.name] = Matrix._make(f, piece.dim, n, tuple(map(tuple, rows)))
+                maps[a.name] = Matrix._make(f, piece.dim, n, tuple(
+                    f.scalars(piece.den, row) for row in rows))
         return self._column_maps.setdefault((gen_vertex, degree), maps)
 
     # -- boundedness -----------------------------------------------------

@@ -498,13 +498,19 @@ class GradedMorphism:
         extend the image (see `_complement_indices`), and its rows below the
         rank of B, in the I_n part, are the projection block, which kills the
         image and has unit columns at those k.  So the e_k are a section, and
-        C's maps are the target's at those columns, projected.
+        C's maps are the target's at those columns, projected.  Where f has
+        no block, the rref of [0 | I_n] is I_n: the projection is the
+        identity and every k is taken, with no reduction.
         """
         f = self.source.algebra.field
         proj_blocks = {}
         complements = {}
         for (i, x), n in self.target.dims.items():
-            blk = self.block(i, x)
+            blk = self.blocks.get((i, x))
+            if blk is None:
+                proj_blocks[(i, x)] = Matrix.identity(f, n)
+                complements[(i, x)] = range(n)
+                continue
             m = blk.cols
             R, pivots = blk.hstack(Matrix.identity(f, n)).rref()
             rank = sum(1 for c in pivots if c < m)

@@ -2,17 +2,20 @@
 
 Everything downstream (hom spaces, syzygies, translates) reduces to
 kernel/image/solve calls on small dense matrices.  There is one row
-reduction, `sparse_rref`: `Matrix.rref` hands it the rows of a matrix, and
-piece bases hand it their sparse relation rows.  The module is kept
-dependency-free and fully deterministic: same input, same output basis.
+reduction, `integer_rref`, on sparse integer rows: over Q it keeps each pivot
+row primitive with a positive lead, over F_p monic.  Piece bases hand it
+their integer relation rows directly; `sparse_rref`, which `Matrix.rref`
+calls, clears the denominators of each row of canonical scalars, and makes
+one `Fraction` per nonzero entry of the result.  `Field.integers` and
+`Field.scalars` pass between canonical scalars and integers over one
+denominator.  The module is kept dependency-free and fully deterministic:
+same input, same output basis.
 
 Invariant: a Matrix holds canonical scalars of its field, `Fraction` over Q
 and ints in [0, p) over F_p, in a tuple of row tuples.  Only the public
 constructors (`Matrix(...)` and `Matrix.from_cols`) check shapes and coerce;
 every operation here builds its result with the trusted `Matrix._make`, and
-so may callers whose entries are already canonical.  Over Q the row
-reduction runs in integers and makes one `Fraction` per nonzero entry of the
-result.
+so may callers whose entries are already canonical.
 """
 
 from fractions import Fraction
@@ -104,6 +107,21 @@ class Field:
         if not a:
             raise ZeroDivisionError("inverse of zero")
         return 1 / a if self.p is None else pow(a, self.p - 2, self.p)
+
+    def integers(self, scalars):
+        """(den, numerators): canonical scalars as integers over one positive
+        denominator, the lcm of theirs over Q and 1 over F_p."""
+        if self.p is not None:
+            return 1, tuple(scalars)
+        den = lcm(*[x.denominator for x in scalars])
+        return den, tuple(x.numerator * (den // x.denominator) for x in scalars)
+
+    def scalars(self, den, nums):
+        """The canonical scalars nums/den, for integers nums over a positive
+        denominator den (1 over F_p, where nums are already in [0, p))."""
+        if self.p is not None:
+            return tuple(nums)
+        return tuple(Fraction(v, den) if v else _ZERO for v in nums)
 
     def parse(self, s):
         s = s.strip().replace("−", "-")
@@ -226,20 +244,25 @@ class Matrix:
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         f = self.field
-        dot = self._dot
-        bt = other.transpose().data
-        return Matrix._make(f, self.rows, other.cols,
-                            tuple(tuple(dot(f, row, col) for col in bt) for row in self.data))
-
-    @staticmethod
-    def _dot(f, u, v):
-        if f.p is not None:
-            return sum(map(mul, u, v)) % f.p
-        s = _ZERO
-        for a, b in zip(u, v):
-            if a and b:
-                s += a * b
-        return s
+        p = f.p
+        if p is not None:
+            bt = other.transpose().data
+            data = tuple(tuple(sum(map(mul, row, col)) % p for col in bt)
+                         for row in self.data)
+        else:
+            # row by row: each nonzero a = self[i][k] adds a times row k of
+            # other, whose nonzeros are read once for the whole product
+            brows = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
+            data = []
+            for row in self.data:
+                acc = [_ZERO] * other.cols
+                for a, brow in zip(row, brows):
+                    if a:
+                        for j, b in brow:
+                            acc[j] += a * b
+                data.append(tuple(acc))
+            data = tuple(data)
+        return Matrix._make(f, self.rows, other.cols, data)
 
     def transpose(self):
         if not self.rows:
@@ -365,43 +388,66 @@ def sparse_rref(field, rows):
     """Reduced row echelon form of rows given as (column, canonical scalar)
     pairs with distinct columns, such as a dict's items or a dense row's
     `enumerate`, as {pivot column: reduced row}, each reduced row a dict
-    {column: scalar} without zeros; the work follows the nonzeros.  The rows
-    are taken in order: each is reduced by the pivot rows it touches, and a
-    nonzero remainder becomes the pivot row of its leftmost column, which is
-    cleared from the earlier pivot rows.  Over F_p a pivot row is scaled to 1
-    when it is made.  Over Q rows are kept as primitive integer rows and
-    scaled to 1 at the end, with one `Fraction` per entry.  The RREF is
-    unique, so this is the RREF of any order of the rows.
+    {column: scalar} without zeros.  The reduction is `integer_rref`; over Q
+    each row is first cleared of denominators, and each pivot row is scaled
+    to 1 at the end, with one `Fraction` per entry.
     """
     p = field.p
+    if p is not None:
+        return integer_rref(p, rows)
+    pivots = integer_rref(None, map(_cleared, rows))
+    return {c: {j: _ONE if j == c else Fraction(x, row[c]) for j, x in row.items()}
+            for c, row in pivots.items()}
+
+
+def _cleared(row):
+    """A row of Fraction pairs as integer pairs: times the lcm of its denominators."""
+    row = [(j, x) for j, x in row if x]
+    mult = lcm(*[x.denominator for _j, x in row])
+    return [(j, x.numerator * (mult // x.denominator)) for j, x in row]
+
+
+def integer_rref(p, rows):
+    """The row reduction: rows of (column, integer) pairs with distinct
+    columns, over Q (p None) or F_p (entries in [0, p)), as {pivot column:
+    reduced row}, each reduced row a dict {column: integer} without zeros;
+    the work follows the nonzeros.  The rows are taken in order: each is
+    reduced by the pivot rows it touches, and a nonzero remainder becomes the
+    pivot row of its leftmost column, which is cleared from the earlier pivot
+    rows.  Over F_p a pivot row is scaled to 1; over Q it is kept primitive
+    (its entries coprime) with a positive lead, so it is the unique such
+    multiple of its RREF row, which is unique for any order of the rows.
+    """
     pivots = {}
     for row in rows:
         row = {j: x for j, x in row if x}
-        if p is None:
-            mult = lcm(*[x.denominator for x in row.values()])
-            row = {j: x.numerator * (mult // x.denominator) for j, x in row.items()}
         # a pivot row is zero at every other pivot column
         for c in row.keys() & pivots.keys():
             row = _eliminate(p, row, pivots[c], c)
         if row:
             lead = min(row)
-            if p is not None and row[lead] != 1:
-                inv = pow(row[lead], -1, p)
-                row = {j: x * inv % p for j, x in row.items()}
+            x = row[lead]
+            if p is not None:
+                if x != 1:
+                    inv = pow(x, -1, p)
+                    row = {j: v * inv % p for j, v in row.items()}
+            else:
+                g = gcd(*row.values())
+                if x < 0:
+                    g = -g
+                if g != 1:
+                    row = {j: v // g for j, v in row.items()}
             for k, prow in pivots.items():
                 if lead in prow:
                     pivots[k] = _eliminate(p, prow, row, lead)
             pivots[lead] = row
-    if p is not None:
-        return pivots
-    return {c: {j: _ONE if j == c else Fraction(x, row[c]) for j, x in row.items()}
-            for c, row in pivots.items()}
+    return pivots
 
 
 def _eliminate(p, row, prow, c):
     """row with its entry at c cleared by prow, without zeros: over F_p, where
-    prow[c] is 1, row - row[c]*prow; over Q prow[c]*row - row[c]*prow divided
-    by its content."""
+    prow[c] is 1, row - row[c]*prow; over Q, where prow[c] > 0, prow[c]*row -
+    row[c]*prow, both over their gcd, divided by its content."""
     if p is not None:
         x = row[c]
         row = row.copy()

@@ -160,9 +160,10 @@ class PMap:
         a*(rep'*e): the normal form of its tail's image pushed along a
         (`_Piece.times_arrow`).  Standard paths are closed under subwords, so
         each tail is itself a representative, the one its link names, and
-        its image is kept for the whole realization.  This reads the algebra,
-        not the realized source, so generators outside the window are handled
-        as inside.
+        its image is kept for the whole realization, as integers over one
+        denominator; the blocks get canonical scalars.  This reads the
+        algebra, not the realized source, so generators outside the window
+        are handled as inside.
         """
         window = tuple(window)
         got = self._realized.get(window)
@@ -176,18 +177,20 @@ class PMap:
 
         def image(i, j, piece, r, m):
             """Normal form of rep*e, for entry e = (i, j) and the r-th
-            representative rep of `piece`, of degree m."""
+            representative rep of `piece`, of degree m, as (denominator,
+            integer numerators)."""
             key = (i, j, piece, r)
             got = images.get(key)
             if got is None:
                 e = self.entries[i][j]
                 link = piece.links[r]
                 if link is None:
-                    got = e.coeffs
+                    got = f.integers(e.coeffs)
                 else:
                     a, below, k = link
+                    den, vec = image(i, j, below, k, m - 1)
                     got = alg.piece(e.degree + m, e.source, a.target).times_arrow(
-                        f, a.name, enumerate(image(i, j, below, k, m - 1)))
+                        f, a.name, den, enumerate(vec))
                 images[key] = got
             return got
 
@@ -209,7 +212,7 @@ class PMap:
                     if r0 is None or self.entries[i][j] is None:
                         continue
                     for c in range(piece.dim):
-                        for r, v in enumerate(image(i, j, piece, c, d + t)):
+                        for r, v in enumerate(f.scalars(*image(i, j, piece, c, d + t))):
                             entries[r0 + r][c0 + c] = v
             blocks[(d, x)] = Matrix._make(f, nrows, ncols, tuple(map(tuple, entries)))
         result = GradedMorphism(src_mod, dst_mod, blocks, check=False)

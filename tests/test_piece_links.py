@@ -79,7 +79,7 @@ def assert_links_match_columns(alg, top):
     link names an arrow into the piece's target, the piece of the degree
     below at its source, and a column whose normal form is that
     representative, in increasing column order."""
-    q, f = alg.quiver, alg.field
+    q = alg.quiver
     for d in range(top, -1, -1):
         for s in q.vertices:
             for t in q.vertices:
@@ -98,7 +98,7 @@ def assert_links_match_columns(alg, top):
                         assert a.target == t and a in q.arrows_into[t], (d, s, t, r)
                         assert below is alg.piece(d - 1, s, a.source), (d, s, t, r)
                         j = piece.offsets[a.name] + i
-                        assert j > last and piece.col_nf[j] == ((r, f.one()),), (d, s, t, r)
+                        assert j > last and piece.col_nf[j] == ((r, piece.den),), (d, s, t, r)
                         last = j
                         want.append(Path((a,) + eager[(d - 1, s, a.source)][i].arrows))
                 assert list(piece.rep_paths) == want, (d, s, t)
@@ -184,10 +184,11 @@ def pmap_realize_by_paths(pmap, window):
             e = pmap.entries[i][j]
             if arrows:
                 a = arrows[0]
+                den, vec = image(i, j, arrows[1:])
                 got = alg.piece(e.degree + len(arrows), e.source, a.target).times_arrow(
-                    f, a.name, enumerate(image(i, j, arrows[1:])))
+                    f, a.name, den, enumerate(vec))
             else:
-                got = e.coeffs
+                got = f.integers(e.coeffs)
             images[(i, j, arrows)] = got
         return got
 
@@ -206,7 +207,7 @@ def pmap_realize_by_paths(pmap, window):
                 if r0 is None or pmap.entries[i][j] is None:
                     continue
                 for c, rep in enumerate(alg.piece(d + t, b, x).rep_paths):
-                    for r, v in enumerate(image(i, j, rep.arrows)):
+                    for r, v in enumerate(f.scalars(*image(i, j, rep.arrows))):
                         entries[r0 + r][c0 + c] = v
         blocks[(d, x)] = Matrix(f, nrows, ncols, entries)
     return GradedMorphism(src_mod, dst_mod, blocks, check=False)

@@ -13,6 +13,7 @@ when Hom(P0, N) has no coordinates, with the refusals it gave before.
 """
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -53,7 +54,7 @@ def assert_pieces_match_oracle(alg, max_degree):
                     for i, rep in enumerate(below.rep_paths):
                         got = [f.zero()] * piece.dim
                         for r, c in piece.col_nf[piece.offsets[a.name] + i]:
-                            got[r] = c
+                            got[r] = Fraction(c, piece.den)
                         want = oracle.normal_form(Path((a,) + rep.arrows))
                         assert got == want, (d, x, y, a.name, rep)
     return nonzero
