@@ -220,14 +220,11 @@ class GradedAlgebra:
         self._standard_modules = {}  # (kind, vertex, shift, window) -> module, by gmodule
         # resolution steps, by presentations, for differentials d whose
         # source is exact above the window: d up to shift (summands relative
-        # to its first source summand, entry coefficients) -> the next
-        # differential up to shift; formal data only, no realization
+        # to its first source summand, entry coefficients) -> (the next
+        # differential's key up to its own shift, or None where ker d is
+        # zero; the shift step; the least window top d's step needs, plus
+        # d's shift).  A functional graph of formal data, no realization
         self._resolution_steps = {}
-        # resolution tails, by presentations, under the same keys: a
-        # differential whose walk was followed to a zero syzygy, through
-        # sources exact above -> (least window top the tail needs, plus the
-        # key's shift; number of differentials from it to the end)
-        self._resolution_tails = {}
 
     # -- piece bases ---------------------------------------------------
 

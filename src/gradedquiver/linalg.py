@@ -20,7 +20,6 @@ so may callers whose entries are already canonical.
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 
 from .errors import FieldMismatch, DimensionMismatch, InputError
 
@@ -83,13 +82,20 @@ class Field:
         return _ONE if self.p is None else 1
 
     def of(self, v):
-        """Coerce an int, Fraction or string into a scalar of this field."""
+        """Coerce an int, Fraction or string into a scalar of this field;
+        over F_p a Fraction n/d is n times the inverse of d mod p."""
         if self.p is None:
             return v if type(v) is Fraction else (
                 self.parse(v) if isinstance(v, str) else Fraction(v))
         if type(v) is int:
             return v % self.p
-        return self.parse(v) if isinstance(v, str) else int(v) % self.p
+        if isinstance(v, str):
+            return self.parse(v)
+        v = Fraction(v)
+        if v.denominator % self.p == 0:
+            raise InputError(f"{v} has no value mod {self.p}: "
+                             f"its denominator is a multiple of {self.p}")
+        return v.numerator * pow(v.denominator, -1, self.p) % self.p
 
     def add(self, a, b):
         return a + b if self.p is None else (a + b) % self.p
@@ -245,24 +251,20 @@ class Matrix:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         f = self.field
         p = f.p
-        if p is not None:
-            bt = other.transpose().data
-            data = tuple(tuple(sum(map(mul, row, col)) % p for col in bt)
-                         for row in self.data)
-        else:
-            # row by row: each nonzero a = self[i][k] adds a times row k of
-            # other, whose nonzeros are read once for the whole product
-            brows = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
-            data = []
-            for row in self.data:
-                acc = [_ZERO] * other.cols
-                for a, brow in zip(row, brows):
-                    if a:
-                        for j, b in brow:
-                            acc[j] += a * b
-                data.append(tuple(acc))
-            data = tuple(data)
-        return Matrix._make(f, self.rows, other.cols, data)
+        # row by row: each nonzero a = self[i][k] adds a times row k of
+        # other, whose nonzeros are read once for the whole product; over F_p
+        # each row is reduced once, at its end
+        brows = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
+        zero = f.zero()
+        data = []
+        for row in self.data:
+            acc = [zero] * other.cols
+            for a, brow in zip(row, brows):
+                if a:
+                    for j, b in brow:
+                        acc[j] += a * b
+            data.append(tuple(acc) if p is None else tuple(v % p for v in acc))
+        return Matrix._make(f, self.rows, other.cols, tuple(data))
 
     def transpose(self):
         if not self.rows:

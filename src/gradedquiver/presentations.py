@@ -28,8 +28,9 @@ the next differential depends only on d_n up to grading shift, so the
 algebra keeps it once, as formal data, keyed by the summands (shifts
 relative to the first source summand's) and the entries' coefficients; it
 is read formally when the count shows the syzygy to be all of P_n in one
-degree (`_top_slice_step`).  Under the same keys the algebra keeps the tails
-walked to a zero syzygy, so a resolution stops where it meets one again.
+degree (`_top_slice_step`).  An entry also holds the shift step and the
+window top the step needs, and a zero syzygy has a terminal entry, so a
+resolution meeting a key again walks to it, within its cap and window.
 
 There is no separate injective layer.  I_a<s> = D(P°_a<-s>), so a sum of
 injectives (+) I_a<s> is the ProjSum (+) P°_a<-s> over the opposite algebra,
@@ -529,9 +530,9 @@ class Resolution:
     m is the length: pd when finite, else the lower bound, which is the cap
     when the resolution stopped there.  `psums` [P_0, ..., P_m] and `pmaps`
     [d_1: P_1 -> P_0, ...] are built on first read: from the differentials
-    the walk took, each later one is the algebra's step memo entry for the
-    one before (`_resolution_attempt` keeps every step of a memoized tail
-    there), so a caller that reads only the report builds none of them.
+    the walk took, each later one by following the algebra's step memo
+    entry for the one before, as the walk read the tail, so a caller that
+    reads only the report builds none of them.
     """
 
     def __init__(self, module, psums, pmaps, status, length, window):
@@ -557,8 +558,8 @@ class Resolution:
             while len(pmaps) < self.length:
                 d = pmaps[-1]
                 t0 = d.src.summands[0][1]
-                pmaps.append(_differential_onto(
-                    d.src, d.algebra._resolution_steps[_up_to_shift(d, t0)]))
+                key, dt, _need = d.algebra._resolution_steps[_up_to_shift(d, t0)]
+                pmaps.append(_differential_onto(d.src, key, t0 + dt))
             self._built = [self._p0] + [d.src for d in pmaps], pmaps
         return self._built
 
@@ -584,9 +585,9 @@ def resolution(M, cap, pad=5, window_hi=None):
     read off the algebra's step memo when d_n was met before up to shift,
     with no realization, kernel or generator search; when the count shows
     ker d_n to be all of P_n in one degree, the step is read formally
-    (`_top_slice_step`).  And where such a d_n heads a tail that an earlier
-    walk followed to its end on a window at least as high, up to shift, the
-    walk stops there: the algebra's tail memo gives its length.  The
+    (`_top_slice_step`).  And where the step memo's entries lead from such a
+    d_n up to shift to a zero syzygy within the cap, every later step's
+    window top inside the window, the walk stops (`_tail_length`).  The
     differentials it skipped are built only if `psums` or `pmaps` is read.
 
     Generator searches beyond the first syzygy have no a-priori degree bound;
@@ -694,12 +695,10 @@ def _up_to_shift(d, t0):
             tuple(tuple(None if e is None else e.coeffs for e in row) for row in d.entries))
 
 
-def _differential_onto(dst, data):
-    """The map onto `dst` whose data up to shift is `data`, taken relative
-    to dst's first summand (see `_up_to_shift`)."""
+def _differential_onto(dst, key, t0):
+    """The map onto `dst` whose data up to shift t0 is `key` (`_up_to_shift`)."""
     alg = dst.algebra
-    t0 = dst.summands[0][1]
-    src_summands, _dst_summands, coeffs = data
+    src_summands, _dst_summands, coeffs = key
     src = ProjSum(alg, [(x, t + t0) for x, t in src_summands])
     return PMap(src, dst, [[None if c is None else AlgElement(alg, s - t, a, x, c)
                             for c, (x, t) in zip(row, src.summands)]
@@ -708,7 +707,7 @@ def _differential_onto(dst, data):
 
 def _resolution_attempt(M, cap, window, final):
     hi = window[1]
-    steps, tails = M.algebra._resolution_steps, M.algebra._resolution_tails
+    steps = M.algebra._resolution_steps
     pres = minimal_presentation(M)
     # every P_n is generated in degrees >= lo: in M's support, then inside
     # the syzygy before.  ker(P_0 -> M) is generated in degrees <= M.hi + 1
@@ -717,52 +716,54 @@ def _resolution_attempt(M, cap, window, final):
     d, pmaps = pres.d1, []
     # whether every syzygy so far had all its generators inside the window
     complete = True
-    # the steps since the last one whose source is not exact above, each as
-    # (d up to shift, t0, the least window top the step needs)
-    run = []
+    # while the last differential's source is exact above: its key up to
+    # its shift t0, t0, and the least window top its step needs, plus t0
+    exact = None
     while kernel and len(pmaps) < cap:
         if pmaps:
             # the differential onto the syzygy `kernel` counts; after a source
             # exact above, that syzygy lies inside the window, so the step
             # depends only on the last differential up to shift
             prev = pmaps[-1]
-            if run:
-                key, t0, _need = run[-1]
-                d = _differential_onto(prev.src, _memo(steps, key, lambda: _up_to_shift(
-                    _top_slice_step(prev, kernel) or next_differential(prev, window), t0)))
+            if exact:
+                key, t0, need = exact
+                entry = steps.get(key)
+                if entry is None:
+                    d = _top_slice_step(prev, kernel) or next_differential(prev, window)
+                    t1 = d.src.summands[0][1]
+                    entry = steps.setdefault(key, (_up_to_shift(d, t1), t1 - t0, need))
+                d = _differential_onto(prev.src, entry[0], t0 + entry[1])
             else:
                 d = next_differential(prev, window)
-            top = max((-t for _b, t in d.src.summands), default=None)
-            if top is None:
-                raise MathRefusal("nonzero syzygy without generators in the window")
-            if top >= hi:
-                raise _NeedsWiderWindow(top)
+        top = max((-t for _b, t in d.src.summands), default=None)
+        if top is None:
+            raise MathRefusal("nonzero syzygy without generators in the window")
+        if pmaps and top >= hi:
+            raise _NeedsWiderWindow(top)
         if not d.is_radical():
             raise MathRefusal("cover produced a non-radical differential")
         src_top = _exact_top(d.src, hi)
         if src_top is None:
-            run = []
+            exact = None
             complete = complete and _generated_in_window(d, hi)
         else:
             t0 = d.src.summands[0][1]
             key = _up_to_shift(d, t0)
-            # the source exact above, and past the walk's first step, the
-            # generators below the top
-            need = max(src_top, top + 1) if pmaps else src_top
-            tail = tails.get(key)
-            if tail is not None and hi + t0 >= tail[0]:
+            # the source exact above, and the generators below the top
+            exact = key, t0, max(src_top, top + 1) + t0
+            tail = _tail_length(steps, key, t0, hi, cap - len(pmaps))
+            if tail is not None:
                 # the walk from here was taken before, on a window this high
-                _record_tails(tails, run, max(tail[0] - t0, need), tail[1])
-                length = len(pmaps) + tail[1]
+                length = len(pmaps) + tail
                 pmaps.append(d)
                 break
-            run.append((key, t0, need))
         pmaps.append(d)
         kernel = _kernel_dims(d.src, kernel, hi)
     else:
         if kernel:
             return Resolution(M, [pres.p0], pmaps, "at-least", cap, window)
-        _record_tails(tails, run, -math.inf, 0)
+        if exact:
+            steps.setdefault(exact[0], (None, 0, exact[2]))
         length = len(pmaps)
     if length > cap:
         return Resolution(M, [pres.p0], pmaps, "at-least", cap, window)
@@ -773,21 +774,20 @@ def _resolution_attempt(M, cap, window, final):
     return Resolution(M, [pres.p0], pmaps, "at-least", length, window)
 
 
-def _record_tails(tails, run, need, length):
-    """Keep the tail from each step of the walk's exact run in the algebra's
-    tail memo, keyed by the step up to shift: the least window top the whole
-    tail needs, plus t0, and its number of differentials.  `need` and
-    `length` are those of what follows the run: a memoized tail, or nothing
-    (-inf, 0) when the run's last step counted a zero syzygy.  Every step of
-    the run took its next differential from the step memo, which is where
-    `Resolution` finds the tail again."""
-    for key, t0, step_need in reversed(run):
-        need, length = max(need, step_need), length + 1
-        # the smaller top wins; every top kept is sufficient, so a racing
-        # walk that overwrites a smaller one costs only a later stop
-        got = tails.get(key)
-        if got is None or need + t0 < got[0]:
-            tails[key] = (need + t0, length)
+def _tail_length(steps, key, t0, hi, bound):
+    """The number of differentials from `key` at shift t0 to a zero syzygy,
+    read off the step memo: bound + 1 past `bound` of them, since the graph
+    has cycles (k[x]/(x^2) is a self-loop), and None at a missing entry or
+    where a later step needs a window above hi."""
+    for length in range(1, bound + 1):
+        entry = steps.get(key)
+        if entry is None or length > 1 and hi + t0 < entry[2]:
+            return None
+        key, dt, _need = entry
+        if key is None:
+            return length
+        t0 += dt
+    return bound + 1
 
 
 def graded_dimension(M, kind, cap, pad=5):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from gradedquiver.linalg import (QQ, GF, Matrix, charpoly,
                                  poly_eval, roots_in_field)
-from gradedquiver.errors import DimensionMismatch, FieldMismatch
+from gradedquiver.errors import DimensionMismatch, FieldMismatch, InputError
 
 
 def M(field, rows):
@@ -159,3 +159,12 @@ def test_scalar_serialization():
     assert QQ.fmt(Fraction(7)) == "7"
     assert QQ.parse("−3/2") == Fraction(-3, 2)
     assert GF(7).parse("12") == 5
+
+
+def test_prime_field_reads_a_fraction_as_a_quotient():
+    # n/d is n times the inverse of d mod p, not a truncation
+    assert GF(3).of(Fraction(1, 2)) == 2
+    assert GF(5).of(Fraction(7, 2)) == 1
+    assert GF(5).of(Fraction(-3, 1)) == 2
+    with pytest.raises(InputError, match="1/3.*3"):
+        GF(3).of(Fraction(1, 3))

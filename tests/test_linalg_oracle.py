@@ -10,6 +10,7 @@ rows directly, and on dense rational matrices larger than the Hypothesis ones
 (a Hilbert matrix, a rank-deficient wide matrix), where entries grow most.
 """
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -132,6 +133,12 @@ def test_public_operations_return_canonical_entries(data):
                                   for ra, rb in zip(A.data, A2.data))
     assert A.scale(raw).data == tuple(tuple(field.mul(field.of(raw), x) for x in row)
                                       for row in A.data)
+    # the textbook product, one field.mul per term
+    zero = field.zero()
+    assert (A @ B).data == tuple(
+        tuple(functools.reduce(field.add, map(field.mul, row, col), zero)
+              for col in B.transpose().data)
+        for row in A.data)
 
 
 def test_degenerate_shapes():

@@ -2,8 +2,8 @@
 
 A resolution step whose differential d has its source realized exactly above
 the working window depends only on d up to shift, whatever d's target, so the
-algebra keeps the next differential as formal data
-(`presentations._resolution_attempt`).  These tests check that
+algebra keeps the next differential as formal data, and a zero syzygy as a
+terminal entry (`presentations._resolution_attempt`).  These tests check that
 keeping it changes no result: every resolution gives the same outcome on an
 algebra whose step memo earlier resolutions filled ("warm") as on a fresh
 algebra with the same quiver, field and relations ("cold"), with the
@@ -88,9 +88,17 @@ def test_step_with_an_infinite_target_is_kept():
     d2 = res.pmaps[1]
     hi = res.window[1]
     assert _exact_top(d2.src, hi) is not None and _exact_top(d2.dst, hi) is None
-    t0 = d2.src.summands[0][1]
+    d3 = res.pmaps[2]
+    t2, t3 = d2.src.summands[0][1], d3.src.summands[0][1]
+
+    def need(d, t):
+        # the source's top and one past its generators, plus the shift
+        return max(_exact_top(d.src, hi), max(-s for _b, s in d.src.summands) + 1) + t
+
+    # d_2 -> d_3 up to d_3's own shift, then d_3's zero syzygy
     assert warm._resolution_steps == {
-        _up_to_shift(d2, t0): _up_to_shift(res.pmaps[2], t0)}
+        _up_to_shift(d2, t2): (_up_to_shift(d3, t3), t3 - t2, need(d2, t2)),
+        _up_to_shift(d3, t3): (None, 0, need(d3, t3))}
 
 
 @pytest.mark.parametrize("field", ["Q", "F2", "F3"])

@@ -1,29 +1,32 @@
-"""Resolution tails memoized per algebra up to grading shift.
+"""Resolution tails read off the step memo up to grading shift.
 
-A walk that reaches a zero syzygy through differentials whose sources are
-exact above the window leaves, for each of those differentials up to shift,
-the least window top the rest of the walk needs and its number of
-differentials (`GradedAlgebra._resolution_tails`); a later walk stops at
-such a differential when its window is high enough.  A step whose syzygy is
-all of its source in one degree is read formally (`_top_slice_step`).  And a
-`Resolution` builds the differentials it skipped only when they are read.
+Each differential whose source is exact above the window has an entry in
+the algebra's step memo (`GradedAlgebra._resolution_steps`): the next
+differential's key up to its own shift, the shift step and the least window
+top its own step needs, plus its shift, or a terminal entry where its
+syzygy is zero.  A later walk that meets such a differential follows the
+entries to a terminal one, within the cap and on a window high enough for
+every step, and stops there.  A step whose syzygy is all of its source in
+one degree is read formally (`_top_slice_step`).  And a `Resolution` builds
+the differentials it skipped only when they are read.
 
 These tests check that none of that changes a result: every resolution on
-an algebra whose memos earlier resolutions filled, under one vertex order
+an algebra whose memo earlier resolutions filled, under one vertex order
 and then the other, against a fresh algebra, with psums and pmaps read after
 the report; four regression cases, one per way a tail memo was seen to go
 wrong; the formal step against `next_differential` wherever it applies; and
-no tail kept for a walk that ends at the cap.
+no terminal entry for walks that end at the cap, where the step graph has
+cycles.
 """
 
 import pytest
 
-from gradedquiver import GF, QQ, standard_module
+from gradedquiver import GF, QQ, GradedAlgebra, Quiver, standard_module
 from gradedquiver.errors import GradedQuiverError
 from gradedquiver.presentations import (_exact_top, _kernel_dims, _top_slice_step,
                                         next_differential, resolution)
 
-from conftest import make_fix_a, make_fix_b, make_fix_c, make_fix_d
+from conftest import make_fix_a, make_fix_b, make_fix_c, make_fix_d, rel
 from test_resolution_oracle import many_arrow_algebra
 from test_resolution_steps import fresh, runs, side
 from test_resolution_windows import seeded_algebras_with_long_relations
@@ -44,11 +47,16 @@ def outcome(M, cap, **kwargs):
             [p.summands for p in res.psums], [d.to_json() for d in res.pmaps])
 
 
+def terminals(alg):
+    """The step memo's terminal entries: differentials with a zero syzygy."""
+    return [key for key, (nxt, _dt, _need) in alg._resolution_steps.items() if nxt is None]
+
+
 def assert_warm_matches_cold(alg, all_runs=runs):
     """Resolve every simple, both sides, on one warm algebra, the vertices
     forward and then in reverse, so the second pass meets the tails the
-    first kept; each outcome against a cold algebra's.  Returns the
-    statuses seen and the number of tails kept."""
+    first walked; each outcome against a cold algebra's.  Returns the
+    statuses seen and the number of terminal entries kept."""
     warm, cold, seen = fresh(alg), {}, []
     for order in (alg.quiver.vertices, alg.quiver.vertices[::-1]):
         for v in order:
@@ -60,7 +68,7 @@ def assert_warm_matches_cold(alg, all_runs=runs):
                     got = outcome(side(warm, v, kind), cap, **kwargs)
                     assert got == cold[key], (alg.quiver.to_json_dict(), order, key)
                     seen.append(got[0])
-    return seen, len(warm._resolution_tails) + len(warm.opposite()._resolution_tails)
+    return seen, len(terminals(warm)) + len(terminals(warm.opposite()))
 
 
 @pytest.mark.parametrize("make", [make_fix_a, make_fix_b, make_fix_c, make_fix_d])
@@ -105,14 +113,15 @@ def test_many_arrow_tails_warm_match_cold():
 
 
 def test_tail_window_is_shift_invariant_as_hi_plus_t0():
-    # the tail of S_1 on fix_d needs the window to reach degree 1 from its
-    # first source P_0<-1>; met again shifted as the second step of S_2's
-    # resolution, from P_0<-2>, it needs degree 2.  A window kept as hi - t0
-    # would misjudge every shift but 0
+    # the one step of S_1 on fix_d, from its first source P_0<-1>, ends at a
+    # zero syzygy and needs the window to reach degree 2, one past its
+    # generator; met again shifted as the second step of S_2's resolution,
+    # from P_0<-2>, it needs degree 3.  A window kept as hi - t0 would
+    # misjudge every shift but 0
     alg = make_fix_d()
     assert outcome(standard_module(alg, "S", "1", 0), 6)[:3] == ("finite", 1, [0, 12])
-    (key, (h, length)), = alg._resolution_tails.items()
-    assert key[0] == (("0", 0),) and (h, length) == (0, 1)
+    (key, entry), = alg._resolution_steps.items()
+    assert key[0] == (("0", 0),) and entry == (None, 0, 1)
     for v in ("2", "3", "4", "5"):
         for cap, kwargs in runs(standard_module(alg, "S", v, 0)):
             S = standard_module(alg, "S", v, 0)
@@ -131,7 +140,7 @@ def test_tail_met_past_the_first_step_needs_that_steps_generators_in_the_window(
     alg = make_fix_d()
     outcome(standard_module(alg, "S", "1", 0), 6)
     outcome(standard_module(alg, "S", "2", 0), 6)
-    assert alg._resolution_tails
+    assert terminals(alg)
     assert outcome(standard_module(alg, "S", "2", 0), 2, window_hi=1, pad=1) == cold
 
 
@@ -214,13 +223,30 @@ def test_every_line_step_is_a_top_slice():
     assert steps and all(formal is not None for formal, _walked in steps)
 
 
+def truncated_polynomials(field, n):
+    """k[x]/(x^n)."""
+    q = Quiver(["0"], [("x", "0", "0")])
+    return GradedAlgebra(q, field, [rel(q, [(1, ("x",) * n)])])
+
+
 def test_no_tail_is_kept_for_a_walk_that_ends_at_the_cap():
-    # k[x]/(x^2): every syzygy is the simple again, so no walk ends at a
-    # zero syzygy; the step memo keeps the one step, the tail memo nothing
+    # k[x]/(x^n): the syzygies of the simple alternate between k[x]/(x^(n-1))
+    # and the simple up to shift (the simple again for n = 2), so no walk
+    # ends at a zero syzygy and the step graph is a cycle of period 1 or 2;
+    # walks around it must stop at the cap.  Pad 1 leaves some windows too
+    # short, which raise or answer below the cap, as a cold algebra does
     for field in FIELDS.values():
-        alg = dual_numbers(field)
-        for cap in range(8):
-            assert resolution(standard_module(alg, "S", "0", 0), cap).status == "at-least"
-            assert resolution(standard_module(alg, "S", "0", 0).dual(), cap).status == "at-least"
-        assert alg._resolution_steps and not alg._resolution_tails
-        assert not alg.opposite()._resolution_tails
+        for n in (2, 3, 4):
+            alg = truncated_polynomials(field, n)
+            for pad in (1, 5, 8):
+                for cap in range(10):
+                    for kind in ("proj", "inj"):
+                        got = outcome(side(alg, "0", kind), cap, pad=pad)
+                        want = outcome(side(fresh(alg), "0", kind), cap, pad=pad)
+                        assert got == want, (field, n, pad, cap, kind)
+                        if pad > 1:
+                            assert got[:2] == ("at-least", cap)
+                        assert got[0] in ("at-least", "raised")
+            for side_alg in (alg, alg.opposite()):
+                assert side_alg._resolution_steps and not terminals(side_alg)
+                assert len(side_alg._resolution_steps) <= 2
