@@ -403,12 +403,6 @@ class GradedAlgebra:
         return AlgElement(self, path.length, path.source, path.target,
                           self._normal_form(path.names()))
 
-    def arrow_element(self, name):
-        if name not in self.quiver.arrow_by_name:
-            raise InputError(f"unknown arrow {name!r}")
-        a = self.quiver.arrow_by_name[name]
-        return self.element_from_path(Path((a,)))
-
     def element_from_terms(self, terms):
         """Element from (coeff, Path) terms, all in one piece."""
         terms = list(terms)

@@ -14,10 +14,10 @@ import tempfile
 from .errors import MathRefusal, InputError, GradedQuiverError
 from .problem import parse_problem, parse_cap, canonical_dumps, COMMANDS, TASK_FLAGS
 from .linalg import Matrix
-from .gmodule import GradedModule, GradedMorphism, standard_module
+from .gmodule import GradedModule, GradedMorphism, parse_rows, standard_module
 from .presentations import (ProjSum, minimal_presentation, projective_cover,
                             injective_envelope, graded_dimension)
-from .homs import ghom, ext1, ghom_to_injective, hom_psum_dim, psum_hom_to_morphism
+from .homs import ghom, ext1, ghom_to_injective, psum_hom_basis
 from .artheory import (AlmostSplitSequence, transpose, tau, tau_inverse, nakayama,
                        ar_formula_check, almost_split_sequence, verify_almost_split)
 from .criteria import existence_report, human_table
@@ -209,15 +209,9 @@ def run(args, problem=None):
             # the realized projective would be truncated
             psum = ProjSum(alg, [(src_std["vertex"], int(src_std.get("shift", 0)))])
             N = module(args.target)
-            dim = hom_psum_dim(psum, N)
-            basis = []
-            f = alg.field
-            for k in range(dim):
-                coords = [f.one() if i == k else f.zero() for i in range(dim)]
-                mor = psum_hom_to_morphism(psum, N, coords, (N.lo, N.hi))
-                basis.append({f"({i},{x})": m.fmt()
-                              for (i, x), m in mor.blocks.items()})
-            _emit(args, {"dim": dim, "basis": basis}, f"dim {dim}")
+            basis = [{f"({i},{x})": m.fmt() for (i, x), m in mor.blocks.items()}
+                     for mor in psum_hom_basis(psum, N)]
+            _emit(args, {"dim": len(basis), "basis": basis}, f"dim {len(basis)}")
             return 0
         if tgt_std is not None:
             H = ghom_to_injective(module(args.source), tgt_std["vertex"],
@@ -416,8 +410,9 @@ def _morphism_from_json(source, target, data, where):
             i, x = key.strip("()").split(",", 1)
             i, x = int(i), x.strip()
             blocks[(i, x)] = Matrix(source.algebra.field,
-                                    target.dims.get((i, x), 0),
-                                    source.dims.get((i, x), 0), rows)
+                                    target.dims.get((i, x), 0), source.dims.get((i, x), 0),
+                                    parse_rows(source.algebra.field, rows,
+                                               f'{where}.blocks["{key}"]'))
     except (ValueError, TypeError, AttributeError) as e:
         raise InputError(f"{where}: malformed map block ({e})") from None
     return GradedMorphism(source, target, blocks)

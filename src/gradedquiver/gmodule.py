@@ -342,7 +342,8 @@ class GradedModule:
                 if not (isinstance(rows, list) and len(rows) == rcount
                         and all(isinstance(r, list) and len(r) == ccount for r in rows)):
                     raise InputError(f'{where}.maps["{key}"]: expected a {rcount}x{ccount} matrix')
-                maps[(name, i)] = Matrix(algebra.field, rcount, ccount, rows)
+                maps[(name, i)] = Matrix(algebra.field, rcount, ccount,
+                                         parse_rows(algebra.field, rows, f'{where}.maps["{key}"]'))
         except (KeyError, ValueError, TypeError, AttributeError) as e:
             raise InputError(f"{where}: malformed module block ({e})") from e
         M = cls(algebra, lo, hi, dims, maps,
@@ -550,6 +551,17 @@ class GradedMorphism:
 
 def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def parse_rows(field, rows, where):
+    """The rows of a matrix in a file, each entry read by `Field.parse`; a
+    malformed entry or row is an input error addressed to `where`."""
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise InputError(f"{where}: expected a list of rows, got {rows!r}")
+    try:
+        return [[field.parse(v) for v in row] for row in rows]
+    except InputError as e:
+        raise InputError(f"{where}: {e}") from None
 
 
 def _memo(table, key, make):

@@ -10,11 +10,12 @@ algebras skip that where End is known: a simple's End is formal, the
 identity at its one piece with no Hom system, and a one-dimensional End is
 k, read off its basis element with no composition table or solve; stable
 hom dimensions take the kernel for Y the target and for its realized
-projective cover.  Homs into injectives are obtained by dualizing:
-GHom(M, I_a<s>) is the dual of GHom(P°_a<-s>, D M) over the opposite
-algebra; stable homs modulo injectives are stable homs modulo projectives
-between the duals.  Ext^1 against a presented module P1 --d1--> P0 is H^1
-of Hom(P., N): the Hom(P1, N) tuples killed by the pullback along the next
+projective cover.  Coordinates in a Hom basis are read at its pivots
+(`HomSpace`), with no solve.  Homs into injectives are obtained by
+dualizing: GHom(M, I_a<s>) is the dual of GHom(P°_a<-s>, D M) over the
+opposite algebra; stable homs modulo injectives are stable homs modulo
+projectives between the duals.  Ext^1 against a presented module
+P1 --d1--> P0 is H^1 of Hom(P., N): the Hom(P1, N) tuples killed by the pullback along the next
 differential P2 -> P1, which maps onto the generators of ker d1
 (`next_differential`), modulo pullbacks from P0.
 """
@@ -47,13 +48,19 @@ def _hom_window(M, N):
 
 
 class HomSpace:
-    """A basis of graded morphisms M -> N (on an aligned common window)."""
+    """A basis of graded morphisms M -> N (on an aligned common window).
+
+    Every basis the package builds is in pivot form on the `_hom_slots`
+    flattening: each basis vector's last nonzero coordinate, its pivot, is
+    zero in the others.  So coordinates are read at the pivots, and
+    recombining them checks that the morphism lies in the span."""
 
     def __init__(self, source, target, basis_blocks):
         self.source = source
         self.target = target
         self.basis_blocks = basis_blocks
         self._slots = None
+        self._flat = None
 
     @property
     def dim(self):
@@ -73,42 +80,39 @@ class HomSpace:
         return self._slots
 
     def flatten(self, blocks):
-        slots, size = self.slots()
-        f = self.source.algebra.field
-        vec = [f.zero()] * size
-        for (i, x, rows, cols, off) in slots:
-            blk = blocks.get((i, x))
-            if blk is None:
-                continue
-            for r in range(rows):
-                for c in range(cols):
-                    vec[off + r * cols + c] = blk.data[r][c]
-        return vec
+        return _flatten(self.source.algebra.field, *self.slots(), blocks)
 
-    def basis_matrix(self):
+    def _pivot_basis(self):
+        """(flat basis, pivots), built once; refuses a basis not in pivot form."""
+        if self._flat is None:
+            flat = [self.flatten(b) for b in self.basis_blocks]
+            pivots = [max((j for j, v in enumerate(vec) if v), default=None) for vec in flat]
+            if any(p is None or sum(bool(vec[p]) for vec in flat) > 1 for p in pivots):
+                raise MathRefusal("hom basis is not in pivot form")
+            self._flat = flat, pivots
+        return self._flat
+
+    def _combine(self, coords):
         f = self.source.algebra.field
-        _, size = self.slots()
-        return Matrix._make_cols(f, size, [self.flatten(b) for b in self.basis_blocks])
+        vec = [f.zero()] * self.slots()[1]
+        for c, basis in zip(coords, self._pivot_basis()[0]):
+            if c:
+                for j, v in enumerate(basis):
+                    if v:
+                        vec[j] = f.add(vec[j], f.mul(c, v))
+        return vec
 
     def coordinates(self, morphism_or_blocks):
         blocks = getattr(morphism_or_blocks, "blocks", morphism_or_blocks)
         f = self.source.algebra.field
-        _, size = self.slots()
-        rhs = Matrix.from_cols(f, size, [self.flatten(blocks)])
-        sol = self.basis_matrix().solve(rhs)
-        if sol is None:
+        vec = self.flatten(blocks)
+        coords = [f.mul(vec[p], f.inv(basis[p])) for basis, p in zip(*self._pivot_basis())]
+        if self._combine(coords) != vec:
             raise MathRefusal("morphism not in the hom space")
-        return sol.col(0)
+        return coords
 
     def from_coordinates(self, coords):
-        f = self.source.algebra.field
-        blocks = {}
-        for c, basis in zip(coords, self.basis_blocks):
-            if not c:
-                continue
-            for key, mat in basis.items():
-                blocks[key] = blocks.get(key) + mat.scale(c) if key in blocks \
-                    else mat.scale(c)
+        blocks = _unflatten(self.source.algebra.field, self.slots()[0], self._combine(coords))
         return GradedMorphism(self.source, self.target, blocks, check=False)
 
 
@@ -124,6 +128,28 @@ def _hom_slots(M, N):
             slots.append((i, x, rows, cols, off))
             off += rows * cols
     return slots, off
+
+
+def _flatten(f, slots, size, blocks):
+    """The blocks laid out on `_hom_slots`; a missing block is zero."""
+    vec = [f.zero()] * size
+    for (i, x, rows, cols, off) in slots:
+        blk = blocks.get((i, x))
+        if blk is not None:
+            for r, row in enumerate(blk.data):
+                vec[off + r * cols:off + (r + 1) * cols] = row
+    return vec
+
+
+def _unflatten(f, slots, vec):
+    """The nonzero blocks of a vector laid out on `_hom_slots`."""
+    blocks = {}
+    for (i, x, rows, cols, off) in slots:
+        blk = Matrix._make(f, rows, cols, tuple(tuple(vec[off + r * cols:off + (r + 1) * cols])
+                                                for r in range(rows)))
+        if not blk.is_zero():
+            blocks[(i, x)] = blk
+    return blocks
 
 
 def ghom(M, N):
@@ -145,64 +171,41 @@ def ghom(M, N):
         return HomSpace(source, target, [])
     pres = minimal_presentation(M)
     aug = pres.cover0.realize(source)
-    sections = []
-    for (i, x, rows, cols, off) in slots:
+    sections = {}
+    for (i, x, _rows, cols, _off) in slots:
         blk = aug.block(i, x)
         pivots = blk.rref()[1]
-        sections.append((pivots, blk.select_cols(pivots).solve(Matrix.identity(f, cols))))
+        sections[(i, x)] = pivots, blk.select_cols(pivots).solve(Matrix.identity(f, cols))
     vecs = []
     for phi in psum_pullback_matrix(pres.d1, target).kernel_basis().transpose().data:
         mor = psum_hom_to_morphism(pres.p0, target, phi, W)
-        vec = [f.zero()] * size
-        for (i, x, rows, cols, off), (pivots, inv) in zip(slots, sections):
-            blk = mor.block(i, x).select_cols(pivots) @ inv
-            for r, row in enumerate(blk.data):
-                vec[off + r * cols:off + (r + 1) * cols] = row
-        vecs.append(vec[::-1])
+        blocks = {key: mor.block(*key).select_cols(pivots) @ inv
+                  for key, (pivots, inv) in sections.items()}
+        vecs.append(_flatten(f, slots, size, blocks)[::-1])
     # the rref of the reversed vectors pivots on their last nonzero coordinates
     R, pivots = Matrix._make(f, len(vecs), size, tuple(map(tuple, vecs))).rref()
-    basis = []
-    for vec in reversed(R.data[:len(pivots)]):
-        vec = vec[::-1]
-        blocks = {}
-        for (i, x, rows, cols, off) in slots:
-            blk = Matrix._make(f, rows, cols, tuple(vec[off + r * cols:off + (r + 1) * cols]
-                                                    for r in range(rows)))
-            if not blk.is_zero():
-                blocks[(i, x)] = blk
-        basis.append(blocks)
+    basis = [_unflatten(f, slots, vec[::-1]) for vec in reversed(R.data[:len(pivots)])]
     return HomSpace(source, target, basis)
 
 
 # -- homs out of formal projectives ------------------------------------------
 
 
-def check_psum_window(psum, N):
-    """Silently OK when every generator degree -s is visible in N's window."""
-    for b, s in psum.summands:
+def hom_psum_slots(psum, N):
+    """Coordinate slots of Hom(psum, N): one block of N_{-s}(b) per summand.
+    Refuses where a generator degree -s falls on a truncated side of N."""
+    slots = []
+    off = 0
+    for (b, s) in psum.summands:
         d = -s
         if d < N.lo and not N.exact_below:
             raise WindowError(f"target window misses degree {d} (truncated below)")
         if d > N.hi and not N.exact_above:
             raise WindowError(f"target window misses degree {d} (truncated above)")
-
-
-def hom_psum_slots(psum, N):
-    """Coordinate slots of Hom(psum, N): one block of N_{-s}(b) per summand."""
-    check_psum_window(psum, N)
-    slots = []
-    off = 0
-    for (b, s) in psum.summands:
-        d = -s
         n = N.dims.get((d, b), 0) if N.lo <= d <= N.hi else 0
         slots.append((b, d, n, off))
         off += n
     return slots, off
-
-
-def hom_psum_dim(psum, N):
-    _slots, size = hom_psum_slots(psum, N)
-    return size
 
 
 def psum_pullback_matrix(pmap, N):
@@ -236,6 +239,15 @@ def psum_hom_to_morphism(psum, N, coords, window):
                         for (b, d, n, off) in slots]).realize(N, window)
 
 
+def psum_hom_basis(psum, N):
+    """The basis of Hom(psum, N), its unit coordinate tuples, realized on
+    N's window; refuses where `hom_psum_slots` does."""
+    f = N.algebra.field
+    n = hom_psum_slots(psum, N)[1]
+    return [psum_hom_to_morphism(psum, N, [f.one() if t == k else f.zero() for t in range(n)],
+                                 (N.lo, N.hi)) for k in range(n)]
+
+
 # -- homs into injectives ------------------------------------------------------
 
 
@@ -249,15 +261,9 @@ def ghom_to_injective(M, vertex, s):
     element m to the socle generator is a scaled basis combination.
     """
     alg = M.algebra
-    f = alg.field
     psum = ProjSum(alg.opposite(), [(vertex, -s)])
-    DM = M.dual_windowed()
-    n = hom_psum_dim(psum, DM)  # raises when -s falls on a truncated side
-    basis = []
-    for k in range(n):
-        coords = [f.one() if t == k else f.zero() for t in range(n)]
-        mor = psum_hom_to_morphism(psum, DM, coords, (DM.lo, DM.hi)).dual()
-        basis.append({key: m for key, m in mor.blocks.items() if not m.is_zero()})
+    basis = [{key: m for key, m in mor.dual().blocks.items() if not m.is_zero()}
+             for mor in psum_hom_basis(psum, M.dual_windowed())]
     return HomSpace(M, standard_module(alg, "I", vertex, s, window=(M.lo, M.hi)), basis)
 
 
@@ -272,7 +278,7 @@ class EndAlgebra:
     identity is 1/c and the radical is zero, since the trace form gives
     c^2 != 0; nothing is composed or solved.  Otherwise the basis is
     composed pairwise and the products and the identity are read in the
-    basis by solving.
+    basis at its pivots (`HomSpace.coordinates`); nothing is solved.
     """
 
     def __init__(self, homspace):
@@ -287,24 +293,13 @@ class EndAlgebra:
             self.identity_coords = [f.inv(c)]
             self._radical = Matrix.zeros(f, 1, 0)
             return
-        B = homspace.basis_matrix()
+        # the identity first: it builds the pivot basis, whose refusal is its own
+        self.identity_coords = homspace.coordinates(GradedMorphism.identity(homspace.source))
         morphs = homspace.morphisms()
-        self.struct = [[None] * n for _ in range(n)]
-        flats = []
-        for i in range(n):
-            for j in range(n):
-                comp = morphs[i].compose(morphs[j])
-                flats.append(homspace.flatten(comp.blocks))
-        if n:
-            rhs = Matrix.from_cols(self.field, len(flats[0]), flats)
-            sol = B.solve(rhs)
-            if sol is None:
-                raise MathRefusal("endomorphism composition left the hom space")
-            for i in range(n):
-                for j in range(n):
-                    self.struct[i][j] = sol.col(i * n + j)
-        ident = GradedMorphism.identity(homspace.source)
-        self.identity_coords = homspace.coordinates(ident) if n else []
+        try:
+            self.struct = [[homspace.coordinates(u.compose(v)) for v in morphs] for u in morphs]
+        except MathRefusal:
+            raise MathRefusal("endomorphism composition left the hom space") from None
         self._radical = None
 
     def multiply_coords(self, u, v):
@@ -332,19 +327,10 @@ class EndAlgebra:
         if not f.is_rationals and f.p <= n:
             raise UnsupportedRadical(
                 f"radical via the trace form needs characteristic 0 or p > {n}")
-        traces = [sum((self.struct[m][k][k] for k in range(n)), f.zero())
-                  for m in range(n)]
-        gram = [[f.zero()] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                prod = self.struct[i][j]
-                acc = f.zero()
-                for m in range(n):
-                    if prod[m]:
-                        acc = f.add(acc, f.mul(prod[m], traces[m]))
-                gram[i][j] = acc
-        G = Matrix(f, n, n, gram)
-        rad = G.kernel_basis()
+        # tr(b_i b_j) = sum_m struct[i][j][m] tr(b_m); Matrix reduces the sums
+        traces = [sum(self.struct[m][k][k] for k in range(n)) for m in range(n)]
+        gram = [[sum(map(f.mul, prod, traces)) for prod in row] for row in self.struct]
+        rad = Matrix(f, n, n, gram).kernel_basis()
         self._verify_nilpotent(rad)
         self._radical = rad
         return rad

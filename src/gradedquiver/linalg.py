@@ -56,7 +56,7 @@ class Field:
         self = super().__new__(cls)
         if tag == "Q":
             self.p = None
-        elif tag.startswith("Fp:"):
+        elif tag.startswith("Fp:") and tag[3:].isdecimal():
             p = int(tag[3:])
             if not _is_prime(p):
                 raise InputError(f"modulus {p} is not prime")
@@ -129,13 +129,19 @@ class Field:
             return tuple(nums)
         return tuple(Fraction(v, den) if v else _ZERO for v in nums)
 
-    def parse(self, s):
-        s = s.strip().replace("−", "-")
-        if self.p is None:
-            return Fraction(s)
-        if "/" in s:
+    def parse(self, value):
+        """The one rule for a scalar read from a file: a JSON integer or
+        string, read off its text ("-3", "3/4" or "0.5" over Q, a decimal
+        residue over F_p).  Refuses anything else, a float or a boolean too."""
+        if type(value) is not int and not isinstance(value, str):
+            raise InputError(f"expected an integer or a string, got {value!r}")
+        s = str(value).strip().replace("−", "-")
+        if self.p is not None and "/" in s:
             raise InputError(f"prime-field scalar {s!r} must be a decimal residue")
-        return int(s) % self.p
+        try:
+            return Fraction(s) if self.p is None else int(s) % self.p
+        except (ValueError, ZeroDivisionError):
+            raise InputError(f"{value!r} is not a scalar of {self.tag}") from None
 
     def fmt(self, a):
         if self.p is None:

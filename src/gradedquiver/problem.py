@@ -104,7 +104,10 @@ def parse_problem_dict(data):
         raise InputError("problem file must be a JSON object")
     if "field" not in data:
         raise InputError("field: missing ('Q' or 'Fp:<p>')")
-    field = Field(str(data["field"]))
+    try:
+        field = Field(str(data["field"]))
+    except InputError as e:
+        raise InputError(f"field: {e}") from None
     if "quiver" not in data:
         raise InputError("quiver: missing block")
     quiver = Quiver.from_json_dict(data["quiver"], where="quiver")
@@ -121,7 +124,10 @@ def parse_problem_dict(data):
                 path = quiver.path_from_names(tuple(names))
             except InputError as e:
                 raise InputError(f"{where}.paths[{j}]: {e}") from None
-            terms.append((field.parse(str(coeff)), path))
+            try:
+                terms.append((field.parse(coeff), path))
+            except InputError as e:
+                raise InputError(f"{where}.coeffs[{j}]: {e}") from None
         lengths = {p.length for _c, p in terms}
         if len(lengths) > 1:
             raise InputError(f"{where}: relation not homogeneous")

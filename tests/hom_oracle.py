@@ -9,7 +9,9 @@ degree; the basis is the standard kernel basis of this system in both, so
 the blocks must agree.
 
 It keeps too the composition route to End(M) at every dimension
-(`end_by_composition`); the program reads a one-dimensional End formally.
+(`end_by_composition`), and coordinates in a Hom basis solved against the
+flattened basis (`solve_in_basis`); the program reads a one-dimensional End
+formally, and coordinates at the basis pivots.
 """
 
 from gradedquiver import homs
@@ -103,24 +105,35 @@ def ghom(M, N):
 class CompositionEnd(EndAlgebra):
     """End(M) on a given Hom basis by the composition table, whatever its
     dimension: the basis composed pairwise, the products and the identity
-    read in the basis by solving, the radical by the trace form."""
+    read in the basis by solving against the flattened basis, the radical
+    by the trace form."""
 
     def __init__(self, homspace):
         self.hom = homspace
-        f = self.field = homspace.source.algebra.field
+        self.field = homspace.source.algebra.field
         n = self.dim = homspace.dim
         self._radical = None
         morphs = homspace.morphisms()
         flats = [homspace.flatten(a.compose(b).blocks) for a in morphs for b in morphs]
+        flats.append(homspace.flatten(GradedMorphism.identity(homspace.source).blocks))
         self.struct = [[None] * n for _ in range(n)]
         self.identity_coords = []
         if n:
-            sol = homspace.basis_matrix().solve(Matrix.from_cols(f, len(flats[0]), flats))
+            sol = solve_in_basis(homspace, flats)
             assert sol is not None, "endomorphism composition left the hom space"
             for i in range(n):
                 for j in range(n):
                     self.struct[i][j] = sol.col(i * n + j)
-            self.identity_coords = homspace.coordinates(GradedMorphism.identity(homspace.source))
+            self.identity_coords = sol.col(n * n)
+
+
+def solve_in_basis(homspace, flats):
+    """The coordinates of the flattened vectors in the Hom basis, one column
+    each, solved against the basis matrix; None when one is outside its span."""
+    f = homspace.source.algebra.field
+    size = homspace.slots()[1]
+    basis = Matrix.from_cols(f, size, [homspace.flatten(b) for b in homspace.basis_blocks])
+    return basis.solve(Matrix.from_cols(f, size, flats))
 
 
 def end_by_composition(M):

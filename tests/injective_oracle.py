@@ -11,7 +11,7 @@ checks that both routes agree.
 
 from gradedquiver import Matrix, WindowError, standard_module
 from gradedquiver.gmodule import _sum_with_offsets, zero_module
-from gradedquiver.homs import HomSpace, hom_psum_dim
+from gradedquiver.homs import HomSpace, hom_psum_slots
 
 from conftest import ghom_dim
 
@@ -56,7 +56,7 @@ def nakayama_pairing_dims(psum, M):
     """(dim Hom(P, M), dim Hom(M, nu P)) by two unrelated routes: slot
     counting out of P, and the naturality system into the realized direct
     sum of the standard injectives nu P_a<s> = I_a<s>."""
-    lhs = hom_psum_dim(psum, M)
+    lhs = hom_psum_slots(psum, M)[1]
     if not M.is_exact:
         raise WindowError("pairing check needs a finite-dimensional module")
     tops = [-s for _a, s in psum.summands] or [M.hi]

@@ -18,6 +18,11 @@ from gradedquiver.linalg import Matrix
 from gradedquiver.presentations import PMap
 
 
+def arrow_element(alg, name):
+    """The element of the arrow `name`: its path's normal form."""
+    return alg.element_from_path(alg.quiver.path_from_names((name,)))
+
+
 def multiply(alg, u, v):
     """u*v, meaning v acts first: source(u) must equal target(v)."""
     if u.algebra is not alg or v.algebra is not alg:
@@ -71,7 +76,7 @@ def column_maps(alg, gen_vertex, degree):
     """The arrow actions of `GradedAlgebra.column_maps`, by left multiplication."""
     here = dict(alg.column(gen_vertex, degree))
     above = dict(alg.column(gen_vertex, degree + 1))
-    return {a.name: left_mult_matrix(alg, alg.arrow_element(a.name), degree, gen_vertex)
+    return {a.name: left_mult_matrix(alg, arrow_element(alg, a.name), degree, gen_vertex)
             for a in alg.quiver.arrows if a.source in here and a.target in above}
 
 

@@ -14,7 +14,7 @@ from gradedquiver.errors import InputError, WindowError
 from gradedquiver.gmodule import GradedModule, GradedMorphism
 from gradedquiver.linalg import Matrix
 
-from product_oracle import left_mult_matrix
+from product_oracle import arrow_element, left_mult_matrix
 
 
 def _column_dim(algebra, degree, vertex):
@@ -52,7 +52,7 @@ def standard_module(algebra, kind, vertex, shift=0, window=None):
         for i in range(max(lo, -s), hi):
             for a in algebra.quiver.arrows:
                 if dims.get((i, a.source), 0) and dims.get((i + 1, a.target), 0):
-                    u = algebra.arrow_element(a.name)
+                    u = arrow_element(algebra, a.name)
                     maps[(a.name, i)] = left_mult_matrix(algebra, u, i + s, vertex)
         exact_below = lo <= -s
         exact_above = vanished or _column_dim(algebra, hi + 1 + s, vertex) == 0
@@ -70,7 +70,7 @@ def standard_module(algebra, kind, vertex, shift=0, window=None):
         for i in range(lo, min(hi, -s)):
             for a in algebra.quiver.arrows:
                 if dims.get((i, a.source), 0) and dims.get((i + 1, a.target), 0):
-                    ao = opp.arrow_element(a.name)
+                    ao = arrow_element(opp, a.name)
                     maps[(a.name, i)] = left_mult_matrix(opp, ao, -i - 1 - s, vertex).transpose()
         exact_above = hi >= -s
         exact_below = vanished or _column_dim(opp, -lo + 1 - s, vertex) == 0

@@ -9,6 +9,7 @@ from gradedquiver.artheory import (transpose, tau, tau_inverse, nakayama,
 
 from conftest import transpose_back
 from injective_oracle import nakayama_pairing_dims
+from product_oracle import arrow_element
 
 
 def S(alg, v, s=0, window=None):
@@ -115,7 +116,7 @@ def test_nakayama_round_trip(fix_b):
     # right multiplication by the arrow maps P_2 into P_1<1>
     psrc = ProjSum(fix_b, [("2", 0)])
     pdst = ProjSum(fix_b, [("1", 1)])
-    a = fix_b.arrow_element("a")
+    a = arrow_element(fix_b, "a")
     pm = PMap(psrc, pdst, [[a]])
     # nu P_2 -> nu P_1<1> is the dual of P°_1<-1> -> P°_2 over the opposite
     im = nakayama(pm)
@@ -132,7 +133,7 @@ def test_nakayama_realizes_injective_map(fix_b):
     # nu(P[a]: P_2 -> P_1<1>) realizes as a nonzero map I_2 -> I_1<1>
     psrc = ProjSum(fix_b, [("2", 0)])
     pdst = ProjSum(fix_b, [("1", 1)])
-    a = fix_b.arrow_element("a")
+    a = arrow_element(fix_b, "a")
     pm = PMap(psrc, pdst, [[a]])
     assert not pm.realize((0, 2)).is_zero()
     im = nakayama(pm)

@@ -542,3 +542,95 @@ def test_a_cap_is_accepted_or_refused_alike_as_flag_and_as_task(cap, accepted, t
         assert task_code == 2
         assert task_err == f"error: tasks[1].cap: expected an integer >= 0, got {cap!r}\n"
         assert not (tmp_path / "pd.json").exists()
+
+
+def with_map_module(problem):
+    """The problem with a module M whose one map a@0 has the entry "2"."""
+    problem["modules"]["M"] = {"window": [0, 1], "dims": {"(0,1)": 1, "(1,1)": 1},
+                               "maps": {"a@0": [["2"]]}}
+    return problem
+
+
+def set_map_entry(value):
+    return lambda p: p["modules"]["M"]["maps"].update({"a@0": [[value]]})
+
+
+def set_coeff(value, field="Q"):
+    return lambda p: p.update(field=field) or p["relations"][0].update(coeffs=[value])
+
+
+# every scalar of a problem file is read by one rule, `Field.parse` on its
+# text; a malformed one is an input error addressed to where it stands
+NOT_A_SCALAR = "expected an integer or a string, got"
+BAD_SCALARS = {
+    "letters-as-coefficient": (set_coeff("abc"),
+                               "relations[0].coeffs[0]: 'abc' is not a scalar of Q"),
+    "float-coefficient-mod-3": (set_coeff(0.5, "Fp:3"),
+                                f"relations[0].coeffs[0]: {NOT_A_SCALAR} 0.5"),
+    "decimal-coefficient-mod-3": (set_coeff("0.5", "Fp:3"),
+                                  "relations[0].coeffs[0]: '0.5' is not a scalar of Fp:3"),
+    "float-coefficient": (set_coeff(0.1), f"relations[0].coeffs[0]: {NOT_A_SCALAR} 0.1"),
+    "boolean-coefficient": (set_coeff(True), f"relations[0].coeffs[0]: {NOT_A_SCALAR} True"),
+    "zero-denominator-coefficient": (set_coeff("1/0"),
+                                     "relations[0].coeffs[0]: '1/0' is not a scalar of Q"),
+    "modulus-not-a-number": (lambda p: p.update(field="Fp:x"),
+                             "field: unknown field tag 'Fp:x'"),
+    "zero-denominator-map-entry": (set_map_entry("1/0"),
+                                   'modules.M.maps["a@0"]: \'1/0\' is not a scalar of Q'),
+    "float-map-entry": (set_map_entry(0.1), f'modules.M.maps["a@0"]: {NOT_A_SCALAR} 0.1'),
+    "float-map-entry-mod-3": (lambda p: set_map_entry(0.1)(p) or p.update(field="Fp:3"),
+                              f'modules.M.maps["a@0"]: {NOT_A_SCALAR} 0.1'),
+    "boolean-map-entry": (set_map_entry(True), f'modules.M.maps["a@0"]: {NOT_A_SCALAR} True'),
+    "letters-as-map-entry": (set_map_entry("x"),
+                             'modules.M.maps["a@0"]: \'x\' is not a scalar of Q'),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SCALARS)
+def test_malformed_scalars_are_field_addressed_input_errors(case, tmp_path, capsys):
+    mutate, message = BAD_SCALARS[case]
+    problem = with_map_module(base_problem())
+    mutate(problem)
+    pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps(problem))
+    capsys.readouterr()
+    for command in (["validate"], ["dims", "--module", "M", "--json"]):
+        assert main([str(pfile)] + command) == 2, command
+        assert capsys.readouterr().err == f"error: {message}\n", command
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:3"])
+def test_integer_and_text_scalars_read_alike(field, tmp_path, capsys):
+    # 2, "2" and " 5 " mod 3 are one scalar; a decimal text over Q is exact
+    dims = []
+    for coeff, entry in ((2, 2), ("2", "2"), (" 2 ", "5" if field == "Fp:3" else "4/2")):
+        problem = with_map_module(base_problem())
+        set_coeff(coeff, field)(problem)
+        set_map_entry(entry)(problem)
+        pfile = tmp_path / "problem.json"
+        pfile.write_text(json.dumps(problem))
+        assert main([str(pfile), "dims", "--module", "M", "--json"]) == 0
+        dims.append(json.loads(capsys.readouterr().out))
+    assert dims[0] == dims[1] == dims[2] and dims[0]["maps"] == {"a@0": [["2"]]}
+
+
+@pytest.mark.parametrize("entry", ["1/0", 0.1, True, "abc", "row"])
+def test_malformed_sequence_block_entries_are_field_addressed(entry, tmp_path, capsys):
+    # "row" puts the text "1" where the row ["1"] stands, which would
+    # otherwise be read character by character
+    out = tmp_path / "seq.json"
+    assert main([fix("fix_b"), "ars", "--module", "S1", "--json", "--out", str(out)]) == 0
+    seq = json.loads(out.read_text())
+    key = sorted(seq["left_map"]["blocks"])[0]
+    if entry == "row":
+        seq["left_map"]["blocks"][key] = ["1"]
+    else:
+        seq["left_map"]["blocks"][key][0][0] = entry
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(seq))
+    capsys.readouterr()
+    assert main([fix("fix_b"), "verify-ars", "--sequence", str(bad)]) == 2
+    why = ("expected a list of rows, got ['1']" if entry == "row"
+           else f"{entry!r} is not a scalar of Q" if isinstance(entry, str)
+           else f"{NOT_A_SCALAR} {entry!r}")
+    assert capsys.readouterr().err == f'error: left_map.blocks["{key}"]: {why}\n'

@@ -5,6 +5,7 @@ from gradedquiver import (QQ, Matrix, GradedModule, GradedMorphism,
 from gradedquiver.errors import InputError, WindowError
 
 from conftest import classify, kernel
+from product_oracle import arrow_element
 
 
 def test_standard_projective_fix_b(fix_b):
@@ -204,8 +205,8 @@ def test_morphism_naturality_enforced(fix_b):
 def test_element_action(fix_a):
     P1 = standard_module(fix_a, "P", "1", 0, window=(0, 4))
     e1 = Matrix(QQ, 1, 1, [[1]])
-    a = fix_a.arrow_element("a")
-    b = fix_a.arrow_element("b")
+    a = arrow_element(fix_a, "a")
+    b = arrow_element(fix_a, "b")
     va = P1.element_action(a, 0) @ e1
     assert (va.rows, va.cols) == (P1.dim(1, "1"), 1) and not va.is_zero()
     vba = P1.element_action(b, 1) @ va

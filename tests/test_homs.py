@@ -4,7 +4,7 @@ from gradedquiver import QQ, GF, GradedMorphism, standard_module, direct_sum
 from gradedquiver.errors import WindowError, UnsupportedRadical
 from gradedquiver.homs import (ghom, ghom_to_injective, end_algebra,
                                is_strongly_indecomposable, underline_hom_dim, ext1,
-                               hom_psum_dim)
+                               hom_psum_slots)
 from gradedquiver.artheory import _actions_on_ext
 from gradedquiver.presentations import Generator, ProjSum, minimal_presentation
 
@@ -66,7 +66,7 @@ def test_ghom_matches_piece_dims(fix_c):
 def test_formal_hom_dims(fix_b):
     psum = ProjSum(fix_b, [("1", 0), ("2", -1)])
     M = P(fix_b, "1", 0, (0, 1))
-    assert hom_psum_dim(psum, M) == M.dims.get((0, "1"), 0) + M.dims.get((1, "2"), 0)
+    assert hom_psum_slots(psum, M)[1] == M.dims.get((0, "1"), 0) + M.dims.get((1, "2"), 0)
 
 
 def test_ghom_naturality_of_basis(fix_c):

@@ -8,7 +8,7 @@ from gradedquiver.presentations import (ProjSum, PMap, top_basis,
                                         graded_dimension)
 
 from conftest import kernel, soc_basis
-from product_oracle import compose, multiply
+from product_oracle import arrow_element, compose, multiply
 
 
 def S(alg, v, s=0, window=None):
@@ -88,10 +88,10 @@ def test_pmap_compose_and_realize(fix_c):
     top = ProjSum(alg, [("4", -2)])
     mid = ProjSum(alg, [("2", -1), ("3", -1)])
     bot = ProjSum(alg, [("1", 0)])
-    g = alg.arrow_element("g")
-    d = alg.arrow_element("d")
-    a = alg.arrow_element("a")
-    b = alg.arrow_element("b")
+    g = arrow_element(alg, "g")
+    d = arrow_element(alg, "d")
+    a = arrow_element(alg, "a")
+    b = arrow_element(alg, "b")
     f1 = PMap(mid, bot, [[a, b]])
     f2 = PMap(top, mid, [[g], [d]])
     comp = compose(f1, f2)
