@@ -18,6 +18,7 @@ every operation here builds its result with the trusted `Matrix._make`, and
 so may callers whose entries are already canonical.
 """
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -26,6 +27,8 @@ from .errors import FieldMismatch, DimensionMismatch, InputError
 # the shared rational zero and one (Fractions are immutable)
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+# a file scalar's text, the same on every Python version (see Field.parse)
+_SCALAR = re.compile(r"[+-]?(?=\.?[0-9])[0-9]*(/[0-9]+|\.[0-9]*)?")
 
 
 def _is_prime(n):
@@ -131,14 +134,17 @@ class Field:
 
     def parse(self, value):
         """The one rule for a scalar read from a file: a JSON integer or
-        string, read off its text ("-3", "3/4" or "0.5" over Q, a decimal
-        residue over F_p).  Refuses anything else, a float or a boolean too."""
+        string, read off its ASCII text ("-3", "3/4" or "0.5" over Q, a
+        decimal residue over F_p).  Refuses anything else: a float, a
+        boolean, an exponent, an underscore or a digit of another script."""
         if type(value) is not int and not isinstance(value, str):
             raise InputError(f"expected an integer or a string, got {value!r}")
         s = str(value).strip().replace("−", "-")
         if self.p is not None and "/" in s:
             raise InputError(f"prime-field scalar {s!r} must be a decimal residue")
         try:
+            if not _SCALAR.fullmatch(s):
+                raise ValueError(s)
             return Fraction(s) if self.p is None else int(s) % self.p
         except (ValueError, ZeroDivisionError):
             raise InputError(f"{value!r} is not a scalar of {self.tag}") from None

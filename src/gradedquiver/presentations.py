@@ -13,11 +13,16 @@ generators of P1 generate it.  A simple S_v<s>, that is, any exact
 one-dimensional module, is presented formally from its arrows: relations lie
 in degree >= 2, so rad P_v is minimally generated by the arrows out of v,
 and d1 has one summand P_x<s-1> per arrow v -> x, its entry the arrow, with
-no realization, kernel or generator search (`_arrows_out`).  D S_v is
+no realization, kernel or generator search (`_arrows_key`).  D S_v is
 one-dimensional over the opposite algebra, so the injective side gets the
 same route.
 
-A resolution is seeded from that presentation and walked down in one pass.
+A resolution is seeded from that presentation and walked down in one pass,
+on step keys: a differential up to grading shift is its summands (shifts
+relative to the first source summand's) and its entries' coefficients
+(`_up_to_shift`).  A step read formally is a key and a shift, and
+`_differential_onto` is the one place a key becomes a PMap, where a
+realization needs one or a caller reads the resolution's maps.
 Each syzygy ker d_n is counted on the working window from the one before,
 dim ker d_n = dim P_n - dim ker d_{n-1} piece by piece, off the projectives'
 dimensions, with no realization (`_kernel_dims`); a syzygy that is not zero
@@ -25,10 +30,8 @@ is taken as the per-piece kernel bases of the realized differential d_n,
 never as a module, and searched for generators (see `resolution`).  When
 d_n's source is exact above the window, the whole syzygy lies inside it and
 the next differential depends only on d_n up to grading shift, so the
-algebra keeps it once, as formal data, keyed by the summands (shifts
-relative to the first source summand's) and the entries' coefficients; it
-is read formally when the count shows the syzygy to be all of P_n in one
-degree (`_top_slice_step`).  An entry also holds the shift step and the
+algebra keeps its key once, under d_n's; it is read formally when the count
+shows the syzygy to be all of P_n in one degree (`_top_slice_step`).  An entry also holds the shift step and the
 window top the step needs, and a zero syzygy has a terminal entry, so a
 resolution meeting a key again walks to it, within its cap and window.
 
@@ -143,16 +146,8 @@ class PMap:
         `GradedMorphism.kernel_bases`); memoized with the realization."""
         return self.realize(window).kernel_bases()
 
-    @classmethod
-    def zero(cls, src, dst):
-        return cls(src, dst, None)
-
     def is_zero(self):
         return all(e is None for row in self.entries for e in row)
-
-    def is_radical(self):
-        """True when every nonzero entry has degree >= 1."""
-        return all(e is None or e.degree >= 1 for row in self.entries for e in row)
 
     def realize(self, window):
         """The induced morphism between realizations on the window; memoized.
@@ -392,15 +387,17 @@ def _minimal_presentation(M):
     cover0 = projective_cover(M)
     piece = _simple_piece(M)
     if piece is not None:
-        return ProjPresentation(M, cover0, _arrows_out(cover0.psum, *piece), window)
+        d1 = _differential_onto(cover0.psum, *_arrows_key(M.algebra, *piece))
+        return ProjPresentation(M, cover0, d1, window)
     aug = cover0.realize(M, window)
     found = _kernel_generators(aug.source, aug.kernel_bases(), M.hi + 1)
     return ProjPresentation(M, cover0, _pmap_from_generators(cover0.psum, window, found),
                             window)
 
 
-def _arrows_out(p0, i, v):
-    """d1 of the simple at (i, v), onto its cover p0 = P_v<-i>, as formal data.
+def _arrows_key(alg, i, v):
+    """d1 of the simple at (i, v), onto its cover P_v<-i>, as a step key
+    (`_up_to_shift`) and its shift.
 
     Relations lie in degree >= 2, so A_1 = kQ_1 and rad P_v is minimally
     generated by the arrows out of v: one summand P_x<-i-1> per arrow
@@ -408,15 +405,14 @@ def _arrows_out(p0, i, v):
     finds them on the augmentation: by head x in vertex order (the column
     A_1 e_v), then by the piece's representatives.
     """
-    alg = p0.algebra
-    f = alg.field
-    summands, entries = [], []
-    for x, n in alg.column(v, 1):
-        for k in range(n):
-            summands.append((x, -i - 1))
-            entries.append(AlgElement(alg, 1, v, x, [f.one() if c == k else f.zero()
-                                                     for c in range(n)]))
-    return PMap(ProjSum(alg, summands), p0, [entries])
+    col = alg.column(v, 1)
+    row = tuple(u for _x, n in col for u in _units(alg.field, n))
+    return (tuple((x, 0) for x, n in col for _k in range(n)), ((v, 1),), (row,)), -i - 1
+
+
+def _units(f, n):
+    """The unit vectors of k^n, as coefficient tuples."""
+    return [tuple(f.one() if c == k else f.zero() for c in range(n)) for k in range(n)]
 
 
 def _kernel_generators(P, kers, bound):
@@ -475,10 +471,10 @@ def next_differential(d, window):
                                  _kernel_generators(P, d.kernel_bases(window), window[1]))
 
 
-def _top_slice_step(d, kernel):
-    """The next differential, as formal data, when the count `kernel` of
-    ker d (see `_kernel_dims`) is all of d's source P at its pieces, all in
-    one degree i0; None otherwise.
+def _top_slice_step(alg, summands, kernel):
+    """The next step's key and shift, formally, when the count `kernel` of
+    ker d (see `_kernel_dims`) is all of d's source P, with these summands,
+    at its pieces, all in one degree i0; None otherwise.
 
     Such a syzygy has no radical, so its generators are a basis of each
     piece (i0, x), and d's block there is zero, whose kernel basis is the
@@ -491,23 +487,17 @@ def _top_slice_step(d, kernel):
     if len(degrees) != 1:
         return None
     (i0,) = degrees
-    alg = d.algebra
-    f = alg.field
-    columns = [dict(alg.column(b, i0 + t)) for b, t in d.src.summands]
-    summands, cols = [], []
+    columns = [dict(alg.column(b, i0 + t)) for b, t in summands]
+    cols = []
     for x in alg.quiver.vertices:
         if (i0, x) not in kernel:
             continue
         if sum(col.get(x, 0) for col in columns) != kernel[(i0, x)]:
             return None
-        for j, ((b, t), col) in enumerate(zip(d.src.summands, columns)):
-            n = col.get(x, 0)
-            for k in range(n):
-                summands.append((x, -i0))
-                cols.append((j, AlgElement(alg, i0 + t, b, x,
-                                           [f.one() if c == k else f.zero() for c in range(n)])))
-    entries = [[e if j == i else None for j, e in cols] for i in range(len(d.src))]
-    return PMap(ProjSum(alg, summands), d.src, entries)
+        cols += [(x, j, u) for j, col in enumerate(columns) for u in _units(alg.field, col.get(x, 0))]
+    return ((tuple((x, 0) for x, _j, _u in cols), tuple((b, t + i0) for b, t in summands),
+             tuple(tuple(u if j == i else None for _x, j, u in cols) for i in range(len(summands)))),
+            -i0)
 
 
 def injective_envelope(M):
@@ -528,40 +518,47 @@ class Resolution:
     """A chain of minimal covers P_m -> ... -> P_1 -> P_0 -> M.
 
     m is the length: pd when finite, else the lower bound, which is the cap
-    when the resolution stopped there.  `psums` [P_0, ..., P_m] and `pmaps`
-    [d_1: P_1 -> P_0, ...] are built on first read: from the differentials
-    the walk took, each later one by following the algebra's step memo
-    entry for the one before, as the walk read the tail, so a caller that
-    reads only the report builds none of them.
+    when the resolution stopped there.  The walk keeps each differential as
+    its step key and shift (`_up_to_shift`), and each later one is read off
+    the algebra's step memo entry for the one before, as the walk read the
+    tail.  `psums` [P_0, ..., P_m] are built off the keys alone, and only
+    `pmaps` [d_1: P_1 -> P_0, ...] builds PMaps (`_differential_onto`), so a
+    caller that reads only the report builds neither.
     """
 
-    def __init__(self, module, psums, pmaps, status, length, window):
+    def __init__(self, module, p0, walked, status, length, window):
         self.module = module
         self.status = status  # "finite" | "at-least"
         self.length = length  # pd when finite, else a lower bound for it
         self.window = window
-        self._p0 = psums[0]
-        self._pmaps = pmaps   # the differentials walked, d_1 first
-        self._built = None
+        self._p0 = p0          # P_0's summands
+        self._walked = walked  # (key, shift) of each differential walked, d_1 first
+        self._psums = self._pmaps = None
+
+    def _keys(self):
+        """(key, shift) of d_1, ..., d_m: those walked, then the memo's."""
+        keys = list(self._walked)
+        memo = self.module.algebra._resolution_steps
+        while len(keys) < self.length:
+            key, t0 = keys[-1]
+            nxt, dt, _need = memo[key]
+            keys.append((nxt, t0 + dt))
+        return keys
 
     @property
     def psums(self):
-        return self._build()[0]
+        if self._psums is None:
+            alg = self.module.algebra
+            self._psums = [ProjSum(alg, self._p0)] + [
+                ProjSum(alg, _shifted(key[0], t0)) for key, t0 in self._keys()]
+        return self._psums
 
     @property
     def pmaps(self):
-        return self._build()[1]
-
-    def _build(self):
-        if self._built is None:
-            pmaps = list(self._pmaps)
-            while len(pmaps) < self.length:
-                d = pmaps[-1]
-                t0 = d.src.summands[0][1]
-                key, dt, _need = d.algebra._resolution_steps[_up_to_shift(d, t0)]
-                pmaps.append(_differential_onto(d.src, key, t0 + dt))
-            self._built = [self._p0] + [d.src for d in pmaps], pmaps
-        return self._built
+        if self._pmaps is None:
+            self._pmaps = [_differential_onto(dst, key, t0)
+                           for dst, (key, t0) in zip(self.psums, self._keys())]
+        return self._pmaps
 
     def report(self):
         return {"kind": "exact" if self.status == "finite" else "at-least",
@@ -571,8 +568,12 @@ class Resolution:
 def resolution(M, cap, pad=5, window_hi=None):
     """Iterated minimal covers up to homological degree `cap`.
 
-    P_1 -> P_0 is the minimal presentation of M, which M keeps; from there
-    the resolution is walked down once.  It is exact on the working window,
+    P_1 -> P_0 is the minimal presentation of M, which M keeps, or for a
+    simple the key of d1 read off its arrows; from there the resolution is
+    walked down once, one step key and shift per differential, building a
+    PMap (`_differential_onto`) only for a realization: for
+    `next_differential`, or for `_generated_in_window` on a source not
+    exact above.  It is exact on the working window,
     so each syzygy's dimensions are its projective's less those of the
     syzygy before, starting from M's (`_kernel_dims`), and a zero syzygy
     ends it with no realization or kernel.  Otherwise the syzygy is taken
@@ -588,7 +589,8 @@ def resolution(M, cap, pad=5, window_hi=None):
     (`_top_slice_step`).  And where the step memo's entries lead from such a
     d_n up to shift to a zero syzygy within the cap, every later step's
     window top inside the window, the walk stops (`_tail_length`).  The
-    differentials it skipped are built only if `psums` or `pmaps` is read.
+    summands are built only if `psums` is read, off the keys walked and
+    then the memo's, and the maps only if `pmaps` is read.
 
     Generator searches beyond the first syzygy have no a-priori degree bound;
     the working window is grown once by `pad` when a generator shows up at
@@ -659,25 +661,24 @@ def _generated_in_window(d, hi):
     return max(-t for _b, t in d.src.summands) + rel_degree - 1 <= hi
 
 
-def _exact_top(psum, hi):
-    """The sum's top degree when its realization up to degree hi is exact
-    above, that is, when for every summand P_a<t> the column A e_a vanishes
-    in degree hi + 1 + t; None when it is not.  P_a<t> ends in degree
-    h(a) - t (see `ProjSum.support`)."""
-    alg = psum.algebra
-    if any(alg.column(a, hi + 1 + t) for a, t in psum.summands):
+def _exact_top(alg, summands, hi):
+    """The top degree of the sum of these summands when its realization up
+    to degree hi is exact above, that is, when for every summand P_a<t> the
+    column A e_a vanishes in degree hi + 1 + t; None when it is not.  P_a<t>
+    ends in degree h(a) - t (see `ProjSum.support`)."""
+    if any(alg.column(a, hi + 1 + t) for a, t in summands):
         return None
-    return max((alg.height(a, hi + 1 + t) - t for a, t in psum.summands), default=-math.inf)
+    return max((alg.height(a, hi + 1 + t) - t for a, t in summands), default=-math.inf)
 
 
-def _kernel_dims(psum, image, hi):
+def _kernel_dims(alg, summands, image, hi):
     """dim ker at every piece up to degree hi where it is not 0, for a map
-    from the sum onto a module whose dimensions there are `image`: by
-    rank-nullity, dim P - dim image piece by piece, each dim (P_a<t>)_(i, x)
-    read off the column A e_a in degree i + t."""
-    column = psum.algebra.column
+    from the sum of these summands onto a module whose dimensions there are
+    `image`: by rank-nullity, dim P - dim image piece by piece, each
+    dim (P_a<t>)_(i, x) read off the column A e_a in degree i + t."""
+    column = alg.column
     dims = {piece: -n for piece, n in image.items()}
-    for a, t in psum.summands:
+    for a, t in summands:
         for i in range(-t, hi + 1):
             col = column(a, i + t)
             if not col:
@@ -687,19 +688,33 @@ def _kernel_dims(psum, image, hi):
     return {piece: n for piece, n in dims.items() if n}
 
 
-def _up_to_shift(d, t0):
-    """The formal data of d with every shift less t0: its source and target
-    summands and its entries' coefficients."""
+def _is_radical(key):
+    """Whether every nonzero entry of a step key has degree s - t >= 1."""
+    src, dst, coeffs = key
+    return all(c is None or s - t >= 1
+               for row, (_a, s) in zip(coeffs, dst) for c, (_x, t) in zip(row, src))
+
+
+def _up_to_shift(d):
+    """d's step key and shift t0, its first source summand's (0 for none):
+    the formal data of d with every shift less t0, that is, its source and
+    target summands and its entries' coefficients."""
+    t0 = d.src.summands[0][1] if d.src.summands else 0
     return (tuple((a, t - t0) for a, t in d.src.summands),
             tuple((a, s - t0) for a, s in d.dst.summands),
-            tuple(tuple(None if e is None else e.coeffs for e in row) for row in d.entries))
+            tuple(tuple(None if e is None else e.coeffs for e in row) for row in d.entries)), t0
+
+
+def _shifted(summands, t0):
+    return [(a, t + t0) for a, t in summands]
 
 
 def _differential_onto(dst, key, t0):
-    """The map onto `dst` whose data up to shift t0 is `key` (`_up_to_shift`)."""
+    """The map onto `dst` whose data up to shift t0 is `key` (`_up_to_shift`):
+    the one place a step key becomes a PMap."""
     alg = dst.algebra
     src_summands, _dst_summands, coeffs = key
-    src = ProjSum(alg, [(x, t + t0) for x, t in src_summands])
+    src = ProjSum(alg, _shifted(src_summands, t0))
     return PMap(src, dst, [[None if c is None else AlgElement(alg, s - t, a, x, c)
                             for c, (x, t) in zip(row, src.summands)]
                            for row, (a, s) in zip(coeffs, dst.summands)])
@@ -707,71 +722,89 @@ def _differential_onto(dst, key, t0):
 
 def _resolution_attempt(M, cap, window, final):
     hi = window[1]
-    steps = M.algebra._resolution_steps
-    pres = minimal_presentation(M)
+    alg = M.algebra
+    steps = alg._resolution_steps
+    piece = _simple_piece(M)
+    if piece is None:
+        pres = minimal_presentation(M)
+        p0, d = pres.p0.summands, pres.d1
+        key, t0 = _up_to_shift(d)
+    else:
+        # a simple's d1 is read off its arrows, as a key
+        p0, d = ((piece[1], -piece[0]),), None
+        key, t0 = _arrows_key(alg, *piece)
+
+    def built():  # the differential the walk is at, as a PMap
+        return d if d is not None else _differential_onto(
+            ProjSum(alg, _shifted(key[1], t0)), key, t0)
+
     # every P_n is generated in degrees >= lo: in M's support, then inside
     # the syzygy before.  ker(P_0 -> M) is generated in degrees <= M.hi + 1
     # <= hi, which `resolution` checks, so its count is zero exactly when P_1 is
-    kernel = _kernel_dims(pres.p0, M.dims, hi)
-    d, pmaps = pres.d1, []
+    kernel = _kernel_dims(alg, p0, M.dims, hi)
+    # the differentials taken, as (key, shift); `d` is the last one's PMap
+    # where one was built, else None
+    walked = []
     # whether every syzygy so far had all its generators inside the window
     complete = True
-    # while the last differential's source is exact above: its key up to
-    # its shift t0, t0, and the least window top its step needs, plus t0
-    exact = None
-    while kernel and len(pmaps) < cap:
-        if pmaps:
+    # while the last differential's source is exact above: the least window
+    # top its step needs, plus its shift t0
+    need = None
+    while kernel and len(walked) < cap:
+        if walked:
             # the differential onto the syzygy `kernel` counts; after a source
             # exact above, that syzygy lies inside the window, so the step
             # depends only on the last differential up to shift
-            prev = pmaps[-1]
-            if exact:
-                key, t0, need = exact
-                entry = steps.get(key)
-                if entry is None:
-                    d = _top_slice_step(prev, kernel) or next_differential(prev, window)
-                    t1 = d.src.summands[0][1]
-                    entry = steps.setdefault(key, (_up_to_shift(d, t1), t1 - t0, need))
-                d = _differential_onto(prev.src, entry[0], t0 + entry[1])
+            entry = None if need is None else steps.get(key)
+            if entry is None:
+                step = None if need is None else _top_slice_step(alg, src, kernel)
+                if step is None:
+                    d = next_differential(built(), window)
+                    step = _up_to_shift(d)
+                else:
+                    d = None
+                if need is not None:
+                    steps.setdefault(key, (step[0], step[1] - t0, need))
+                key, t0 = step
             else:
-                d = next_differential(prev, window)
-        top = max((-t for _b, t in d.src.summands), default=None)
-        if top is None:
+                key, t0, d = entry[0], t0 + entry[1], None
+        if not key[0]:
             raise MathRefusal("nonzero syzygy without generators in the window")
-        if pmaps and top >= hi:
+        src = _shifted(key[0], t0)
+        top = max(-t for _b, t in src)
+        if walked and top >= hi:
             raise _NeedsWiderWindow(top)
-        if not d.is_radical():
+        if not _is_radical(key):
             raise MathRefusal("cover produced a non-radical differential")
-        src_top = _exact_top(d.src, hi)
+        src_top = _exact_top(alg, src, hi)
         if src_top is None:
-            exact = None
+            need = None
+            d = built()
             complete = complete and _generated_in_window(d, hi)
         else:
-            t0 = d.src.summands[0][1]
-            key = _up_to_shift(d, t0)
             # the source exact above, and the generators below the top
-            exact = key, t0, max(src_top, top + 1) + t0
-            tail = _tail_length(steps, key, t0, hi, cap - len(pmaps))
+            need = max(src_top, top + 1) + t0
+            tail = _tail_length(steps, key, t0, hi, cap - len(walked))
             if tail is not None:
                 # the walk from here was taken before, on a window this high
-                length = len(pmaps) + tail
-                pmaps.append(d)
+                length = len(walked) + tail
+                walked.append((key, t0))
                 break
-        pmaps.append(d)
-        kernel = _kernel_dims(d.src, kernel, hi)
+        walked.append((key, t0))
+        kernel = _kernel_dims(alg, src, kernel, hi)
     else:
         if kernel:
-            return Resolution(M, [pres.p0], pmaps, "at-least", cap, window)
-        if exact:
-            steps.setdefault(exact[0], (None, 0, exact[2]))
-        length = len(pmaps)
+            return Resolution(M, p0, walked, "at-least", cap, window)
+        if need is not None:
+            steps.setdefault(key, (None, 0, need))
+        length = len(walked)
     if length > cap:
-        return Resolution(M, [pres.p0], pmaps, "at-least", cap, window)
+        return Resolution(M, p0, walked, "at-least", cap, window)
     if complete:
-        return Resolution(M, [pres.p0], pmaps, "finite", length, window)
+        return Resolution(M, p0, walked, "finite", length, window)
     if not final:
         raise _NeedsWiderWindow(hi)
-    return Resolution(M, [pres.p0], pmaps, "at-least", length, window)
+    return Resolution(M, p0, walked, "at-least", length, window)
 
 
 def _tail_length(steps, key, t0, hi, bound):

@@ -64,6 +64,11 @@ def make_polynomial(field=QQ, skew=None):
 # -- readings of library data that only the tests use ---------------------------
 
 
+def is_radical(d):
+    """True when every nonzero entry of the PMap d has degree >= 1."""
+    return all(e is None or e.degree >= 1 for row in d.entries for e in row)
+
+
 def kernel(mor):
     """(K, inclusion K -> source) of a morphism, on the bases of its
     `kernel_bases`, as a module (the program keeps only the bases)."""

@@ -10,14 +10,20 @@ minimal presentation, and never builds the syzygy module.  Both must give the
 same summands, differentials, statuses, lengths, windows and refusals.
 """
 
+from collections import namedtuple
+
 from gradedquiver.errors import MathRefusal, WindowError
 from gradedquiver.gmodule import _complement_indices
 from gradedquiver.algebra import AlgElement
 from gradedquiver.linalg import Matrix
-from gradedquiver.presentations import (Cover, Generator, PMap, ProjSum, Resolution,
-                                        _NeedsWiderWindow, _generated_in_window)
+from gradedquiver.presentations import (Cover, Generator, PMap, ProjSum, _NeedsWiderWindow,
+                                        _generated_in_window)
 
-from conftest import kernel
+from conftest import is_radical, kernel
+
+
+# the sums and differentials built, with the status, length and window
+Resolution = namedtuple("Resolution", "module psums pmaps status length window")
 
 
 def top_basis(M, gen_degree_bound=None):
@@ -118,7 +124,7 @@ def _resolution_attempt(M, cap, window, final):
         prev = psums[-1]
         pnext = ProjSum(M.algebra, [(g.vertex, -g.degree) for g in gens])
         d = pmap_from_kernel_generators(pnext, prev, window, gens, current_incl)
-        if not d.is_radical():
+        if not is_radical(d):
             raise MathRefusal("cover produced a non-radical differential")
         psums.append(pnext)
         pmaps.append(d)

@@ -583,6 +583,23 @@ BAD_SCALARS = {
     "boolean-map-entry": (set_map_entry(True), f'modules.M.maps["a@0"]: {NOT_A_SCALAR} True'),
     "letters-as-map-entry": (set_map_entry("x"),
                              'modules.M.maps["a@0"]: \'x\' is not a scalar of Q'),
+    # no exponent (the text below alone took seconds to read), underscore or
+    # digit outside ASCII, on every Python version and field
+    "exponent-coefficient": (set_coeff("1e10000000"),
+                             "relations[0].coeffs[0]: '1e10000000' is not a scalar of Q"),
+    "exponent-map-entry": (set_map_entry("1e10000000"),
+                           'modules.M.maps["a@0"]: \'1e10000000\' is not a scalar of Q'),
+    "underscore-coefficient": (set_coeff("1_000"),
+                               "relations[0].coeffs[0]: '1_000' is not a scalar of Q"),
+    "underscore-coefficient-mod-3": (set_coeff("1_000", "Fp:3"),
+                                     "relations[0].coeffs[0]: '1_000' is not a scalar of Fp:3"),
+    "underscore-map-entry-mod-3": (lambda p: set_map_entry("1_000")(p) or p.update(field="Fp:3"),
+                                   'modules.M.maps["a@0"]: \'1_000\' is not a scalar of Fp:3'),
+    "arabic-digits-coefficient": (set_coeff("\u0661\u0662"),
+                                  "relations[0].coeffs[0]: '\u0661\u0662' is not a scalar of Q"),
+    "arabic-digits-map-entry-mod-3": (
+        lambda p: set_map_entry("\u0661\u0662")(p) or p.update(field="Fp:3"),
+        'modules.M.maps["a@0"]: \'\u0661\u0662\' is not a scalar of Fp:3'),
 }
 
 
@@ -614,7 +631,8 @@ def test_integer_and_text_scalars_read_alike(field, tmp_path, capsys):
     assert dims[0] == dims[1] == dims[2] and dims[0]["maps"] == {"a@0": [["2"]]}
 
 
-@pytest.mark.parametrize("entry", ["1/0", 0.1, True, "abc", "row"])
+@pytest.mark.parametrize("entry", ["1/0", 0.1, True, "abc", "row", "1e10000000", "1_000",
+                                   "\u0661\u0662"])
 def test_malformed_sequence_block_entries_are_field_addressed(entry, tmp_path, capsys):
     # "row" puts the text "1" where the row ["1"] stands, which would
     # otherwise be read character by character

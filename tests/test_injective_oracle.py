@@ -78,7 +78,7 @@ def pmaps_for(alg, mods):
     units = [[alg.unit(a) if i == j else None for j, (a, _s) in enumerate(psum.summands)]
              for i in range(len(psum))]
     out.append(PMap(psum, psum, units))
-    out.append(PMap.zero(psum.shift(-1), ProjSum(alg, [(w, 2)])))
+    out.append(PMap(psum.shift(-1), ProjSum(alg, [(w, 2)]), None))
     return out
 
 

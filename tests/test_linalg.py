@@ -161,6 +161,35 @@ def test_scalar_serialization():
     assert GF(7).parse("12") == 5
 
 
+# text every field reads, with its value over Q and mod 7
+READ_ALIKE = {"-3": (Fraction(-3), 4), "+5": (Fraction(5), 5), " 7 ": (Fraction(7), 0),
+              "\u22122": (Fraction(-2), 5), "12": (Fraction(12), 5), "0": (Fraction(0), 0)}
+# text Q reads and F_p refuses
+RATIONAL_ONLY = {"3/4": Fraction(3, 4), "0.5": Fraction(1, 2), "3.": Fraction(3),
+                 ".25": Fraction(1, 4), "-.5": Fraction(-1, 2)}
+# refused everywhere: exponents (Fraction("1e10000000") builds a
+# 33-million-bit integer), underscores and digits outside ASCII, which
+# Fraction and int read differently from one Python version to the next
+REFUSED = ["1e10000000", "1E3", "2e-1", "1_000", "1_0/3", "0.1_5", "\u0661\u0662",
+           "\uff11", "1/0", "nan", "inf", "", ".", "+", "3/-4", "0x10", "1 000"]
+
+
+def test_scalar_text_follows_one_grammar():
+    for text, (q, mod7) in READ_ALIKE.items():
+        assert QQ.parse(text) == q and type(QQ.parse(text)) is Fraction
+        assert GF(7).parse(text) == mod7
+    for text, q in RATIONAL_ONLY.items():
+        assert QQ.parse(text) == q
+        with pytest.raises(InputError):
+            GF(7).parse(text)
+    for text in REFUSED:
+        for field in (QQ, GF(7)):
+            with pytest.raises(InputError):
+                field.parse(text)
+    with pytest.raises(InputError, match="is not a scalar of Q"):
+        QQ.of("1_000")
+
+
 def test_prime_field_reads_a_fraction_as_a_quotient():
     # n/d is n times the inverse of d mod p, not a truncation
     assert GF(3).of(Fraction(1, 2)) == 2

@@ -87,18 +87,19 @@ def test_step_with_an_infinite_target_is_kept():
     assert res.report() == {"kind": "exact", "value": 3, "window": [0, 12]}
     d2 = res.pmaps[1]
     hi = res.window[1]
-    assert _exact_top(d2.src, hi) is not None and _exact_top(d2.dst, hi) is None
+    assert (_exact_top(warm, d2.src.summands, hi) is not None
+            and _exact_top(warm, d2.dst.summands, hi) is None)
     d3 = res.pmaps[2]
     t2, t3 = d2.src.summands[0][1], d3.src.summands[0][1]
 
     def need(d, t):
         # the source's top and one past its generators, plus the shift
-        return max(_exact_top(d.src, hi), max(-s for _b, s in d.src.summands) + 1) + t
+        return max(_exact_top(warm, d.src.summands, hi), max(-s for _b, s in d.src.summands) + 1) + t
 
     # d_2 -> d_3 up to d_3's own shift, then d_3's zero syzygy
     assert warm._resolution_steps == {
-        _up_to_shift(d2, t2): (_up_to_shift(d3, t3), t3 - t2, need(d2, t2)),
-        _up_to_shift(d3, t3): (None, 0, need(d3, t3))}
+        _up_to_shift(d2)[0]: (_up_to_shift(d3)[0], t3 - t2, need(d2, t2)),
+        _up_to_shift(d3)[0]: (None, 0, need(d3, t3))}
 
 
 @pytest.mark.parametrize("field", ["Q", "F2", "F3"])

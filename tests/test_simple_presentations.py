@@ -2,7 +2,7 @@
 
 An exact one-dimensional module is a simple S_v<s> on some window.  Its cover
 is its one vector and its d1 is read off the arrows out of v, with no
-realization, kernel or generator search (`presentations._arrows_out`).  The
+realization, kernel or generator search (`presentations._arrows_key`).  The
 generic route, called here step by step, takes the top basis, realizes the
 cover on [lo, hi + 1], takes the augmentation's kernel and searches it for
 generators.  Both must give the same cover generators and the same

@@ -45,12 +45,12 @@ def assert_counts_match(res):
     steps = [(res.psums[0], aug)] + [(d.src, d.realize(window)) for d in res.pmaps]
     got = dict(M.dims)
     for psum, realized in steps:
-        got = _kernel_dims(psum, got, window[1])
+        got = _kernel_dims(psum.algebra, psum.summands, got, window[1])
         assert all(n > 0 for n in got.values()), got
         assert got == kernel_dims(realized), (M.dims, window, psum)
     if res.status == "finite":
         assert not got
-    return sum(_exact_top(d.src, window[1]) is None for d in res.pmaps)
+    return sum(_exact_top(d.algebra, d.src.summands, window[1]) is None for d in res.pmaps)
 
 
 def check_algebra(alg):
