@@ -68,11 +68,10 @@ class TransposeData:
         return _memo(self._realized, window, lambda: self.realize((lo, hi), cap).with_window(*window))
 
 
-def transpose(M, pres=None):
+def transpose(M):
     """The graded transpose as presented data over the opposite algebra,
-    built once per presentation (by default the minimal one of M)."""
-    if pres is None:
-        pres = minimal_presentation(M)
+    built once on M's minimal presentation."""
+    pres = minimal_presentation(M)
     return _memo(pres._derived, "transpose", lambda: TransposeData(pres))
 
 

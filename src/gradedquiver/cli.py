@@ -155,9 +155,10 @@ def _task_args(problem, path):
     for idx, task in enumerate(problem.tasks):
         name = str(task.get("name", f"task{idx}"))
         argv = [path, task["command"]]
-        argv += [a for key in TASK_FLAGS if key in task for a in (f"--{key}", str(task[key]))]
+        # one `--key=value` token each, so a value such as -3:2 is no option
+        argv += [f"--{key}={task[key]}" for key in TASK_FLAGS if key in task]
         if "window" in task:
-            argv += ["--window", "{}:{}".format(*task["window"])]
+            argv.append("--window={}:{}".format(*task["window"]))
         argv += ["--json", "--out", f"{name}.json"]
         try:
             out.append((name, build_parser().parse_args(argv)))
@@ -354,8 +355,7 @@ def run(args, problem=None):
         return 0
 
     if args.command == "criteria":
-        rep = existence_report(alg, degree_cap=args.cap, dim_cap=args.cap,
-                               assert_noetherian=args.assert_noetherian)
+        rep = existence_report(alg, cap=args.cap, assert_noetherian=args.assert_noetherian)
         _emit(args, rep, human_table(rep))
         return 0
 

@@ -23,7 +23,7 @@ def _verdict(value, rule, evidence=None):
     return v
 
 
-def existence_report(algebra, degree_cap=10, dim_cap=10, assert_noetherian=None):
+def existence_report(algebra, cap=10, assert_noetherian=None):
     """Structured existence verdicts for the module and derived levels.
 
     Local noetherianness has no terminating test; `assert_noetherian`
@@ -31,10 +31,10 @@ def existence_report(algebra, degree_cap=10, dim_cap=10, assert_noetherian=None)
     abelianness of the finitely generated/cogenerated categories is reported
     as asserted rather than computed.
     """
-    if degree_cap < 1 or dim_cap < 1:
+    if cap < 1:
         raise InputError("caps must be positive")
-    report = {"caps": {"degree": degree_cap, "dimension": dim_cap}}
-    bounded = algebra.boundedness(degree_cap)
+    report = {"caps": {"degree": cap, "dimension": cap}}
+    bounded = algebra.boundedness(cap)
     left = bounded["left"]["status"] == "finite"
     right = bounded["right"]["status"] == "finite"
     report["boundedness"] = bounded
@@ -82,8 +82,8 @@ def existence_report(algebra, degree_cap=10, dim_cap=10, assert_noetherian=None)
     if left and right:
         for v in algebra.quiver.vertices:
             S = standard_module(algebra, "S", v, 0)
-            pd_table[v] = graded_dimension(S, "proj", dim_cap)
-            id_table[v] = graded_dimension(S, "inj", dim_cap)
+            pd_table[v] = graded_dimension(S, "proj", cap)
+            id_table[v] = graded_dimension(S, "inj", cap)
         all_pd = all(r["kind"] == "exact" for r in pd_table.values())
         all_id = all(r["kind"] == "exact" for r in id_table.values())
         right_verdict = YES if all_pd else UNKNOWN

@@ -24,7 +24,7 @@ import itertools
 import random
 
 from .errors import WindowError, UnsupportedRadical, MathRefusal
-from .linalg import Matrix, charpoly, roots_in_field
+from .linalg import Matrix, roots_in_field
 from .gmodule import GradedMorphism, standard_module, _memo
 from .presentations import (ProjSum, projective_cover, minimal_presentation, Cover, Generator,
                             next_differential, _simple_piece)
@@ -415,13 +415,8 @@ def is_strongly_indecomposable(M):
 def _fitting_split(M, phi):
     """Try to split M along an eigenvalue of the endomorphism phi."""
     f = M.algebra.field
-    poly = [f.one()]
-    for (i, x) in M.support():
-        blk = phi.block(i, x)
-        cp = charpoly(blk)
-        poly = _poly_mul(f, poly, cp)
     total = sum(M.dims.values())
-    for lam in roots_in_field(poly, f):
+    for lam in roots_in_field(_minimal_polynomial(M, phi), f):
         psi = phi + GradedMorphism.identity(M).scale(f.neg(f.of(lam)))
         power = psi
         for _ in range(max(total.bit_length(), 1)):
@@ -430,6 +425,26 @@ def _fitting_split(M, phi):
         if kd and total - kd:
             return _projection_onto_image(M, power), (kd, total - kd)
     return None
+
+
+def _minimal_polynomial(M, phi):
+    """The minimal polynomial of phi in End(M), monic and low-degree first.
+
+    The powers id, phi, phi^2, ... are flattened on `_hom_slots` of
+    phi.source (which may be M re-windowed) until one lies in the span of
+    the lower ones; their one kernel vector is then the relation, with the
+    free coordinate, that of the top power, set to 1 by `kernel_basis`."""
+    f = M.algebra.field
+    source = phi.source
+    slots, size = _hom_slots(source, source)
+    power = GradedMorphism.identity(source)
+    powers = []
+    while True:
+        powers.append(_flatten(f, slots, size, power.blocks))
+        relation = Matrix._make_cols(f, size, powers).kernel_basis()
+        if relation.cols:
+            return relation.col(0)
+        power = phi.compose(power)
 
 
 def _projection_onto_image(M, power):
@@ -448,17 +463,6 @@ def _projection_onto_image(M, power):
         lower = Matrix._make(f, ib.cols, n, inv.data[kb.cols:])
         blocks[(i, x)] = ib @ lower
     return GradedMorphism(M, M, blocks, check=False)
-
-
-def _poly_mul(f, p, q):
-    out = [f.zero()] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            if b:
-                out[i + j] = f.add(out[i + j], f.mul(a, b))
-    return out
 
 
 # -- stable homs -----------------------------------------------------------------

@@ -481,56 +481,6 @@ def _eliminate(p, row, prow, c):
     return {j: v // g for j, v in row.items() if v}
 
 
-def charpoly(A):
-    """Characteristic polynomial of a square matrix, low-degree-first.
-
-    Samuelson-Berkowitz: division-free, so it is uniform over Q and F_p.
-    Returns coefficients of det(tI - A).
-    """
-    if A.rows != A.cols:
-        raise DimensionMismatch("charpoly needs a square matrix")
-    f = A.field
-    n = A.rows
-    if n == 0:
-        return [f.one()]
-    # vectors are polynomials low-first; iteratively build via Toeplitz products
-    poly = [f.neg(A.data[0][0]), f.one()]
-    for k in range(1, n):
-        a = A.data[k][k]
-        R = [A.data[k][j] for j in range(k)]
-        C = [A.data[i][k] for i in range(k)]
-        sub = [[A.data[i][j] for j in range(k)] for i in range(k)]
-        # t-column of the Toeplitz matrix: [-a, 1] then -R S^i C
-        tcol = [f.neg(a), f.one()]
-        vec = C
-        for _ in range(k):
-            s = f.zero()
-            for x, y in zip(R, vec):
-                if x and y:
-                    s = f.add(s, f.mul(x, y))
-            tcol.insert(0, f.neg(s))
-            nxt = []
-            for i in range(k):
-                acc = f.zero()
-                for j in range(k):
-                    if sub[i][j] and vec[j]:
-                        acc = f.add(acc, f.mul(sub[i][j], vec[j]))
-                nxt.append(acc)
-            vec = nxt
-        # multiply: new = tcol-Toeplitz applied to old poly
-        new = [f.zero()] * (len(poly) + 1)
-        for i, c in enumerate(poly):
-            if not c:
-                continue
-            for j, t in enumerate(tcol):
-                if t:
-                    idx = i + j - k
-                    if 0 <= idx <= len(poly):
-                        new[idx] = f.add(new[idx], f.mul(c, t))
-        poly = new
-    return poly
-
-
 def poly_eval(poly, x, field):
     acc = field.zero()
     for c in reversed(poly):

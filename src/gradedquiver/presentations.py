@@ -823,14 +823,14 @@ def _tail_length(steps, key, t0, hi, bound):
     return bound + 1
 
 
-def graded_dimension(M, kind, cap, pad=5):
+def graded_dimension(M, kind, cap):
     """Graded projective or injective dimension, certified only by vanishing.
 
     Returns {"kind": "exact"|"at-least", "value": d}.  The injective side is
     the projective dimension of the dual over the opposite algebra.
     """
     if kind == "proj":
-        return resolution(M, cap, pad=pad).report()
+        return resolution(M, cap).report()
     if kind == "inj":
-        return resolution(M.dual(), cap, pad=pad).report()
+        return resolution(M.dual(), cap).report()
     raise InputError(f"unknown dimension kind {kind!r}")

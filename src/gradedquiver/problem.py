@@ -20,7 +20,7 @@ from .gmodule import GradedModule, standard_module, _is_int
 COMMANDS = ("validate", "dims", "hom", "ext1", "rad", "top", "soc", "cover", "envelope",
             "present", "copresent", "transpose", "nakayama", "tau", "tau-inv", "ars",
             "verify-ars", "ar-formula", "pd", "criteria", "analyze-quiver", "run-tasks")
-# the task keys `run-tasks` forwards as `--key value`; a task may also carry
+# the task keys `run-tasks` forwards as `--key=value`; a task may also carry
 # its name, command and window, and nothing else
 TASK_FLAGS = ("module", "source", "target", "other", "simple", "direction",
               "sequence", "kind", "cap")

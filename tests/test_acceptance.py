@@ -319,7 +319,7 @@ def test_criterion_5_round_trips():
             continue
         if is_strongly_indecomposable(M).status != "yes":
             continue
-        tr = transpose(M, pres)
+        tr = transpose(M)
         back = transpose_back(tr)
         lo, hi = M.lo - 1, M.hi + 1
         cok, _proj = back.realize((lo, hi)).cokernel()

@@ -37,7 +37,7 @@ def test_transpose_of_simple_fix_b(fix_b):
 def test_double_transpose_differential(fix_c):
     rad, _ = standard_module(fix_c, "P", "1", 0, window=(0, 12)).radical()
     pres = minimal_presentation(rad)
-    tr = transpose(rad, pres)
+    tr = transpose(rad)
     back = transpose_back(tr)
     assert back.src.summands == pres.d1.src.summands
     assert back.dst.summands == pres.d1.dst.summands

@@ -111,6 +111,33 @@ def test_cli_tasks_reject_unknown_keys(tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.glob("task*.json"))
 
 
+def test_task_values_starting_with_a_dash_are_values(tmp_path, capsys, monkeypatch):
+    # each task flag goes to the parser as one --key=value token, so a
+    # negative window or a module named -P is read as a value, not an option
+    with open(fix("fix_b"), encoding="utf-8") as fh:
+        problem = json.load(fh)
+    problem["modules"]["-P"] = problem["modules"]["P1"]
+    problem["tasks"] = [
+        {"name": "window", "command": "dims", "module": "P1", "window": [-3, 2]},
+        {"name": "dash", "command": "dims", "module": "-P"},
+    ]
+    pfile = tmp_path / "prob.json"
+    pfile.write_text(json.dumps(problem))
+    batch, flags = tmp_path / "batch", tmp_path / "flags"
+    batch.mkdir()
+    flags.mkdir()
+    monkeypatch.setenv("GRADEDQUIVER_OUT_DIR", str(batch))
+    for command in ("validate", "run-tasks"):
+        assert main([str(pfile), command, "--json"]) == 0
+    monkeypatch.setenv("GRADEDQUIVER_OUT_DIR", str(flags))
+    assert main([str(pfile), "dims", "--module", "P1", "--window=-3:2",
+                 "--json", "--out", "window.json"]) == 0
+    assert main([str(pfile), "dims", "--module=-P", "--json", "--out", "dash.json"]) == 0
+    capsys.readouterr()
+    for name in ("window.json", "dash.json"):
+        assert (batch / name).read_bytes() == (flags / name).read_bytes()
+
+
 def test_cli_rad_top(capsys):
     code = main([fix("fix_a"), "rad", "--module", "P1", "--window", "0:4",
                  "--json"])

@@ -4,7 +4,7 @@ from conftest import make_fix_c
 
 
 def test_fix_b_hereditary_all_yes(fix_b):
-    r = existence_report(fix_b, 6, 6)
+    r = existence_report(fix_b, 6)
     assert r["hereditary"]["fp_almost_split_on_left"]["verdict"] == "yes"
     assert r["hereditary"]["fci_almost_split_on_right"]["verdict"] == "yes"
     assert r["hereditary"]["derived_almost_split_triangles"]["verdict"] == "yes"
@@ -12,7 +12,7 @@ def test_fix_b_hereditary_all_yes(fix_b):
 
 
 def test_fix_d_locally_bounded_derived(fix_d):
-    r = existence_report(fix_d, 10, 10)
+    r = existence_report(fix_d, 10)
     assert r["boundedness"]["left"]["status"] == "finite"
     assert r["boundedness"]["right"]["status"] == "finite"
     d = r["derived_finite_dimensional"]
@@ -29,7 +29,7 @@ def test_fix_d_locally_bounded_derived(fix_d):
 
 
 def test_fix_a_unbounded_side(fix_a):
-    r = existence_report(fix_a, 6, 6)
+    r = existence_report(fix_a, 6)
     assert r["boundedness"]["left"]["status"] == "unbounded-at-cap"
     assert (r["finitely_presented_category"]["almost_split_on_left"]["verdict"]
             == "unknown-at-cap")
@@ -42,15 +42,15 @@ def test_hereditary_cycle_gives_no():
     from gradedquiver import Quiver, GradedAlgebra, QQ
     q = Quiver(["1"], [("a", "1", "1")])
     alg = GradedAlgebra(q, QQ, [])
-    r = existence_report(alg, 4, 4)
+    r = existence_report(alg, 4)
     assert r["hereditary"]["fp_almost_split_on_left"]["verdict"] == "no"
     assert r["hereditary"]["derived_almost_split_triangles"]["verdict"] == "no"
 
 
 def test_monotone_in_caps():
     alg = make_fix_c(ray_end=13)
-    small = existence_report(alg, 5, 5)
-    big = existence_report(alg, 12, 12)
+    small = existence_report(alg, 5)
+    big = existence_report(alg, 12)
 
     def verdicts(rep):
         out = {}
@@ -74,17 +74,17 @@ def test_monotone_in_caps():
 
 
 def test_human_table_renders(fix_d):
-    text = human_table(existence_report(fix_d, 6, 6))
+    text = human_table(existence_report(fix_d, 6))
     assert "almost_split" in text and "yes" in text
 
 
 def test_noetherian_assertion(fix_a, fix_d):
     # boundedness certifies noetherianness; otherwise only a user assertion
     # is recorded, never a computed claim
-    r = existence_report(fix_a, 6, 6)
+    r = existence_report(fix_a, 6)
     assert "left" not in r.get("noetherian", {})
-    r = existence_report(fix_a, 6, 6, assert_noetherian="left")
+    r = existence_report(fix_a, 6, assert_noetherian="left")
     assert r["noetherian"]["left"]["status"] == "user-asserted"
-    r = existence_report(fix_d, 6, 6)
+    r = existence_report(fix_d, 6)
     assert r["noetherian"]["left"]["status"] == "certified"
     assert r["noetherian"]["right"]["status"] == "certified"

@@ -22,11 +22,12 @@ from test_cli import fix
 from test_stable_homs import change_basis
 
 
-def gaussian_kronecker(field=QQ):
-    """A Kronecker module whose endomorphism ring is a quadratic field."""
+def gaussian_kronecker(field=QQ, n=1):
+    """A Kronecker module whose endomorphism ring is a quadratic field,
+    Q(sqrt(-n)) over Q."""
     q = Quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")])
     alg = GradedAlgebra(q, field, [])
-    rot = Matrix(field, 2, 2, [[0, field.of(-1)], [1, 0]])
+    rot = Matrix(field, 2, 2, [[0, field.of(-n)], [1, 0]])
     C = GradedModule(alg, 0, 1, {(0, "1"): 2, (1, "2"): 2},
                      {("a", 0): Matrix.identity(field, 2), ("b", 0): rot})
     return alg, C
@@ -44,6 +45,16 @@ def test_presumed_verdict_for_field_extension_end():
         tau(C)
     with pytest.raises(MathRefusal, match="verdict"):
         almost_split_sequence(C, "ending")
+
+
+def test_presumed_verdict_scales_with_the_constant_term():
+    # End(G) = Q(sqrt(-10^8)): each candidate's eigenvalues come from its
+    # minimal polynomial, of degree at most 2, so the rational-root scan runs
+    # to the square root of its constant term, not of that term squared (the
+    # product of the two pieces' characteristic polynomials); no timing assert
+    _alg, G = gaussian_kronecker(n=10 ** 8)
+    v = is_strongly_indecomposable(G)
+    assert (v.status, v.trials) == ("presumed", 67)
 
 
 def test_presumed_becomes_split_over_f5():

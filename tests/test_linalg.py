@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradedquiver.linalg import (QQ, GF, Matrix, charpoly,
-                                 poly_eval, roots_in_field)
+from gradedquiver import GradedAlgebra, GradedModule, GradedMorphism, Quiver
+from gradedquiver.homs import _minimal_polynomial
+from gradedquiver.linalg import QQ, GF, Matrix, poly_eval, roots_in_field
 from gradedquiver.errors import DimensionMismatch, FieldMismatch, InputError
 
 
@@ -124,23 +125,42 @@ def test_solve_round_trip(A, k):
     assert A @ X == B
 
 
-def test_charpoly_small_cases():
-    A = M(QQ, [[0, 1], [0, 0]])
-    assert charpoly(A) == [Fraction(0), Fraction(0), Fraction(1)]
-    D = M(QQ, [[1, 0], [0, 2]])
-    assert charpoly(D) == [Fraction(2), Fraction(-3), Fraction(1)]
-    F5 = GF(5)
-    E = M(F5, [[2, 0], [0, 3]])
+def minimal_polynomial(A):
+    """The minimal polynomial of A as an endomorphism of one piece of
+    dimension n over a vertex with no arrows, whose End is every n x n matrix."""
+    alg = GradedAlgebra(Quiver(["v"], []), A.field, [])
+    M = GradedModule(alg, 0, 0, {(0, "v"): A.rows}, {})
+    return _minimal_polynomial(M, GradedMorphism(M, M, {(0, "v"): A}))
+
+
+def test_minimal_polynomial_small_cases():
+    assert minimal_polynomial(M(QQ, [[0, 1], [0, 0]])) == [0, 0, 1]
+    assert minimal_polynomial(M(QQ, [[1, 0], [0, 2]])) == [2, -3, 1]
+    # a scalar matrix: degree 1, below the characteristic polynomial's 2
+    assert minimal_polynomial(M(QQ, [[3, 0], [0, 3]])) == [-3, 1]
     # (t-2)(t-3) = t^2 - 5t + 6 = t^2 + 1 mod 5
-    assert charpoly(E) == [1, 0, 1]
+    assert minimal_polynomial(M(GF(5), [[2, 0], [0, 3]])) == [1, 0, 1]
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(st.one_of(matrices("Q"), matrices("F5")))
-def test_charpoly_cayley_hamilton(A):
-    if A.rows != A.cols:
-        A = Matrix.zeros(A.field, min(A.rows, A.cols), min(A.rows, A.cols))
-    assert poly_eval_matrix(charpoly(A), A).is_zero()
+def test_minimal_polynomial_is_the_least_monic_annihilator(A):
+    n = min(A.rows, A.cols)
+    A = A.select_rows(range(n)).select_cols(range(n))
+    f = A.field
+    mu = minimal_polynomial(A)
+    assert mu[-1] == f.one()
+    assert poly_eval_matrix(mu, A).is_zero()
+    # id, A, ..., A^(deg - 1) are independent
+    powers = [Matrix.identity(f, n)]
+    for _ in range(len(mu) - 2):
+        powers.append(powers[-1] @ A)
+    flat = [[v for row in P.data for v in row] for P in powers]
+    assert Matrix.from_cols(f, n * n, flat).rank() == len(mu) - 1
+    if not f.is_rationals:
+        singular = [lam for lam in range(f.p)
+                    if (A - Matrix.identity(f, n).scale(lam)).rank() < n]
+        assert roots_in_field(mu, f) == singular
 
 
 def test_roots_in_field():
